@@ -375,7 +375,10 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
 
     payload = {**fit.to_dict(), "input_digest": _sha256(Path(scan_csv))}
     if nu is not None:
-        prediction = propagate_visibility_uncertainty(nu, nu_std)
+        try:
+            prediction = propagate_visibility_uncertainty(nu, nu_std)
+        except ValueError as exc:
+            _fail(EXIT_INPUT_ERROR, str(exc))
         payload["comparison"] = {
             "nu": nu,
             "nu_std": nu_std,

@@ -56,7 +56,6 @@ CONFIG_SCHEMA = {
                 "nu_per_mode": {"type": "number", "minimum": 0},
                 "eta": {"type": "number", "minimum": 0, "maximum": 1},
                 "shots": {"type": "integer", "minimum": 1},
-                "peak_separation": {"type": "number", "exclusiveMinimum": 0},
                 "peak_width": {
                     "anyOf": [
                         {"type": "number", "exclusiveMinimum": 0},
@@ -101,7 +100,6 @@ CONFIG_SCHEMA = {
                 "nu": {"type": "number", "minimum": 0},
                 "eta": {"type": "number", "minimum": 0, "maximum": 1},
                 "shots_per_point": {"type": "integer", "minimum": 1},
-                "fock_n_max": {"type": "integer", "minimum": 1},
             },
         },
         "visibility": {
@@ -128,7 +126,6 @@ def default_config() -> dict:
             "nu_per_mode": 4.5,
             "eta": 0.25,
             "shots": 1876,
-            "peak_separation": 50.0,
             "peak_width": 6.25,
             "mode_widths": [4.125, 4.125, 1.875],
             "mode_spacing": [8.25, 8.25, 3.75],
@@ -149,7 +146,6 @@ def default_config() -> dict:
             "nu": 0.33,
             "eta": 0.25,
             "shots_per_point": 800,
-            "fock_n_max": 12,
         },
         "visibility": {"nu": 0.33, "nu_std": 0.07},
     }
@@ -192,7 +188,6 @@ def source_config(doc: dict, seed: int = None) -> SourceConfig:
         eta=section["eta"],
         shots=section["shots"],
         master_seed=doc["master_seed"] if seed is None else seed,
-        peak_separation=section["peak_separation"],
         peak_width=section["peak_width"],
         mode_widths=tuple(section["mode_widths"]),
         mode_spacing=tuple(section["mode_spacing"]),
@@ -221,7 +216,6 @@ def hom_config(doc: dict, seed: int = None) -> HomScanConfig:
         eta=section["eta"],
         shots_per_point=section["shots_per_point"],
         master_seed=doc["master_seed"] if seed is None else seed,
-        fock_n_max=section["fock_n_max"],
     )
 
 

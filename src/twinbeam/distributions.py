@@ -55,6 +55,9 @@ class TmsvParams:
         nu, alpha = self.nu, self.alpha_mag
         if nu is None and alpha is None:
             raise ValueError("provide nu or alpha_mag")
+        for name, value in (("nu", nu), ("alpha_mag", alpha)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if alpha is None:
             if nu < 0:
                 raise ValueError(f"nu must be >= 0, got {nu}")
@@ -172,11 +175,12 @@ class Pmf:
 
 
 def _thermal_tail_n_max(nu: float, tol: float) -> int:
-    # Thermal tail mass beyond n is (nu/(1+nu))**(n+1).
+    # Thermal tail mass beyond n is (nu/(1+nu))**(n+1).  Solving for tol/2
+    # leaves the other half of the allowance to rounding in the summed terms.
     if nu <= 0.0:
         return 0
     x = nu / (1.0 + nu)
-    return max(0, math.ceil(math.log(tol) / math.log(x)) - 1)
+    return max(0, math.ceil(math.log(tol / 2.0) / math.log(x)) - 1)
 
 
 def thermal_pmf(nu: float, n_max: int = None) -> Pmf:

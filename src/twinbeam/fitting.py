@@ -274,8 +274,8 @@ def propagate_visibility_uncertainty(
     """
     if nu <= 0:
         raise ValueError(f"nu must be > 0, got {nu}")
-    if nu_std < 0:
-        raise ValueError(f"nu_std must be >= 0, got {nu_std}")
+    if not math.isfinite(nu_std) or nu_std < 0:
+        raise ValueError(f"nu_std must be finite and >= 0, got {nu_std}")
     v_pred = predict_visibility(TmsvParams(nu=nu))
     g = 2.0 + 1.0 / (2.0 * nu)
     v_std = nu_std / (2.0 * nu**2 * g**2)

@@ -1,13 +1,15 @@
 """Brute-force truncated-Fock-space calculator for the twin-beam source.
 
-Everything here works directly on state vectors over occupation-number
-grids: the two-mode squeezed vacuum is built amplitude by amplitude, the
-50:50 splitter is the numerically exponentiated two-mode mixing generator
-(exact on every total-number block), and observables are read off the
-resulting amplitudes.  The module exists to derive independently what the
-closed-form laws in :mod:`twinbeam.distributions` and
-:mod:`twinbeam.fitting` assert, and to hand exact joint count
-distributions to the Monte Carlo simulator.
+The one splitter primitive is :func:`_block_unitary`: the numerically
+exponentiated two-mode mixing generator on the block of fixed total count,
+which it conserves, so every block is exact.  The dense calculator
+(``TruncatedPureState``, ``build_tmsv``, ``beamsplitter``,
+``joint_counts``) applies those blocks to state vectors over truncated
+occupation-number grids; :func:`hom_joint_pmf` and the visibility oracles
+work block by block without any per-mode cutoff.  The module exists to
+derive independently what the closed-form laws in
+:mod:`twinbeam.distributions` and :mod:`twinbeam.fitting` assert, and to
+hand exact joint count distributions to the Monte Carlo simulator.
 
 Splitter convention: symmetric 50:50 with the i-phase on reflection,
 ``a -> (a + i b)/sqrt(2)``.  Count distributions do not depend on this
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .distributions import TAIL_TOLERANCE, Pmf, TmsvParams, _thermal_tail_n_max
 
@@ -152,29 +154,6 @@ def _block_unitary(total: int, theta: float) -> np.ndarray:
     return (vecs * phases) @ vecs.T
 
 
-@lru_cache(maxsize=None)
-def _bs_matrix(n_max: int, theta: float):
-    """Sparse splitter matrix on the dense two-mode grid.
-
-    Entries connecting to occupations above ``n_max`` are dropped; the
-    resulting norm deficit is the truncation loss the caller reports.
-    """
-    from scipy.sparse import coo_matrix
-
-    dim = n_max + 1
-    rows, cols, vals = [], [], []
-    for total in range(2 * n_max + 1):
-        lo, hi = max(0, total - n_max), min(total, n_max)
-        block = _block_unitary(total, theta)
-        for m1 in range(lo, hi + 1):
-            for n1 in range(lo, hi + 1):
-                rows.append(m1 * dim + (total - m1))
-                cols.append(n1 * dim + (total - n1))
-                vals.append(block[m1, n1])
-    mat = coo_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
-    return mat.tocsr()
-
-
 def build_tmsv(params: TmsvParams, n_max: int) -> TruncatedPureState:
     """Two-mode squeezed vacuum with pair numbers up to ``n_max``.
 
@@ -223,11 +202,15 @@ def beamsplitter(
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
     theta = math.acos(math.sqrt(transmittance))
-    dim = state.n_max + 1
-    moved = np.moveaxis(state.amplitudes, (mode_i, mode_j), (k - 2, k - 1))
-    flat = moved.reshape(-1, dim * dim)
-    mixed = (_bs_matrix(state.n_max, theta) @ flat.T).T
-    out = np.moveaxis(mixed.reshape(moved.shape), (k - 2, k - 1), (mode_i, mode_j))
+    n_max = state.n_max
+    moved = np.moveaxis(state.amplitudes, (mode_i, mode_j), (-2, -1))
+    mixed = np.zeros_like(moved)
+    # Each anti-diagonal of the (mode_i, mode_j) grid is one total-count block.
+    for total in range(2 * n_max + 1):
+        m = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        block = _block_unitary(total, theta)[np.ix_(m, m)]
+        mixed[..., m, total - m] = moved[..., m, total - m] @ block.T
+    out = np.moveaxis(mixed, (-2, -1), (mode_i, mode_j))
     return TruncatedPureState(mode_count=k, n_max=state.n_max, amplitudes=out)
 
 
@@ -252,50 +235,40 @@ def joint_counts(
     return JointPmf(probs=np.clip(probs, 0.0, 1.0))
 
 
-def _overlap_register(
-    params: TmsvParams, overlap: OverlapModel, n_max: int
-) -> TruncatedPureState:
-    """Four-mode register holding the pair source at partial overlap.
-
-    Mode order is ``(matched@1, orthogonal@1, matched@2, orthogonal@2)``.
-    The first beam defines the matched spatio-temporal mode and occupies
-    it fully; the second beam is decomposed against it with amplitude
-    ``lam`` on the matched mode and ``sqrt(1-lam^2)`` on the orthogonal
-    one, so the inner product of the two beam modes is exactly ``lam``.
-    The orthogonal mode at port 1 starts in vacuum.
-    """
-    lam = overlap.lam
-    mu = math.sqrt(max(0.0, 1.0 - lam * lam))
-    alpha = params.alpha_mag
-    dim = n_max + 1
-    amps = np.zeros((dim, dim, dim, dim), dtype=complex)
-    prefactor = math.sqrt(1.0 - alpha**2)
-    for n in range(dim):
-        c_n = prefactor * alpha**n
-        if c_n == 0.0 and n > 0:
-            break
-        for k in range(n + 1):
-            # |n> in the second beam spreads binomially over (matched, orthogonal)
-            coeff = math.sqrt(math.comb(n, k)) * lam**k * mu ** (n - k)
-            amps[n, 0, k, n - k] = c_n * coeff
-    return TruncatedPureState(mode_count=4, n_max=n_max, amplitudes=amps)
-
-
 def hom_joint_pmf(
-    params: TmsvParams, overlap: OverlapModel, n_max: int = 12
+    params: TmsvParams, overlap: OverlapModel, n_max: int = None
 ) -> JointPmf:
     """Joint output-port count law of the two-input interferometer.
 
-    The splitter acts pairwise across the ports: matched-with-matched
-    (where the two beams interfere) and orthogonal-with-orthogonal (where
-    the occupied orthogonal component of beam 2 mixes with the vacuum at
-    port 1, i.e. splits without interference).  Port a collects the two
-    port-1 outputs, port b the two port-2 outputs.
+    The first beam defines the matched spatio-temporal mode; the second
+    beam overlaps it with amplitude ``lam``.  Given ``n`` pairs (weight
+    ``(1-x) x^n``), ``k ~ Bin(n, lam^2)`` of the second beam's atoms sit in
+    the matched mode.  The matched input ``|n, k>`` interferes through one
+    exact splitter block; the ``n - k`` orthogonal atoms split against
+    vacuum.  Port a collects both, and port b holds the rest of the ``2n``
+    atoms.  Different ``k`` never interfere because their matched totals
+    differ, so the law is a mixture of exact blocks.
+
+    Only the pair tail beyond ``n_max`` is lost; it defaults to the
+    smallest support whose thermal tail is below ``TAIL_TOLERANCE``.
     """
-    state = _overlap_register(params, overlap, n_max)
-    state = beamsplitter(state, 0, 2)
-    state = beamsplitter(state, 1, 3)
-    return joint_counts(state, modes_a=(0, 1), modes_b=(2, 3))
+    if n_max is None:
+        n_max = _thermal_tail_n_max(params.nu, TAIL_TOLERANCE)
+    x = params.alpha_mag**2
+    theta = math.pi / 4.0
+    probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
+    for n in range(n_max + 1):
+        # k of the second beam's n atoms fall in the matched mode.
+        overlap_split = _vacuum_split_pmf(n, overlap.lam**2)
+        port_a = np.zeros(2 * n + 1)
+        for k, w_k in enumerate(overlap_split):
+            if w_k == 0.0:
+                continue
+            matched = np.abs(_block_unitary(n + k, theta)[:, n]) ** 2
+            port_a += w_k * np.convolve(matched, _vacuum_split_pmf(n - k))
+        n_a = np.arange(2 * n + 1)
+        probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * port_a
+    return JointPmf(probs=np.clip(probs, 0.0, 1.0))
 
 
 def cross_correlation(joint: JointPmf) -> float:
@@ -328,21 +301,17 @@ def _paired_split_pmf(n: int) -> np.ndarray:
     return pmf
 
 
-def _vacuum_split_pmf(n: int) -> np.ndarray:
-    """Output count law at port a when ``|n>`` meets vacuum: Bin(n, t=1/2)."""
+def _vacuum_split_pmf(n: int, transmittance: float = 0.5) -> np.ndarray:
+    """Output count law at port a when ``|n>`` meets vacuum: Bin(n, t)."""
     m = np.arange(n + 1)
     log_w = (
         gammaln(n + 1.0)
         - gammaln(m + 1.0)
         - gammaln(n - m + 1.0)
-        - n * math.log(2.0)
+        + xlogy(m, transmittance)
+        + xlog1py(n - m, -transmittance)
     )
     return np.exp(log_w)
-
-
-def _binomial_half_pmf(n: int) -> np.ndarray:
-    """Bin(n, 1/2) over 0..n; the law of two stacked vacuum splits."""
-    return _vacuum_split_pmf(n)
 
 
 def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
@@ -374,7 +343,7 @@ def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
         # Distinguishable beams: each |n> splits against vacuum, so the
         # port-a total is Bin(n,1/2) + Bin(n,1/2) = Bin(2n,1/2).
         baseline += pair_weights[n] * float(
-            _binomial_half_pmf(2 * n) @ (m_dip * (2 * n - m_dip))
+            _vacuum_split_pmf(2 * n) @ (m_dip * (2 * n - m_dip))
         )
     if baseline == 0.0:
         raise UndefinedVisibilityError(
@@ -389,8 +358,8 @@ def thermal_input_visibility(nu: float, n_max: int = None) -> float:
     The two inputs are uncorrelated single-mode thermal mixtures of equal
     mean ``nu``.  A thermal density matrix is Fock-diagonal, so exact
     propagation reduces to averaging pure Fock runs ``|n1, n2>`` over the
-    product of occupation laws; the splitter output of each run comes
-    from the numerically exponentiated block unitary.
+    product of occupation laws.  Runs of one total ``T = n1 + n2`` share a
+    splitter block, so each block is applied to all its runs at once.
     """
     if nu < 0.0:
         raise ValueError(f"nu must be >= 0, got {nu}")
@@ -401,25 +370,20 @@ def thermal_input_visibility(nu: float, n_max: int = None) -> float:
     if n_max is None:
         n_max = max(1, _thermal_tail_n_max(nu, TAIL_TOLERANCE))
     x = nu / (1.0 + nu)
-    ns = np.arange(n_max + 1)
-    weights = (1.0 - x) * x**ns
+    weights = (1.0 - x) * x ** np.arange(n_max + 1)
 
     theta = math.pi / 4.0
     dip = 0.0
     baseline = 0.0
-    for n1 in range(n_max + 1):
-        split_1 = _vacuum_split_pmf(n1)
-        for n2 in range(n_max + 1):
-            w = weights[n1] * weights[n2]
-            if n1 + n2 == 0 or w == 0.0:
-                continue
-            total = n1 + n2
-            m = np.arange(total + 1)
-            product = m * (total - m)
-            col = _block_unitary(total, theta)[:, n1]
-            dip += w * float((np.abs(col) ** 2) @ product)
-            split_counts = np.convolve(split_1, _vacuum_split_pmf(n2))
-            baseline += w * float(split_counts @ product)
+    for total in range(1, 2 * n_max + 1):
+        lo, hi = max(0, total - n_max), min(total, n_max)
+        run_weights = weights[lo : hi + 1] * weights[total - hi : total - lo + 1][::-1]
+        m = np.arange(total + 1)
+        product = m * (total - m)
+        block_sq = np.abs(_block_unitary(total, theta)[:, lo : hi + 1]) ** 2
+        dip += float(run_weights @ (product @ block_sq))
+        # Distinguishable inputs each split against vacuum: Bin(T, 1/2) at port a.
+        baseline += float(run_weights.sum() * (_vacuum_split_pmf(total) @ product))
     if baseline == 0.0:
         raise UndefinedVisibilityError(
             "distinguishable correlation is zero at this truncation"

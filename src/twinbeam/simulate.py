@@ -103,7 +103,6 @@ class SourceConfig:
     eta: float = 0.25
     shots: int = 1876
     master_seed: int = 20260811
-    peak_separation: float = 50.0
     peak_width: float | None = 6.25
     mode_widths: tuple[float, float, float] = (4.125, 4.125, 1.875)
     mode_spacing: tuple[float, float, float] = (8.25, 8.25, 3.75)
@@ -132,7 +131,6 @@ class SourceConfig:
             "eta": self.eta,
             "shots": self.shots,
             "master_seed": self.master_seed,
-            "peak_separation": self.peak_separation,
             "peak_width": self.peak_width,
             "mode_widths": list(self.mode_widths),
             "mode_spacing": list(self.mode_spacing),
@@ -160,7 +158,6 @@ class HomScanConfig:
     eta: float = 0.25
     shots_per_point: int = 800
     master_seed: int = 20260811
-    fock_n_max: int = 12
 
     def __post_init__(self):
         if self.sigma_m <= 0:
@@ -187,7 +184,6 @@ class HomScanConfig:
             "eta": self.eta,
             "shots_per_point": self.shots_per_point,
             "master_seed": self.master_seed,
-            "fock_n_max": self.fock_n_max,
         }
 
 
@@ -314,9 +310,10 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     tables = {}
     for t2_index, t2 in enumerate(config.t2_values):
         lam = overlap_amplitude(config, t2)
-        joint = hom_joint_pmf(params, OverlapModel(lam=lam), n_max=config.fock_n_max)
+        joint = hom_joint_pmf(params, OverlapModel(lam=lam))
         flat = joint.probs.ravel()
-        # The Fock law is truncated (total <= 1); renormalize for sampling.
+        # The law lacks only the pair tail, at most TAIL_TOLERANCE of its
+        # mass; renormalize for sampling.
         cdf = np.cumsum(flat / flat.sum())
         n_cols = joint.probs.shape[1]
         records_a, records_b = [], []
@@ -342,9 +339,7 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     return HomRun(config=config.to_dict(), tables=tables)
 
 
-def correlation_scan(
-    run: HomRun, resamples: int = 1000, seed: int = None
-) -> list[tuple[float, float, float]]:
+def correlation_scan(run: HomRun, resamples: int = 1000) -> list[tuple[float, float, float]]:
     """Per-``t2`` cross correlation with bootstrap errors over shots.
 
     Returns ``(t2, <n_a n_b>, err)`` triples ready for the dip fit.  When
@@ -357,7 +352,7 @@ def correlation_scan(
     for index, t2 in enumerate(run.t2_values):
         n_a, n_b = run.port_counts(t2)
         products = (n_a * n_b).astype(float)
-        boot_seed = seed if seed is not None else derive_shot_seed(master, 10**12 + index)
+        boot_seed = derive_shot_seed(master, 10**12 + index)
         err = float(
             bootstrap_std(products, np.mean, resamples=resamples, seed=boot_seed)
         )

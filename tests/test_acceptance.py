@@ -241,7 +241,6 @@ def hom_dips():
             eta=eta,
             shots_per_point=10_000,
             master_seed=900 + i,
-            fock_n_max=12,
         )
         run = simulate_hom_run(config)
         fits[eta] = fit_gaussian_dip(correlation_scan(run, resamples=400))
@@ -305,7 +304,7 @@ def test_acceptance_10_commands_rerun_byte_identical(acceptance, tmp_path):
     doc = default_config()
     doc["source"]["shots"] = 200
     doc["analysis"]["bootstrap_resamples"] = 60
-    doc["hom"].update({"shots_per_point": 150, "fock_n_max": 8,
+    doc["hom"].update({"shots_per_point": 150,
                        "t2_values": [-180.0, -60.0, 0.0, 60.0, 180.0]})
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc, indent=2))

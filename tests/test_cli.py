@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from click.testing import CliRunner
 
 from twinbeam.cli import main
 from twinbeam.config import CONFIG_SCHEMA, default_config, load_config, validate_config
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -30,7 +33,6 @@ def small_doc(**overrides):
         {
             "t2_values": [-180.0, -90.0, 0.0, 90.0, 180.0],
             "shots_per_point": 150,
-            "fock_n_max": 8,
         }
     )
     doc.update(overrides)
@@ -101,6 +103,23 @@ class TestConfigValidation:
                     walk(value)
 
         walk(CONFIG_SCHEMA)
+
+    def test_shipped_config_is_the_default(self):
+        assert load_config(REPO_ROOT / "configs" / "default.json") == default_config()
+
+    @pytest.mark.parametrize(
+        "section,key,value", [("hom", "fock_n_max", 12), ("source", "peak_separation", 50.0)]
+    )
+    def test_removed_key_rejected_naming_section(self, tmp_path, runner, section, key, value):
+        doc = small_doc()
+        doc[section][key] = value
+        path = write_doc(tmp_path, doc)
+        result = runner.invoke(
+            main, ["simulate-hom", "--config", str(path), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert f"config invalid at {section}:" in result.output
+        assert key in result.output
 
     def test_loader_roundtrip(self, tmp_path):
         path = write_doc(tmp_path, small_doc())
@@ -311,6 +330,18 @@ class TestSimulateHomAndFitDip:
         assert result.exit_code == 2
         assert ":2:" in result.output
 
+    def test_fit_dip_non_finite_nu_exits_2(self, tmp_path, runner):
+        t = np.linspace(-240.0, 240.0, 9)
+        corr = 0.4 * (1 - 0.7 * np.exp(-(t**2) / (2 * 86.0**2)))
+        path = tmp_path / "scan.csv"
+        path.write_text(
+            "t2_us,corr,err\n" + "".join(f"{a},{b},0.01\n" for a, b in zip(t, corr))
+        )
+        out = tmp_path / "f"
+        result = runner.invoke(main, ["fit-dip", str(path), "--nu", "nan", "--out", str(out)])
+        assert result.exit_code == 2
+        assert not (out / "dip_fit.json").exists()
+
     def test_flat_scan_when_overlap_never_opens(self, tmp_path, runner):
         # Dip centre far outside the scanned window: overlap stays ~0 and
         # the correlation curve is flat within its errors.
@@ -380,3 +411,13 @@ class TestPredictVisibility:
             main, ["predict-visibility", "--nu", "0", "--out", str(tmp_path / "p")]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["--nu", "nan"], ["--nu", "inf"], ["--nu", "0.33", "--nu-std", "nan"]]
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, runner, args):
+        out = tmp_path / "p"
+        result = runner.invoke(main, ["predict-visibility", *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+        assert not (out / "visibility_prediction.json").exists()

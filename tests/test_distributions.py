@@ -10,6 +10,7 @@ from scipy import stats as sps
 
 from twinbeam.distributions import (
     DetectorModel,
+    TAIL_TOLERANCE,
     Pmf,
     TmsvParams,
     binomial_thin,
@@ -54,6 +55,12 @@ class TestTmsvParams:
         with pytest.raises(ValueError):
             TmsvParams(nu=-0.1)
 
+    @pytest.mark.parametrize("field", ["nu", "alpha_mag"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TmsvParams(**{field: bad})
+
 
 class TestThermalPmf:
     def test_p0_at_measured_mean(self):
@@ -80,6 +87,14 @@ class TestThermalPmf:
     def test_tail_rule_normalization(self, nu):
         pmf = thermal_pmf(nu)
         assert 1.0 - 1e-10 <= pmf.total <= 1.0 + 1e-12
+
+    def test_tail_rule_normalization_on_dense_grid(self):
+        # The grid holds occupations where the unmargined rule lost more
+        # than the allowance to rounding (e.g. nu = 16.4858...).
+        nus = np.concatenate([np.linspace(1e-3, 20.0, 20_000), np.geomspace(20.0, 200.0, 2_000)])
+        totals = np.array([thermal_pmf(float(nu)).total for nu in nus])
+        assert totals.min() >= 1.0 - TAIL_TOLERANCE
+        assert totals.max() <= 1.0 + 1e-12
 
 
 class TestMultimodePmf:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twinbeam.distributions import TmsvParams, thermal_pmf
+from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, thermal_pmf
 from twinbeam.fock import (
     JointPmf,
     OverlapModel,
@@ -239,6 +239,37 @@ class TestHomJointPmf:
         joint = hom_joint_pmf(TmsvParams(nu=0.33), OverlapModel(lam=0.5), n_max=12)
         assert joint.total == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("nu,lam,pairs", [(0.33, 0.5, 5), (1.0, 0.8, 5), (3.0, 1.0, 4)])
+    def test_equals_dense_four_mode_register(self, nu, lam, pairs):
+        # Modes (matched@1, orthogonal@1, matched@2, orthogonal@2).  The
+        # second beam's |n> spreads binomially over its matched and
+        # orthogonal modes.  A per-mode grid of 2*pairs holds every splitter
+        # output of up to ``pairs`` pairs, so the dense route is exact too.
+        x = nu / (1.0 + nu)
+        mu = math.sqrt(1.0 - lam**2)
+        dim = 2 * pairs + 1
+        amps = np.zeros((dim,) * 4, dtype=complex)
+        for n in range(pairs + 1):
+            for k in range(n + 1):
+                amps[n, 0, k, n - k] = (
+                    math.sqrt((1.0 - x) * x**n * math.comb(n, k)) * lam**k * mu ** (n - k)
+                )
+        state = TruncatedPureState(mode_count=4, n_max=2 * pairs, amplitudes=amps)
+        state = beamsplitter(beamsplitter(state, 0, 2), 1, 3)
+        dense = joint_counts(state, (0, 1), (2, 3)).probs
+
+        block = hom_joint_pmf(TmsvParams(nu=nu), OverlapModel(lam=lam), n_max=pairs).probs
+        assert np.max(np.abs(dense[: 2 * pairs + 1, : 2 * pairs + 1] - block)) < 1e-14
+        assert dense.sum() == pytest.approx(block.sum(), abs=1e-14)
+
+    @pytest.mark.parametrize("nu", [1.0, 3.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_default_support_keeps_the_law(self, nu, lam):
+        joint = hom_joint_pmf(TmsvParams(nu=nu), OverlapModel(lam=lam))
+        expected = 2 * nu**2 + nu / 2 - lam**2 * (nu**2 + nu / 2)
+        assert cross_correlation(joint) == pytest.approx(expected, abs=5e-5)
+        assert joint.total >= 1.0 - TAIL_TOLERANCE
+
     def test_overlap_domain(self):
         with pytest.raises(ValueError):
             OverlapModel(lam=1.5)
@@ -283,7 +314,7 @@ class TestVisibilityOracle:
         assert errors[0] >= errors[1] >= errors[2]
 
     def test_agrees_with_register_route(self):
-        # Independent path: dense 4-mode register at moderate cutoff.
+        # Independent path: the mixture of splitter blocks at lam = 0 and 1.
         nu = 0.33
         dip = cross_correlation(hom_joint_pmf(TmsvParams(nu=nu), OverlapModel(1.0), 20))
         base = cross_correlation(hom_joint_pmf(TmsvParams(nu=nu), OverlapModel(0.0), 20))
@@ -305,6 +336,21 @@ class TestThermalInputVisibility:
         # truncation, still inside the stated 1e-3 band).
         v = thermal_input_visibility(1e-3)
         assert v == pytest.approx(1.0 / 3.0, abs=1e-3)
+
+    def test_equals_loop_over_fock_runs(self):
+        # Reference: each run |n1, n2> propagated on its own dense grid;
+        # distinguishable inputs give <m (T - m)> = T (T - 1) / 4.
+        nu, n_max = 0.5, 8
+        x = nu / (1.0 + nu)
+        w = (1.0 - x) * x ** np.arange(n_max + 1)
+        dip = baseline = 0.0
+        for n1 in range(n_max + 1):
+            for n2 in range(n_max + 1):
+                out = beamsplitter(fock_state((n1, n2), 2 * n_max), 0, 1)
+                dip += w[n1] * w[n2] * cross_correlation(joint_counts(out, (0,), (1,)))
+                baseline += w[n1] * w[n2] * (n1 + n2) * (n1 + n2 - 1) / 4.0
+        v = thermal_input_visibility(nu, n_max=n_max)
+        assert v == pytest.approx(1.0 - dip / baseline, abs=1e-12)
 
     def test_vacuum_rejected(self):
         with pytest.raises(UndefinedVisibilityError):

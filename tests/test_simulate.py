@@ -150,7 +150,6 @@ def small_hom_config(**overrides):
         eta=0.25,
         shots_per_point=300,
         master_seed=77,
-        fock_n_max=10,
     )
     defaults.update(overrides)
     return HomScanConfig(**defaults)
