@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .analysis import (
+    AnalysisParams,
     BinnedCounts,
     CellGrid,
     CellSelection,
@@ -30,6 +31,7 @@ from .fitting import (
     DegeneracyFit,
     DipFit,
     FitFailureError,
+    VisibilityParams,
     VisibilityPrediction,
     fit_degeneracy,
     fit_gaussian_dip,

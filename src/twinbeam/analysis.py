@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_field
+
 __all__ = [
+    "AnalysisParams",
     "CellGrid",
     "BinnedCounts",
     "CountHistogram",
@@ -31,10 +34,6 @@ __all__ = [
     "write_cell_stats",
 ]
 
-DEFAULT_CELL_WIDTHS = (5.5, 5.5, 2.5)
-DEFAULT_COUNTS_PER_AXIS = (3, 3, 5)
-DEFAULT_MIN_MEAN = 0.135
-
 
 @dataclass(frozen=True)
 class CellGrid:
@@ -42,30 +41,21 @@ class CellGrid:
 
     Cells are half-open, ``[lower, upper)`` on every axis, so an event
     sitting exactly on an interior boundary lands in the higher-index
-    cell.
+    cell.  ``origin`` is the lower corner; ``None`` centres the grid on
+    zero velocity.
     """
 
-    origin: tuple[float, float, float]
-    cell_widths: tuple[float, float, float] = DEFAULT_CELL_WIDTHS
-    counts_per_axis: tuple[int, int, int] = DEFAULT_COUNTS_PER_AXIS
+    origin: tuple[float, float, float] | None = None
+    cell_widths: tuple[float, float, float] = (5.5, 5.5, 2.5)
+    counts_per_axis: tuple[int, int, int] = (3, 3, 5)
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.cell_widths):
-            raise ValueError("cell widths must be positive")
-        if any(n < 1 for n in self.counts_per_axis):
-            raise ValueError("counts_per_axis entries must be >= 1")
-
-    @classmethod
-    def centered(
-        cls,
-        cell_widths=DEFAULT_CELL_WIDTHS,
-        counts_per_axis=DEFAULT_COUNTS_PER_AXIS,
-        center=(0.0, 0.0, 0.0),
-    ) -> "CellGrid":
-        origin = tuple(
-            c - n * w / 2.0 for c, n, w in zip(center, counts_per_axis, cell_widths)
-        )
-        return cls(origin, tuple(cell_widths), tuple(counts_per_axis))
+        check_field(self, "origin", length=3, optional=True)
+        check_field(self, "cell_widths", 0, positive=True, length=3)
+        check_field(self, "counts_per_axis", 1, integer=True, length=3)
+        if self.origin is None:
+            origin = (-(n * w / 2.0) for n, w in zip(self.counts_per_axis, self.cell_widths))
+            object.__setattr__(self, "origin", tuple(origin))
 
     @property
     def n_cells(self) -> int:
@@ -75,12 +65,17 @@ class CellGrid:
     def cell_index(self, flat: int) -> tuple[int, int, int]:
         return np.unravel_index(flat, self.counts_per_axis)
 
-    def to_dict(self) -> dict:
-        return {
-            "origin": list(self.origin),
-            "cell_widths": list(self.cell_widths),
-            "counts_per_axis": list(self.counts_per_axis),
-        }
+
+@dataclass(frozen=True)
+class AnalysisParams:
+    """Cell-selection threshold and bootstrap size of a counting analysis."""
+
+    min_mean: float = 0.135
+    bootstrap_resamples: int = 1000
+
+    def __post_init__(self):
+        check_field(self, "min_mean", 0)
+        check_field(self, "bootstrap_resamples", 2, integer=True)
 
 
 @dataclass(frozen=True)
@@ -222,12 +217,8 @@ def cell_histograms(binned: BinnedCounts) -> list[CellStats]:
     return stats
 
 
-def filter_cells(
-    stats: list[CellStats], min_mean: float = DEFAULT_MIN_MEAN
-) -> CellSelection:
+def filter_cells(stats: list[CellStats], min_mean: float) -> CellSelection:
     """Keep cells whose per-shot mean reaches ``min_mean``."""
-    if min_mean < 0:
-        raise ValueError(f"min_mean must be >= 0, got {min_mean}")
     kept = tuple(s for s in stats if s.mean >= min_mean)
     return CellSelection(kept=kept, threshold=min_mean)
 
@@ -268,7 +259,9 @@ def pooled_counts_histogram(selected, binned: BinnedCounts) -> CountHistogram:
     return CountHistogram.from_counts(sums)
 
 
-def bootstrap_std(data, statistic, resamples: int = 1000, seed: int = 0):
+def bootstrap_std(
+    data, statistic, resamples: int = AnalysisParams.bootstrap_resamples, seed: int = 0
+):
     """Standard deviation of ``statistic`` under shot resampling.
 
     ``data`` is resampled with replacement along its first axis

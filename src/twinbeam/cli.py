@@ -29,16 +29,7 @@ from .analysis import (
     sum_histograms,
     write_cell_stats,
 )
-from .config import (
-    ConfigError,
-    analysis_params,
-    cell_grid,
-    config_digest,
-    default_config,
-    hom_config,
-    load_config,
-    source_config,
-)
+from .config import ConfigError, config_digest, default_config, load_config, section
 from .distributions import multimode_pmf, poisson_pmf, thermal_pmf
 from .fitting import (
     FitFailureError,
@@ -48,6 +39,10 @@ from .fitting import (
 )
 from .simulate import (
     GENERATOR_ID,
+    MAX_SEED,
+    STREAM_DEGENERACY_FIT,
+    STREAM_POOLED_HISTOGRAM,
+    STREAM_SUMMED_HISTOGRAM,
     correlation_scan,
     derive_shot_seed,
     read_event_table,
@@ -121,7 +116,10 @@ _COMMON_OPTIONS = [
     ),
     click.option("--out", required=True, help="Output directory."),
     click.option(
-        "--seed", type=int, default=None, help="Master seed override (else from config)."
+        "--seed",
+        type=click.IntRange(0, MAX_SEED),
+        default=None,
+        help="Master seed override (else from config).",
     ),
     click.option(
         "--stamp/--no-stamp",
@@ -155,7 +153,7 @@ def cmd_simulate_source(config_path, out, seed, stamp):
     """Generate a counting run and write its event table."""
     doc = _load_config_or_fail(config_path)
     out_dir = _prepare_out(out)
-    config = source_config(doc, seed)
+    config = section(doc, "source", seed)
     table = simulate_counting_run(config)
     events_csv = out_dir / "events.csv"
     events_meta = out_dir / "events.meta.json"
@@ -204,20 +202,20 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         table = read_event_table(events_path, meta_path)
     except (OSError, ValueError, KeyError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-    params = analysis_params(doc)
+    params = section(doc, "analysis")
     master = doc["master_seed"] if seed is None else seed
-    resamples = params["bootstrap_resamples"]
+    resamples = params.bootstrap_resamples
 
-    grid = cell_grid(doc)
+    grid = section(doc, "grid")
     binned = bin_events(table, grid)
     stats = cell_histograms(binned)
-    selection = filter_cells(stats, params["min_mean"])
+    selection = filter_cells(stats, params.min_mean)
     write_cell_stats(out_dir / "cell_stats.csv", stats, selection)
     if selection.is_empty:
         _write_manifest(out_dir, doc, master, [out_dir / "cell_stats.csv"], stamp)
         _fail(
             EXIT_EMPTY_RESULT,
-            f"no cells reach the mean threshold {params['min_mean']}",
+            f"no cells reach the mean threshold {params.min_mean}",
         )
 
     kept_flat = [
@@ -233,7 +231,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         kept_counts,
         lambda rows: np.bincount(rows.ravel(), minlength=width)[:width] / rows.size,
         resamples=resamples,
-        seed=derive_shot_seed(master, 2**40),
+        seed=derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM),
     )
     mean_single = selection.average_mean
     _histogram_csv(
@@ -257,14 +255,14 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         ]
         / len(rows),
         resamples=resamples,
-        seed=derive_shot_seed(master, 2**40 + 1),
+        seed=derive_shot_seed(master, STREAM_POOLED_HISTOGRAM),
     )
     try:
         fit = fit_degeneracy(
             pooled,
             fixed_mean=pooled.mean,
             bootstrap_resamples=min(200, resamples),
-            seed=derive_shot_seed(master, 2**40 + 2) % 2**63,
+            seed=derive_shot_seed(master, STREAM_DEGENERACY_FIT) % 2**63,
         )
     except FitFailureError as exc:
         _fail(EXIT_FIT_FAILURE, f"degeneracy fit failed: {exc}")
@@ -312,12 +310,12 @@ def cmd_simulate_hom(config_path, out, seed, stamp):
     """Scan the splitter time and write the cross-correlation curve."""
     doc = _load_config_or_fail(config_path)
     out_dir = _prepare_out(out)
-    config = hom_config(doc, seed)
+    config = section(doc, "hom", seed)
     run = simulate_hom_run(config)
     events_csv = out_dir / "hom_events.csv"
     events_meta = out_dir / "hom_events.meta.json"
     write_hom_events(run, events_csv, events_meta)
-    resamples = analysis_params(doc)["bootstrap_resamples"]
+    resamples = section(doc, "analysis").bootstrap_resamples
     points = correlation_scan(run, resamples=resamples)
     scan_csv = out_dir / "hom_scan.csv"
     with open(scan_csv, "w") as fh:

@@ -19,12 +19,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .analysis import CountHistogram
+from .checks import check_field
 from .distributions import TmsvParams, multimode_log_pmf
 
 __all__ = [
     "FitFailureError",
     "DegeneracyFit",
     "DipFit",
+    "VisibilityParams",
     "VisibilityPrediction",
     "fit_degeneracy",
     "predict_visibility",
@@ -41,6 +43,18 @@ class FitFailureError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+@dataclass(frozen=True)
+class VisibilityParams:
+    """Mean occupation ``nu`` and its uncertainty for a visibility prediction."""
+
+    nu: float = 0.33
+    nu_std: float = 0.07
+
+    def __post_init__(self):
+        check_field(self, "nu", 0, positive=True)
+        check_field(self, "nu_std", 0)
 
 
 @dataclass(frozen=True)
@@ -272,10 +286,7 @@ def propagate_visibility_uncertainty(
     zero are clipped to a small positive value and reported via
     ``clipped_fraction``.
     """
-    if nu <= 0:
-        raise ValueError(f"nu must be > 0, got {nu}")
-    if not math.isfinite(nu_std) or nu_std < 0:
-        raise ValueError(f"nu_std must be finite and >= 0, got {nu_std}")
+    VisibilityParams(nu, nu_std)  # raises ValueError unless both are in range
     v_pred = predict_visibility(TmsvParams(nu=nu))
     g = 2.0 + 1.0 / (2.0 * nu)
     v_std = nu_std / (2.0 * nu**2 * g**2)

@@ -16,11 +16,12 @@ the detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import bootstrap_std
+from .analysis import AnalysisParams, bootstrap_std
+from .checks import check_field
 from .distributions import TmsvParams
 from .fock import OverlapModel, hom_joint_pmf
 
@@ -32,6 +33,7 @@ __all__ = [
     "ShotRecord",
     "EventTable",
     "HomRun",
+    "MAX_SEED",
     "derive_shot_seed",
     "shot_rng",
     "simulate_counting_run",
@@ -48,6 +50,16 @@ GENERATOR_ID = f"numpy.random.Philox4x64 (numpy {np.__version__})"
 PORT_VELOCITIES = {"a": (0.0, 0.0, 25.0), "b": (0.0, 0.0, -25.0)}
 
 _MASK64 = (1 << 64) - 1
+# Master seeds are 64-bit: 0 <= seed <= MAX_SEED.
+MAX_SEED = _MASK64
+DEFAULT_MASTER_SEED = 20260811
+
+# Stream domains: ids passed to derive_shot_seed for the streams that are
+# not per-shot.  Shot ids count up from 0 and stay far below them.
+STREAM_SUMMED_HISTOGRAM = 2**40
+STREAM_POOLED_HISTOGRAM = 2**40 + 1
+STREAM_DEGENERACY_FIT = 2**40 + 2
+STREAM_SCAN_POINT = 10**12  # plus the scan-point index
 
 
 def _splitmix64(value: int) -> int:
@@ -78,6 +90,16 @@ def shot_rng(master_seed: int, shot_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def check_seed(obj) -> None:
+    """Raise ``ValueError`` unless field ``master_seed`` of ``obj`` is 64-bit."""
+    check_field(obj, "master_seed", 0, MAX_SEED, integer=True)
+
+
+def _config_dict(config) -> dict:
+    """The fields of a config dataclass as JSON values (tuples as lists)."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(config).items()}
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     """Counting-run parameters.
@@ -102,7 +124,7 @@ class SourceConfig:
     nu_per_mode: float = 4.5
     eta: float = 0.25
     shots: int = 1876
-    master_seed: int = 20260811
+    master_seed: int = DEFAULT_MASTER_SEED
     peak_width: float | None = 6.25
     mode_widths: tuple[float, float, float] = (4.125, 4.125, 1.875)
     mode_spacing: tuple[float, float, float] = (8.25, 8.25, 3.75)
@@ -110,33 +132,15 @@ class SourceConfig:
     grid_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if self.nu_per_mode < 0:
-            raise ValueError(f"nu_per_mode must be >= 0, got {self.nu_per_mode}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if any(w <= 0 for w in self.mode_widths) or any(
-            s <= 0 for s in self.mode_spacing
-        ):
-            raise ValueError("mode widths and spacing must be positive")
-        if self.peak_width is not None and self.peak_width <= 0:
-            raise ValueError(f"peak_width must be positive, got {self.peak_width}")
-        if any(m < 1 for m in self.modes_per_axis):
-            raise ValueError("modes_per_axis entries must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "nu_per_mode": self.nu_per_mode,
-            "eta": self.eta,
-            "shots": self.shots,
-            "master_seed": self.master_seed,
-            "peak_width": self.peak_width,
-            "mode_widths": list(self.mode_widths),
-            "mode_spacing": list(self.mode_spacing),
-            "modes_per_axis": list(self.modes_per_axis),
-            "grid_center": list(self.grid_center),
-        }
+        check_field(self, "nu_per_mode", 0)
+        check_field(self, "eta", 0, 1)
+        check_field(self, "shots", 1, integer=True)
+        check_seed(self)
+        check_field(self, "peak_width", 0, positive=True, optional=True)
+        check_field(self, "mode_widths", 0, positive=True, length=3)
+        check_field(self, "mode_spacing", 0, positive=True, length=3)
+        check_field(self, "modes_per_axis", 1, integer=True, length=3)
+        check_field(self, "grid_center", length=3)
 
 
 @dataclass(frozen=True)
@@ -150,41 +154,25 @@ class HomScanConfig:
     ``t1`` (the mirror time) is recorded for context only.
     """
 
-    t2_values: tuple[float, ...]
+    t2_values: tuple[float, ...] = tuple(round(-260.0 + i * 520.0 / 12.0, 6) for i in range(13))
     t0: float = 0.0
     sigma_m: float = 86.0
     t1: float = 1000.0
     nu: float = 0.33
     eta: float = 0.25
     shots_per_point: int = 800
-    master_seed: int = 20260811
+    master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        if self.sigma_m <= 0:
-            raise ValueError(f"sigma_m must be positive, got {self.sigma_m}")
-        if self.shots_per_point < 1:
-            raise ValueError(
-                f"shots_per_point must be >= 1, got {self.shots_per_point}"
-            )
-        if self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if len(self.t2_values) == 0:
-            raise ValueError("t2_values must not be empty")
+        check_field(self, "t2_values", length=...)
+        check_field(self, "t0")
+        check_field(self, "sigma_m", 0, positive=True)
+        check_field(self, "t1")
+        check_field(self, "nu", 0)
+        check_field(self, "eta", 0, 1)
+        check_field(self, "shots_per_point", 1, integer=True)
+        check_seed(self)
         object.__setattr__(self, "t2_values", tuple(float(t) for t in self.t2_values))
-
-    def to_dict(self) -> dict:
-        return {
-            "t2_values": list(self.t2_values),
-            "t0": self.t0,
-            "sigma_m": self.sigma_m,
-            "t1": self.t1,
-            "nu": self.nu,
-            "eta": self.eta,
-            "shots_per_point": self.shots_per_point,
-            "master_seed": self.master_seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -287,7 +275,7 @@ def simulate_counting_run(config: SourceConfig) -> EventTable:
             events = positions[kept]
         records.append(ShotRecord(shot_id=shot, events=events))
     return EventTable(
-        config=config.to_dict(), records=tuple(records), master_seed=config.master_seed
+        config=_config_dict(config), records=tuple(records), master_seed=config.master_seed
     )
 
 
@@ -331,15 +319,17 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
             records_b.append(
                 ShotRecord(shot, np.tile(PORT_VELOCITIES["b"], (det_b, 1)))
             )
-        snapshot = {**config.to_dict(), "shots": config.shots_per_point, "t2": t2}
+        snapshot = {**_config_dict(config), "shots": config.shots_per_point, "t2": t2}
         tables[t2] = (
             EventTable(dict(snapshot, port="a"), tuple(records_a), config.master_seed),
             EventTable(dict(snapshot, port="b"), tuple(records_b), config.master_seed),
         )
-    return HomRun(config=config.to_dict(), tables=tables)
+    return HomRun(config=_config_dict(config), tables=tables)
 
 
-def correlation_scan(run: HomRun, resamples: int = 1000) -> list[tuple[float, float, float]]:
+def correlation_scan(
+    run: HomRun, resamples: int = AnalysisParams.bootstrap_resamples
+) -> list[tuple[float, float, float]]:
     """Per-``t2`` cross correlation with bootstrap errors over shots.
 
     Returns ``(t2, <n_a n_b>, err)`` triples ready for the dip fit.  When
@@ -352,7 +342,7 @@ def correlation_scan(run: HomRun, resamples: int = 1000) -> list[tuple[float, fl
     for index, t2 in enumerate(run.t2_values):
         n_a, n_b = run.port_counts(t2)
         products = (n_a * n_b).astype(float)
-        boot_seed = derive_shot_seed(master, 10**12 + index)
+        boot_seed = derive_shot_seed(master, STREAM_SCAN_POINT + index)
         err = float(
             bootstrap_std(products, np.mean, resamples=resamples, seed=boot_seed)
         )
@@ -392,7 +382,8 @@ def write_event_table(table: EventTable, csv_path, meta_path) -> None:
 def read_event_table(csv_path, meta_path) -> EventTable:
     """Inverse of :func:`write_event_table`.
 
-    Raises ``ValueError`` naming the offending line on malformed rows.
+    Raises ``ValueError`` naming the offending line on malformed rows,
+    non-finite velocities included.
     """
     import json
 
@@ -419,6 +410,8 @@ def read_event_table(csv_path, meta_path) -> EventTable:
                 velocity = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise ValueError(f"{csv_path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in velocity):
+                raise ValueError(f"{csv_path}:{lineno}: non-finite velocity {line!r}")
             if not 0 <= shot < shots:
                 raise ValueError(
                     f"{csv_path}:{lineno}: shot {shot} outside 0..{shots - 1}"

@@ -172,7 +172,7 @@ def _single_mode_grid_run():
         modes_per_axis=(3, 3, 2),
     )
     table = simulate_counting_run(config)
-    grid = CellGrid.centered(counts_per_axis=(3, 3, 2))
+    grid = CellGrid(counts_per_axis=(3, 3, 2))
     binned = bin_events(table, grid)
     selection = filter_cells(cell_histograms(binned), min_mean=0.0)
     return sum_histograms(selection)
@@ -197,7 +197,7 @@ def test_acceptance_6_counting_histogram_thermal_not_poisson(acceptance):
 def test_acceptance_7_degeneracy_fit(acceptance):
     # Matched pipeline: default geometry, 45 cells, threshold 0.135.
     table = simulate_counting_run(SourceConfig())
-    binned = bin_events(table, CellGrid.centered())
+    binned = bin_events(table, CellGrid())
     selection = filter_cells(cell_histograms(binned), min_mean=0.135)
     pooled = pooled_counts_histogram(selection, binned)
     fit_sim = fit_degeneracy(pooled, fixed_mean=pooled.mean)

@@ -33,7 +33,7 @@ def table_from_events(event_rows):
 
 class TestCellGrid:
     def test_centered_origin(self):
-        grid = CellGrid.centered()
+        grid = CellGrid()
         assert grid.origin == pytest.approx((-8.25, -8.25, -6.25))
         assert grid.n_cells == 45
 
@@ -53,7 +53,7 @@ class TestBinEvents:
         assert binned.counts[0].sum() == 1
 
     def test_empty_table(self):
-        grid = CellGrid.centered()
+        grid = CellGrid()
         binned = bin_events(table_from_events([[], []]), grid)
         assert binned.counts.sum() == 0
         assert binned.dropped.sum() == 0
@@ -68,7 +68,7 @@ class TestBinEvents:
 
     def test_uniform_density_fills_cells_evenly(self):
         rng = np.random.default_rng(0)
-        grid = CellGrid.centered()
+        grid = CellGrid()
         lo = np.asarray(grid.origin)
         span = np.asarray(grid.cell_widths) * np.asarray(grid.counts_per_axis)
         shots = 400
@@ -85,7 +85,7 @@ class TestBinEvents:
     @settings(max_examples=20, deadline=None)
     def test_count_conservation(self, seed):
         rng = np.random.default_rng(seed)
-        grid = CellGrid.centered()
+        grid = CellGrid()
         rows = [rng.normal(0.0, 8.0, size=(rng.integers(0, 40), 3)) for _ in range(10)]
         binned = bin_events(table_from_events(rows), grid)
         for shot, events in enumerate(rows):
@@ -94,7 +94,7 @@ class TestBinEvents:
 
 class TestCellHistograms:
     def test_all_zero_counts(self):
-        grid = CellGrid.centered()
+        grid = CellGrid()
         binned = bin_events(table_from_events([[] for _ in range(7)]), grid)
         stats = cell_histograms(binned)
         assert len(stats) == grid.n_cells
@@ -105,14 +105,14 @@ class TestCellHistograms:
     def test_histogram_totals_match_shots(self):
         rng = np.random.default_rng(1)
         rows = [rng.normal(0.0, 6.0, size=(20, 3)) for _ in range(50)]
-        binned = bin_events(table_from_events(rows), CellGrid.centered())
+        binned = bin_events(table_from_events(rows), CellGrid())
         for s in cell_histograms(binned):
             assert s.histogram.occurrences.sum() == s.histogram.total_shots == 50
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         rows = [rng.normal(0.0, 6.0, size=(15, 3)) for _ in range(30)]
-        stats = cell_histograms(bin_events(table_from_events(rows), CellGrid.centered()))
+        stats = cell_histograms(bin_events(table_from_events(rows), CellGrid()))
         key = lambda s: (s.mean, tuple(s.histogram.occurrences))
         assert sorted(map(key, stats)) == sorted(map(key, reversed(stats)))
 
@@ -189,7 +189,7 @@ class TestPooledCounts:
     def test_single_cell_equals_own_histogram(self):
         rng = np.random.default_rng(4)
         rows = [rng.normal(0.0, 3.0, size=(6, 3)) for _ in range(40)]
-        binned = bin_events(table_from_events(rows), CellGrid.centered())
+        binned = bin_events(table_from_events(rows), CellGrid())
         stats = cell_histograms(binned)
         target = max(stats, key=lambda s: s.mean)
         pooled = pooled_counts_histogram([target], binned)
@@ -198,7 +198,7 @@ class TestPooledCounts:
     def test_pooled_mean_adds_cell_means(self):
         rng = np.random.default_rng(5)
         rows = [rng.normal(0.0, 6.0, size=(25, 3)) for _ in range(100)]
-        binned = bin_events(table_from_events(rows), CellGrid.centered())
+        binned = bin_events(table_from_events(rows), CellGrid())
         stats = cell_histograms(binned)
         sel = filter_cells(stats, min_mean=0.0)
         pooled = pooled_counts_histogram(sel, binned)
@@ -206,7 +206,7 @@ class TestPooledCounts:
 
     def test_empty_selection_rejected(self):
         rows = [[(0.0, 0.0, 0.0)]]
-        binned = bin_events(table_from_events(rows), CellGrid.centered())
+        binned = bin_events(table_from_events(rows), CellGrid())
         with pytest.raises(ValueError):
             pooled_counts_histogram([], binned)
 

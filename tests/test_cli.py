@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from twinbeam.cli import main
-from twinbeam.config import CONFIG_SCHEMA, default_config, load_config, validate_config
+from twinbeam.config import default_config, load_config, validate_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,19 +93,65 @@ class TestConfigValidation:
         )
         assert result.exit_code == 2
 
-    def test_schema_has_no_loose_objects(self):
-        # every object level must reject unknown keys
-        def walk(node):
-            if isinstance(node, dict):
-                if node.get("type") == "object":
-                    assert node.get("additionalProperties") is False
-                for value in node.values():
-                    walk(value)
-            elif isinstance(node, list):
-                for value in node:
-                    walk(value)
+    @pytest.mark.parametrize(
+        "section", ["<root>", "source", "grid", "analysis", "hom", "visibility"]
+    )
+    def test_unknown_key_rejected_at_every_level(self, tmp_path, runner, section):
+        doc = small_doc()
+        (doc if section == "<root>" else doc[section])["stray_key"] = 1
+        path = write_doc(tmp_path, doc)
+        result = runner.invoke(
+            main, ["simulate-source", "--config", str(path), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert f"config invalid at {section}:" in result.output
+        assert "stray_key" in result.output
 
-        walk(CONFIG_SCHEMA)
+    # Each value below but the bool used to get past validation: a traceback
+    # with exit 1, exit 0 with NaN velocities or an ignored infinity, or
+    # exit 3 from an empty cell selection.
+    @pytest.mark.parametrize(
+        "command,section,key,value",
+        [
+            ("simulate-hom", "hom", "nu", float("nan")),
+            ("simulate-hom", "hom", "sigma_m", float("nan")),
+            ("simulate-hom", "hom", "t0", float("inf")),
+            ("simulate-source", "source", "nu_per_mode", float("nan")),
+            ("simulate-source", "source", "nu_per_mode", float("inf")),
+            ("simulate-source", "source", "eta", float("nan")),
+            pytest.param(
+                "simulate-source", "source", "nu_per_mode", 10**400, id="nu_per_mode-10**400"
+            ),
+            ("simulate-source", "source", "mode_widths", [float("nan"), 1.0, 1.0]),
+            ("simulate-source", "source", "shots", 10.0),
+            ("simulate-source", "source", "shots", True),
+            ("analyze-counts", "grid", "cell_widths", [5.5, float("nan"), 2.5]),
+            ("analyze-counts", "analysis", "min_mean", float("nan")),
+        ],
+    )
+    def test_bad_value_exits_2_naming_field(self, tmp_path, runner, command, section, key, value):
+        doc = small_doc()
+        doc[section][key] = value
+        path = write_doc(tmp_path, doc)
+        args = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+        if command == "analyze-counts":
+            args += ["--events", str(tmp_path / "events.csv")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"config invalid at {section}: {key} must be" in result.output
+
+    @pytest.mark.parametrize(
+        "config_seed,extra", [(2**64 + 7, []), (4242, ["--seed", "-1"]), (4242, ["--seed", str(2**64)])]
+    )
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, runner, config_seed, extra):
+        path = write_doc(tmp_path, small_doc(master_seed=config_seed))
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["simulate-source", "--config", str(path), "--out", str(out), *extra]
+        )
+        assert result.exit_code == 2
+        assert "seed" in result.output
+        assert not (out / "events.csv").exists()
 
     def test_shipped_config_is_the_default(self):
         assert load_config(REPO_ROOT / "configs" / "default.json") == default_config()
@@ -242,6 +291,29 @@ class TestAnalyzeCounts:
         )
         assert result.exit_code == 2
         assert ":6:" in result.output
+
+    @pytest.mark.parametrize("velocity", ["nan", "inf", "-inf"])
+    def test_non_finite_velocity_exits_2_naming_line(self, tmp_path, runner, events_dir, velocity):
+        config_path, events_out = events_dir
+        lines = (events_out / "events.csv").read_text().splitlines()
+        lines[5] = f"0,0.0,{velocity},0.0"
+        broken = tmp_path / "broken.csv"
+        broken.write_text("\n".join(lines) + "\n")
+        (tmp_path / "broken.meta.json").write_text(
+            (events_out / "events.meta.json").read_text()
+        )
+        result = runner.invoke(
+            main,
+            [
+                "analyze-counts",
+                "--events", str(broken),
+                "--config", str(config_path),
+                "--out", str(tmp_path / "x"),
+            ],
+        )
+        assert result.exit_code == 2
+        assert ":6:" in result.output
+        assert "non-finite" in result.output
 
     def test_rerun_is_byte_identical(self, tmp_path, runner, events_dir):
         config_path, events_out = events_dir
@@ -406,6 +478,28 @@ class TestPredictVisibility:
         payload = json.loads((out / "visibility_prediction.json").read_text())
         assert payload["nu"] == 0.33
 
+    @pytest.mark.parametrize(
+        "visibility,expected", [(None, None), ({"nu": 0.5}, (0.5, 0.0))]
+    )
+    def test_config_fallbacks(self, tmp_path, runner, visibility, expected):
+        # No section: --nu is required.  No nu_std: 0.0, not the default.
+        doc = small_doc()
+        del doc["visibility"]
+        if visibility is not None:
+            doc["visibility"] = visibility
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "p"
+        result = runner.invoke(
+            main, ["predict-visibility", "--config", str(path), "--out", str(out)]
+        )
+        if expected is None:
+            assert result.exit_code == 2
+            assert "--nu" in result.output
+        else:
+            assert result.exit_code == 0, result.output
+            payload = json.loads((out / "visibility_prediction.json").read_text())
+            assert (payload["nu"], payload["nu_std"]) == expected
+
     def test_nonpositive_nu_exits_2(self, tmp_path, runner):
         result = runner.invoke(
             main, ["predict-visibility", "--nu", "0", "--out", str(tmp_path / "p")]
@@ -421,3 +515,15 @@ class TestPredictVisibility:
         assert result.exit_code == 2
         assert "finite" in result.output
         assert not (out / "visibility_prediction.json").exists()
+
+
+def test_cli_import_leaves_out_jsonschema():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    probe = "import sys, twinbeam.cli; print('jsonschema' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -38,7 +38,7 @@ def matched_chain():
         modes_per_axis=(5, 5, 7),
     )
     table = simulate_counting_run(config)
-    binned = bin_events(table, CellGrid.centered())
+    binned = bin_events(table, CellGrid())
     stats = cell_histograms(binned)
     selection = filter_cells(stats, min_mean=0.135)
     return stats, selection, binned
