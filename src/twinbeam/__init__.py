@@ -56,7 +56,6 @@ from .simulate import (
     EventTable,
     HomRun,
     HomScanConfig,
-    ShotRecord,
     SourceConfig,
     correlation_scan,
     derive_shot_seed,

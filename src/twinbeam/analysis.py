@@ -181,24 +181,16 @@ class CellSelection:
 def bin_events(events, grid: CellGrid) -> BinnedCounts:
     """Assign every event to at most one cell; out-of-grid events counted.
 
-    ``events`` is an ``EventTable``; binning uses only the per-shot
-    velocity arrays.
+    ``events`` is an ``EventTable``; binning uses its ``shot`` and
+    ``velocities`` columns.
     """
-    origin = np.asarray(grid.origin)
-    widths = np.asarray(grid.cell_widths)
     shape = grid.counts_per_axis
-    n_shots = events.n_shots
-    counts = np.zeros((n_shots, grid.n_cells), dtype=int)
-    dropped = np.zeros(n_shots, dtype=int)
-    for row, record in enumerate(events.records):
-        if len(record.events) == 0:
-            continue
-        idx = np.floor((record.events - origin) / widths).astype(int)
-        inside = np.all((idx >= 0) & (idx < shape), axis=1)
-        dropped[row] = int((~inside).sum())
-        if inside.any():
-            flat = np.ravel_multi_index(idx[inside].T, shape)
-            counts[row] = np.bincount(flat, minlength=grid.n_cells)
+    n_shots, n_cells = events.n_shots, grid.n_cells
+    idx = np.floor((events.velocities - np.asarray(grid.origin)) / grid.cell_widths).astype(int)
+    inside = np.all((idx >= 0) & (idx < shape), axis=1)
+    cell = events.shot[inside] * n_cells + np.ravel_multi_index(idx[inside].T, shape)
+    counts = np.bincount(cell, minlength=n_shots * n_cells).reshape(n_shots, n_cells)
+    dropped = np.bincount(events.shot[~inside], minlength=n_shots)
     return BinnedCounts(grid=grid, counts=counts, dropped=dropped)
 
 

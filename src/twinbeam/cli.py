@@ -285,6 +285,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         {
             **fit.to_dict(),
             "kept_cells": len(selection),
+            "events_dropped": int(binned.dropped.sum()),
             "average_cell_mean": selection.average_mean,
             "pooled_mean": pooled.mean,
             "input_digest": _sha256(Path(events_path)),

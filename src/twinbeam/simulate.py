@@ -15,7 +15,9 @@ the detector.
 
 from __future__ import annotations
 
+import json
 import math
+from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,10 +32,10 @@ __all__ = [
     "PORT_VELOCITIES",
     "SourceConfig",
     "HomScanConfig",
-    "ShotRecord",
     "EventTable",
     "HomRun",
     "MAX_SEED",
+    "SHOT_ID_LIMIT",
     "derive_shot_seed",
     "shot_rng",
     "simulate_counting_run",
@@ -55,11 +57,16 @@ MAX_SEED = _MASK64
 DEFAULT_MASTER_SEED = 20260811
 
 # Stream domains: ids passed to derive_shot_seed for the streams that are
-# not per-shot.  Shot ids count up from 0 and stay far below them.
+# not per-shot.  Shot ids count up from 0 and stay below SHOT_ID_LIMIT,
+# the smallest of them.
 STREAM_SUMMED_HISTOGRAM = 2**40
 STREAM_POOLED_HISTOGRAM = 2**40 + 1
 STREAM_DEGENERACY_FIT = 2**40 + 2
 STREAM_SCAN_POINT = 10**12  # plus the scan-point index
+SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
+
+# Event rows formatted per write call; bounds the writers' memory.
+_WRITE_CHUNK_ROWS = 1 << 10
 
 
 def _splitmix64(value: int) -> int:
@@ -134,7 +141,7 @@ class SourceConfig:
     def __post_init__(self):
         check_field(self, "nu_per_mode", 0)
         check_field(self, "eta", 0, 1)
-        check_field(self, "shots", 1, integer=True)
+        check_field(self, "shots", 1, SHOT_ID_LIMIT, integer=True)
         check_seed(self)
         check_field(self, "peak_width", 0, positive=True, optional=True)
         check_field(self, "mode_widths", 0, positive=True, length=3)
@@ -151,13 +158,13 @@ class HomScanConfig:
     wavepackets through the declared model
     ``lam(t2) = exp(-(t2 - t0)^2 / (2 sigma_m^2))``; the resulting dip in
     the cross correlation is then Gaussian with RMS ``sigma_m/sqrt(2)``.
-    ``t1`` (the mirror time) is recorded for context only.
+    Shot ids run across the whole scan, so the scan holds at most
+    ``SHOT_ID_LIMIT`` shots.
     """
 
     t2_values: tuple[float, ...] = tuple(round(-260.0 + i * 520.0 / 12.0, 6) for i in range(13))
     t0: float = 0.0
     sigma_m: float = 86.0
-    t1: float = 1000.0
     nu: float = 0.33
     eta: float = 0.25
     shots_per_point: int = 800
@@ -167,68 +174,68 @@ class HomScanConfig:
         check_field(self, "t2_values", length=...)
         check_field(self, "t0")
         check_field(self, "sigma_m", 0, positive=True)
-        check_field(self, "t1")
         check_field(self, "nu", 0)
         check_field(self, "eta", 0, 1)
-        check_field(self, "shots_per_point", 1, integer=True)
+        check_field(
+            self, "shots_per_point", 1, SHOT_ID_LIMIT // len(self.t2_values), integer=True
+        )
         check_seed(self)
         object.__setattr__(self, "t2_values", tuple(float(t) for t in self.t2_values))
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    shot_id: int
-    events: np.ndarray  # (n_events, 3) velocities in mm/s
-
-    def __post_init__(self):
-        events = np.asarray(self.events, dtype=float).reshape(-1, 3)
-        events = events.copy()
-        events.flags.writeable = False
-        object.__setattr__(self, "events", events)
-
-
-@dataclass(frozen=True)
 class EventTable:
-    """Per-shot detected-atom velocities plus the configuration snapshot."""
+    """Detected-atom events as columns, plus the configuration snapshot.
 
+    Row ``i`` is one detected atom of shot ``shot[i]`` at velocity
+    ``velocities[i]`` (mm/s).  Rows are sorted by shot, and a shot's rows
+    keep their draw order.  Empty shots hold no rows; ``n_shots`` counts
+    them.
+    """
+
+    shot: np.ndarray  # (n_events,) ints, sorted
+    velocities: np.ndarray  # (n_events, 3)
+    n_shots: int
     config: dict
-    records: tuple[ShotRecord, ...]
     master_seed: int
     generator: str = GENERATOR_ID
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        ids = [r.shot_id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise ValueError("shot ids must be unique")
-        declared = self.config.get("shots")
-        if declared is not None and declared != len(self.records):
+        shot = np.asarray(self.shot, dtype=np.int64)
+        velocities = np.asarray(self.velocities, dtype=float).reshape(-1, 3)
+        if shot.shape != (len(velocities),):
             raise ValueError(
-                f"config declares {declared} shots but table holds {len(self.records)}"
+                f"shot holds {shot.size} entries but velocities holds {len(velocities)} rows"
             )
-
-    @property
-    def n_shots(self) -> int:
-        return len(self.records)
+        unsorted = np.any(shot[1:] < shot[:-1])
+        if shot.size and (unsorted or shot[0] < 0 or shot[-1] >= self.n_shots):
+            raise ValueError(f"shot ids must be sorted and in 0..{self.n_shots - 1}")
+        declared = self.config.get("shots")
+        if declared is not None and declared != self.n_shots:
+            raise ValueError(
+                f"config declares {declared} shots but table holds {self.n_shots}"
+            )
+        shot.flags.writeable = False
+        velocities.flags.writeable = False
+        object.__setattr__(self, "shot", shot)
+        object.__setattr__(self, "velocities", velocities)
 
     def counts_per_shot(self) -> np.ndarray:
-        return np.array([len(r.events) for r in self.records])
+        return np.bincount(self.shot, minlength=self.n_shots)
 
 
 @dataclass(frozen=True)
 class HomRun:
-    """Paired port-a/port-b event tables for every splitter time."""
+    """Detected port-a/port-b counts, one row per splitter time, one column per shot."""
 
     config: dict
-    tables: dict  # t2 -> (EventTable, EventTable)
-
-    @property
-    def t2_values(self) -> tuple[float, ...]:
-        return tuple(self.tables.keys())
+    t2_values: tuple[float, ...]
+    counts_a: np.ndarray  # (points, shots_per_point)
+    counts_b: np.ndarray
 
     def port_counts(self, t2: float) -> tuple[np.ndarray, np.ndarray]:
-        table_a, table_b = self.tables[t2]
-        return table_a.counts_per_shot(), table_b.counts_per_shot()
+        point = self.t2_values.index(t2)
+        return self.counts_a[point], self.counts_b[point]
 
 
 def _mode_grid(config: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -261,21 +268,25 @@ def simulate_counting_run(config: SourceConfig) -> EventTable:
     centers, nus = _mode_grid(config)
     p_success = 1.0 / (1.0 + nus)
     widths = np.asarray(config.mode_widths)
-    records = []
+    # Velocities stream into one buffer, so no per-shot array outlives its shot.
+    detected = bytearray()
+    per_shot = np.zeros(config.shots, dtype=np.int64)
     for shot in range(config.shots):
         rng = shot_rng(config.master_seed, shot)
         counts = rng.geometric(p_success) - 1
         total = int(counts.sum())
-        if total == 0:
-            events = np.empty((0, 3))
-        else:
+        if total:
             positions = np.repeat(centers, counts, axis=0)
             positions = positions + rng.normal(0.0, widths, size=(total, 3))
-            kept = rng.random(total) < config.eta
-            events = positions[kept]
-        records.append(ShotRecord(shot_id=shot, events=events))
+            kept = positions[rng.random(total) < config.eta]
+            detected += kept.tobytes()
+            per_shot[shot] = len(kept)
     return EventTable(
-        config=_config_dict(config), records=tuple(records), master_seed=config.master_seed
+        shot=np.repeat(np.arange(config.shots), per_shot),
+        velocities=np.frombuffer(detected),
+        n_shots=config.shots,
+        config=_config_dict(config),
+        master_seed=config.master_seed,
     )
 
 
@@ -285,17 +296,18 @@ def overlap_amplitude(config: HomScanConfig, t2: float) -> float:
 
 
 def simulate_hom_run(config: HomScanConfig) -> HomRun:
-    """Scan the splitter time and record port-a/port-b events per shot.
+    """Scan the splitter time and record the detected port counts per shot.
 
     For each ``t2`` the joint output-count law is taken from the Fock
     calculator at the modelled overlap, one ``(n_a, n_b)`` pair is drawn
-    per shot, both counts are independently binomially thinned by the
-    detector, and the surviving atoms are emitted at the two fixed port
-    cells.  Shot ids are globally unique across the scan so every shot
+    per shot, and both counts are independently binomially thinned by the
+    detector.  Shot ids are globally unique across the scan so every shot
     keeps a private stream.
     """
     params = TmsvParams(nu=config.nu)
-    tables = {}
+    shape = (len(config.t2_values), config.shots_per_point)
+    counts_a = np.zeros(shape, dtype=np.int64)
+    counts_b = np.zeros(shape, dtype=np.int64)
     for t2_index, t2 in enumerate(config.t2_values):
         lam = overlap_amplitude(config, t2)
         joint = hom_joint_pmf(params, OverlapModel(lam=lam))
@@ -304,27 +316,17 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
         # mass; renormalize for sampling.
         cdf = np.cumsum(flat / flat.sum())
         n_cols = joint.probs.shape[1]
-        records_a, records_b = [], []
         for shot in range(config.shots_per_point):
             rng = shot_rng(
                 config.master_seed, t2_index * config.shots_per_point + shot
             )
             idx = int(np.searchsorted(cdf, rng.random(), side="right"))
             n_a, n_b = divmod(idx, n_cols)
-            det_a = int(rng.binomial(n_a, config.eta)) if n_a else 0
-            det_b = int(rng.binomial(n_b, config.eta)) if n_b else 0
-            records_a.append(
-                ShotRecord(shot, np.tile(PORT_VELOCITIES["a"], (det_a, 1)))
-            )
-            records_b.append(
-                ShotRecord(shot, np.tile(PORT_VELOCITIES["b"], (det_b, 1)))
-            )
-        snapshot = {**_config_dict(config), "shots": config.shots_per_point, "t2": t2}
-        tables[t2] = (
-            EventTable(dict(snapshot, port="a"), tuple(records_a), config.master_seed),
-            EventTable(dict(snapshot, port="b"), tuple(records_b), config.master_seed),
-        )
-    return HomRun(config=_config_dict(config), tables=tables)
+            if n_a:
+                counts_a[t2_index, shot] = rng.binomial(n_a, config.eta)
+            if n_b:
+                counts_b[t2_index, shot] = rng.binomial(n_b, config.eta)
+    return HomRun(_config_dict(config), config.t2_values, counts_a, counts_b)
 
 
 def correlation_scan(
@@ -340,8 +342,7 @@ def correlation_scan(
     master = run.config.get("master_seed", 0)
     points = []
     for index, t2 in enumerate(run.t2_values):
-        n_a, n_b = run.port_counts(t2)
-        products = (n_a * n_b).astype(float)
+        products = (run.counts_a[index] * run.counts_b[index]).astype(float)
         boot_seed = derive_shot_seed(master, STREAM_SCAN_POINT + index)
         err = float(
             bootstrap_std(products, np.mean, resamples=resamples, seed=boot_seed)
@@ -351,53 +352,58 @@ def correlation_scan(
     return points
 
 
+def _write_rows(fh, shot: np.ndarray, velocities, suffix: str = "") -> None:
+    """Write ``shot,vx,vy,vz<suffix>`` rows, a fixed number of rows at a time."""
+    for lo in range(0, len(shot), _WRITE_CHUNK_ROWS):
+        hi = lo + _WRITE_CHUNK_ROWS
+        rows = zip(shot[lo:hi].tolist(), velocities[lo:hi].tolist())
+        fh.write("".join(f"{s},{vx!r},{vy!r},{vz!r}{suffix}\n" for s, (vx, vy, vz) in rows))
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_event_table(table: EventTable, csv_path, meta_path) -> None:
     """CSV rows ``shot,vx,vy,vz`` plus a JSON sidecar with the metadata.
 
     Empty shots produce no CSV rows; the sidecar's shot count is what
     makes them reconstructible.
     """
-    import json
-
     with open(csv_path, "w") as fh:
         fh.write("shot,vx,vy,vz\n")
-        for record in table.records:
-            for vx, vy, vz in record.events:
-                fh.write(f"{record.shot_id},{float(vx)!r},{float(vy)!r},{float(vz)!r}\n")
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "shots": table.n_shots,
-                "config": table.config,
-                "master_seed": table.master_seed,
-                "generator": table.generator,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        _write_rows(fh, table.shot, table.velocities)
+    _write_json(
+        meta_path,
+        {
+            "shots": table.n_shots,
+            "config": table.config,
+            "master_seed": table.master_seed,
+            "generator": table.generator,
+        },
+    )
 
 
 def read_event_table(csv_path, meta_path) -> EventTable:
-    """Inverse of :func:`write_event_table`.
+    """Inverse of :func:`write_event_table`; rows may come in any shot order.
 
+    Rows are stably sorted by shot, so each shot keeps its row order.
     Raises ``ValueError`` naming the offending line on malformed rows,
     non-finite velocities included.
     """
-    import json
-
     with open(meta_path) as fh:
         meta = json.load(fh)
     shots = int(meta["shots"])
-    per_shot = [[] for _ in range(shots)]
+    shot_ids = array("q")
+    values = array("d")
     with open(csv_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        header = fh.readline()
+        if header and header.strip() != "shot,vx,vy,vz":
+            raise ValueError(f"{csv_path}:1: unexpected header {header.strip()!r}")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if lineno == 1:
-                if line != "shot,vx,vy,vz":
-                    raise ValueError(f"{csv_path}:1: unexpected header {line!r}")
-                continue
             if not line:
                 continue
             parts = line.split(",")
@@ -406,54 +412,51 @@ def read_event_table(csv_path, meta_path) -> EventTable:
                     f"{csv_path}:{lineno}: expected 4 fields, got {len(parts)}"
                 )
             try:
-                shot = int(parts[0])
-                velocity = [float(v) for v in parts[1:]]
+                row_shot = int(parts[0])
+                vx, vy, vz = float(parts[1]), float(parts[2]), float(parts[3])
             except ValueError as exc:
                 raise ValueError(f"{csv_path}:{lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in velocity):
+            if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
                 raise ValueError(f"{csv_path}:{lineno}: non-finite velocity {line!r}")
-            if not 0 <= shot < shots:
+            if not 0 <= row_shot < shots:
                 raise ValueError(
-                    f"{csv_path}:{lineno}: shot {shot} outside 0..{shots - 1}"
+                    f"{csv_path}:{lineno}: shot {row_shot} outside 0..{shots - 1}"
                 )
-            per_shot[shot].append(velocity)
-    records = tuple(
-        ShotRecord(shot_id=i, events=np.array(rows).reshape(-1, 3))
-        for i, rows in enumerate(per_shot)
-    )
+            shot_ids.append(row_shot)
+            values.extend((vx, vy, vz))
+    shot = np.frombuffer(shot_ids, dtype=np.int64)
+    velocities = np.frombuffer(values).reshape(-1, 3)
+    order = np.argsort(shot, kind="stable")
     return EventTable(
+        shot=shot[order],
+        velocities=velocities[order],
+        n_shots=shots,
         config=meta["config"],
-        records=records,
         master_seed=int(meta["master_seed"]),
         generator=meta.get("generator", GENERATOR_ID),
     )
 
 
 def write_hom_events(run: HomRun, csv_path, meta_path) -> None:
-    """Combined scan CSV with ``port`` and ``t2_us`` columns."""
-    import json
+    """Combined scan CSV with ``port`` and ``t2_us`` columns.
 
+    Each detected atom is one row at its port's fixed velocity, grouped
+    by splitter time, then port, then shot.
+    """
     with open(csv_path, "w") as fh:
         fh.write("shot,vx,vy,vz,port,t2_us\n")
-        for t2 in run.t2_values:
-            table_a, table_b = run.tables[t2]
-            for port, table in (("a", table_a), ("b", table_b)):
-                for record in table.records:
-                    for vx, vy, vz in record.events:
-                        fh.write(
-                            f"{record.shot_id},{float(vx)!r},{float(vy)!r},{float(vz)!r},{port},{float(t2)!r}\n"
-                        )
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "config": run.config,
-                "t2_values": list(run.t2_values),
-                "shots_per_point": run.config.get("shots_per_point"),
-                "master_seed": run.config.get("master_seed"),
-                "generator": GENERATOR_ID,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        for t2, row_a, row_b in zip(run.t2_values, run.counts_a, run.counts_b):
+            for port, counts in (("a", row_a), ("b", row_b)):
+                shot = np.repeat(np.arange(len(counts)), counts)
+                velocity = np.broadcast_to(PORT_VELOCITIES[port], (len(shot), 3))
+                _write_rows(fh, shot, velocity, f",{port},{float(t2)!r}")
+    _write_json(
+        meta_path,
+        {
+            "config": run.config,
+            "t2_values": list(run.t2_values),
+            "shots_per_point": run.config.get("shots_per_point"),
+            "master_seed": run.config.get("master_seed"),
+            "generator": GENERATOR_ID,
+        },
+    )

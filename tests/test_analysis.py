@@ -1,5 +1,7 @@
 """Tests for velocity-space binning, histograms, selection, bootstrap."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,16 +21,48 @@ from twinbeam.analysis import (
     write_cell_stats,
 )
 from twinbeam.distributions import thermal_pmf
-from twinbeam.simulate import EventTable, ShotRecord
+from twinbeam.simulate import EventTable
 
 
 def table_from_events(event_rows):
     """EventTable with one shot per entry of ``event_rows``."""
-    records = tuple(
-        ShotRecord(shot_id=i, events=np.asarray(rows, dtype=float).reshape(-1, 3))
-        for i, rows in enumerate(event_rows)
+    per_shot = [np.asarray(rows, dtype=float).reshape(-1, 3) for rows in event_rows]
+    return EventTable(
+        shot=np.repeat(np.arange(len(per_shot)), [len(rows) for rows in per_shot]),
+        velocities=np.concatenate([np.empty((0, 3)), *per_shot]),
+        n_shots=len(per_shot),
+        config={"shots": len(per_shot)},
+        master_seed=0,
     )
-    return EventTable(config={"shots": len(records)}, records=records, master_seed=0)
+
+
+def bin_per_event(event_rows, grid):
+    """Reference binning: one shot, one event and one axis at a time."""
+    counts = np.zeros((len(event_rows), grid.n_cells), dtype=int)
+    dropped = np.zeros(len(event_rows), dtype=int)
+    for shot, events in enumerate(event_rows):
+        for velocity in events:
+            idx = tuple(
+                math.floor((v - o) / w)
+                for v, o, w in zip(velocity, grid.origin, grid.cell_widths)
+            )
+            if all(0 <= i < n for i, n in zip(idx, grid.counts_per_axis)):
+                counts[shot, np.ravel_multi_index(idx, grid.counts_per_axis)] += 1
+            else:
+                dropped[shot] += 1
+    return counts, dropped
+
+
+# Exact binary widths, so origin + k * width / 2 lands on cell boundaries.
+_GRID = CellGrid(origin=(-2.0, 0.0, -1.5), cell_widths=(1.0, 0.5, 2.0), counts_per_axis=(2, 3, 4))
+
+
+def _axis(o, w, n):
+    on_edges = st.integers(min_value=-3, max_value=2 * n + 3).map(lambda k: o + k * w / 2)
+    return on_edges | st.floats(min_value=o - 3 * w, max_value=o + (n + 3) * w)
+
+
+_VELOCITY = st.tuples(*map(_axis, _GRID.origin, _GRID.cell_widths, _GRID.counts_per_axis))
 
 
 class TestCellGrid:
@@ -90,6 +124,14 @@ class TestBinEvents:
         binned = bin_events(table_from_events(rows), grid)
         for shot, events in enumerate(rows):
             assert binned.counts[shot].sum() + binned.dropped[shot] == len(events)
+
+    @given(st.lists(st.lists(_VELOCITY, max_size=8), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_event_reference(self, event_rows):
+        binned = bin_events(table_from_events(event_rows), _GRID)
+        counts, dropped = bin_per_event(event_rows, _GRID)
+        assert np.array_equal(binned.counts, counts)
+        assert np.array_equal(binned.dropped, dropped)
 
 
 class TestCellHistograms:

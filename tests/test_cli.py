@@ -125,6 +125,8 @@ class TestConfigValidation:
             ("simulate-source", "source", "mode_widths", [float("nan"), 1.0, 1.0]),
             ("simulate-source", "source", "shots", 10.0),
             ("simulate-source", "source", "shots", True),
+            ("simulate-source", "source", "shots", 10**12 + 1),
+            ("simulate-hom", "hom", "shots_per_point", 2 * 10**11 + 1),
             ("analyze-counts", "grid", "cell_widths", [5.5, float("nan"), 2.5]),
             ("analyze-counts", "analysis", "min_mean", float("nan")),
         ],
@@ -157,7 +159,8 @@ class TestConfigValidation:
         assert load_config(REPO_ROOT / "configs" / "default.json") == default_config()
 
     @pytest.mark.parametrize(
-        "section,key,value", [("hom", "fock_n_max", 12), ("source", "peak_separation", 50.0)]
+        "section,key,value",
+        [("hom", "fock_n_max", 12), ("source", "peak_separation", 50.0), ("hom", "t1", 1000.0)],
     )
     def test_removed_key_rejected_naming_section(self, tmp_path, runner, section, key, value):
         doc = small_doc()

@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from twinbeam.distributions import thermal_pmf
 from twinbeam.simulate import (
+    PORT_VELOCITIES,
+    SHOT_ID_LIMIT,
+    STREAM_DEGENERACY_FIT,
+    STREAM_POOLED_HISTOGRAM,
+    STREAM_SCAN_POINT,
+    STREAM_SUMMED_HISTOGRAM,
     HomScanConfig,
     SourceConfig,
     correlation_scan,
@@ -36,6 +44,48 @@ class TestShotSeeds:
         assert not np.allclose(a, b)
 
 
+def _admitted(make) -> bool:
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+def _meets_stream_domain(shot_ids: range, points: int) -> bool:
+    """Whether a shot id equals a histogram-stream id or a scan-point id."""
+    fixed = (STREAM_SUMMED_HISTOGRAM, STREAM_POOLED_HISTOGRAM, STREAM_DEGENERACY_FIT)
+    scan = range(STREAM_SCAN_POINT, STREAM_SCAN_POINT + points)
+    return any(d in shot_ids for d in fixed) or max(shot_ids.start, scan.start) < min(
+        shot_ids.stop, scan.stop
+    )
+
+
+class TestShotIdsMissStreamDomains:
+    @given(st.integers(min_value=1, max_value=2**64))
+    @example(SHOT_ID_LIMIT)
+    @example(SHOT_ID_LIMIT + 1)
+    @example(STREAM_SUMMED_HISTOGRAM + 3)
+    def test_counting_run(self, shots):
+        admitted = _admitted(lambda: SourceConfig(shots=shots))
+        assert admitted == (shots <= SHOT_ID_LIMIT)
+        if admitted:
+            assert not _meets_stream_domain(range(shots), points=2**20)
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2**64))
+    @example(13, SHOT_ID_LIMIT // 13)
+    @example(13, SHOT_ID_LIMIT // 13 + 1)
+    @example(1, STREAM_SUMMED_HISTOGRAM + 3)
+    def test_hom_scan(self, points, shots_per_point):
+        t2_values = tuple(float(i) for i in range(points))
+        admitted = _admitted(
+            lambda: HomScanConfig(t2_values=t2_values, shots_per_point=shots_per_point)
+        )
+        assert admitted == (points * shots_per_point <= SHOT_ID_LIMIT)
+        if admitted:
+            assert not _meets_stream_domain(range(points * shots_per_point), points)
+
+
 def small_config(**overrides):
     defaults = dict(
         nu_per_mode=0.6,
@@ -60,8 +110,8 @@ class TestCountingRun:
         a = simulate_counting_run(small_config())
         b = simulate_counting_run(small_config())
         assert a.n_shots == b.n_shots
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.events, rb.events)
+        assert np.array_equal(a.shot, b.shot)
+        assert np.array_equal(a.velocities, b.velocities)
 
     def test_law_of_large_numbers(self):
         config = small_config(shots=20_000, nu_per_mode=0.3, eta=0.4)
@@ -138,7 +188,7 @@ class TestCountingRun:
                 positions = np.repeat(centers, counts, axis=0)
                 positions = positions + rng.normal(0.0, widths, size=(total, 3))
                 events = positions[rng.random(total) < config.eta]
-            assert np.array_equal(events, table.records[shot_id].events)
+            assert np.array_equal(events, table.velocities[table.shot == shot_id])
 
 
 def small_hom_config(**overrides):
@@ -200,7 +250,61 @@ class TestHomRun:
             assert corr >= 0
 
 
+def per_shot_event_csv(table) -> str:
+    """Reference event CSV, written one shot and one event at a time."""
+    lines = ["shot,vx,vy,vz\n"]
+    for shot in range(table.n_shots):
+        for vx, vy, vz in table.velocities[table.shot == shot]:
+            lines.append(f"{shot},{float(vx)!r},{float(vy)!r},{float(vz)!r}\n")
+    return "".join(lines)
+
+
+def per_shot_hom_csv(run) -> str:
+    """Reference scan CSV, written one shot and one atom at a time."""
+    lines = ["shot,vx,vy,vz,port,t2_us\n"]
+    for t2 in run.t2_values:
+        for port, counts in zip("ab", run.port_counts(t2)):
+            vx, vy, vz = PORT_VELOCITIES[port]
+            for shot, count in enumerate(counts):
+                for _ in range(count):
+                    lines.append(
+                        f"{shot},{float(vx)!r},{float(vy)!r},{float(vz)!r},{port},{float(t2)!r}\n"
+                    )
+    return "".join(lines)
+
+
 class TestEventTableIO:
+    def test_writer_matches_per_shot_reference(self, tmp_path):
+        table = simulate_counting_run(small_config())
+        assert (table.counts_per_shot() == 0).any()
+        assert (table.velocities < 0).any()
+        write_event_table(table, tmp_path / "ev.csv", tmp_path / "ev.meta.json")
+        assert (tmp_path / "ev.csv").read_text() == per_shot_event_csv(table)
+
+    def test_hom_writer_matches_per_shot_reference(self, tmp_path):
+        run = simulate_hom_run(small_hom_config(shots_per_point=50))
+        assert (run.counts_a == 0).any() and (run.counts_b > 0).any()
+        write_hom_events(run, tmp_path / "hom.csv", tmp_path / "hom.meta.json")
+        assert (tmp_path / "hom.csv").read_text() == per_shot_hom_csv(run)
+
+    def test_rows_in_any_shot_order_read_back_sorted(self, tmp_path):
+        table = simulate_counting_run(small_config(shots=40))
+        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
+        write_event_table(table, csv_path, meta_path)
+        header, *rows = csv_path.read_text().splitlines(keepends=True)
+        # Interleave the shots at random, each shot's rows in their order.
+        shot = np.array([int(row.split(",")[0]) for row in rows])
+        keys = np.random.default_rng(4).random(len(rows))
+        for s in np.unique(shot):
+            keys[shot == s] = np.sort(keys[shot == s])
+        order = np.argsort(keys)
+        assert (np.diff(shot[order]) < 0).any()
+        csv_path.write_text(header + "".join(rows[i] for i in order))
+        back = read_event_table(csv_path, meta_path)
+        assert back.n_shots == table.n_shots
+        assert np.array_equal(back.shot, table.shot)
+        assert np.array_equal(back.velocities, table.velocities)
+
     def test_roundtrip(self, tmp_path):
         table = simulate_counting_run(small_config(shots=30))
         csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
@@ -208,15 +312,16 @@ class TestEventTableIO:
         back = read_event_table(csv_path, meta_path)
         assert back.n_shots == table.n_shots
         assert back.master_seed == table.master_seed
-        for ra, rb in zip(table.records, back.records):
-            assert np.array_equal(ra.events, rb.events)
+        assert np.array_equal(back.shot, table.shot)
+        assert np.array_equal(back.velocities, table.velocities)
 
     def test_empty_shots_survive_roundtrip(self, tmp_path):
         table = simulate_counting_run(small_config(shots=10, nu_per_mode=0.0))
         write_event_table(table, tmp_path / "e.csv", tmp_path / "e.meta.json")
         back = read_event_table(tmp_path / "e.csv", tmp_path / "e.meta.json")
         assert back.n_shots == 10
-        assert all(len(r.events) == 0 for r in back.records)
+        assert len(back.shot) == len(back.velocities) == 0
+        assert np.array_equal(back.counts_per_shot(), np.zeros(10))
 
     def test_malformed_row_names_line(self, tmp_path):
         table = simulate_counting_run(small_config(shots=5, master_seed=3))
