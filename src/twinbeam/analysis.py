@@ -30,6 +30,7 @@ __all__ = [
     "filter_cells",
     "sum_histograms",
     "pooled_counts_histogram",
+    "shot_histograms",
     "bootstrap_std",
     "write_cell_stats",
 ]
@@ -251,14 +252,33 @@ def pooled_counts_histogram(selected, binned: BinnedCounts) -> CountHistogram:
     return CountHistogram.from_counts(sums)
 
 
+def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:
+    """Per-shot occurrence histograms of integer ``counts``.
+
+    ``counts`` is ``(shots,)`` or ``(shots, cells)`` with values below
+    ``width``; row ``s`` of the ``(shots, width)`` result counts the
+    cells of shot ``s`` holding each value.
+    """
+    counts = np.asarray(counts).reshape(len(counts), -1)
+    n = len(counts)
+    cell = np.arange(n)[:, None] * width + counts
+    return np.bincount(cell.ravel(), minlength=n * width).reshape(n, width)
+
+
 def bootstrap_std(
     data, statistic, resamples: int = AnalysisParams.bootstrap_resamples, seed: int = 0
 ):
     """Standard deviation of ``statistic`` under shot resampling.
 
-    ``data`` is resampled with replacement along its first axis
-    ``resamples`` times; ``statistic`` maps one resample to a scalar or an
-    array.  Seeded, hence deterministic.
+    ``data`` holds per-shot sufficient statistics along its first axis.
+    Each of the ``resamples`` resamples draws ``n`` shots with replacement
+    (one ``integers(0, n, size=n)`` call) and calls
+    ``statistic(data, weights)``, where ``weights[i]`` counts the draws of
+    shot ``i``; it returns a scalar or an array.  A statistic of the
+    resampled rows ``data[rows]`` that sums over shots is a weighted sum
+    here, e.g. ``weights @ data / n`` for the mean.  With integer data
+    such sums are exact, so they equal the per-row form to the last bit.
+    Seeded, hence deterministic.
     """
     data = np.asarray(data)
     if data.shape[0] == 0:
@@ -270,7 +290,7 @@ def bootstrap_std(
     values = []
     for _ in range(resamples):
         rows = rng.integers(0, n, size=n)
-        values.append(statistic(data[rows]))
+        values.append(statistic(data, np.bincount(rows, minlength=n)))
     return np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
 
 

@@ -26,6 +26,7 @@ from .analysis import (
     cell_histograms,
     filter_cells,
     pooled_counts_histogram,
+    shot_histograms,
     sum_histograms,
     write_cell_stats,
 )
@@ -207,7 +208,10 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
     resamples = params.bootstrap_resamples
 
     grid = section(doc, "grid")
-    binned = bin_events(table, grid)
+    try:
+        binned = bin_events(table, grid)
+    except MemoryError:
+        _fail(EXIT_INPUT_ERROR, f"shots = {table.n_shots}: count matrix too large")
     stats = cell_histograms(binned)
     selection = filter_cells(stats, params.min_mean)
     write_cell_stats(out_dir / "cell_stats.csv", stats, selection)
@@ -228,8 +232,8 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
     summed = sum_histograms(selection)
     width = len(summed.occurrences)
     summed_err = bootstrap_std(
-        kept_counts,
-        lambda rows: np.bincount(rows.ravel(), minlength=width)[:width] / rows.size,
+        shot_histograms(kept_counts, width),
+        lambda hists, weights: weights @ hists / kept_counts.size,
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM),
     )
@@ -249,11 +253,10 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
     pooled_width = len(pooled.occurrences) + 5
     pooled_occ = np.concatenate([pooled.occurrences, np.zeros(5, dtype=int)])
     pooled_err = bootstrap_std(
-        kept_counts,
-        lambda rows: np.bincount(rows.sum(axis=1), minlength=pooled_width)[
-            :pooled_width
-        ]
-        / len(rows),
+        kept_counts.sum(axis=1),
+        lambda sums, weights: (
+            np.bincount(sums, weights=weights, minlength=pooled_width) / len(sums)
+        ),
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_POOLED_HISTOGRAM),
     )

@@ -4,7 +4,9 @@ Shots are statistically independent repetitions of the experiment.  Every
 shot owns a private counter-based random stream (Philox, 128-bit key)
 derived from the master seed through an injective SplitMix64 mix, so
 generating shots in any order, or in parallel, reproduces the sequential
-run bit for bit.
+run bit for bit.  A run builds one Philox generator and re-keys it before
+each shot, which gives the same streams as a new generator per shot
+(:func:`shot_rng`) at a fraction of the cost.
 
 Two run types are provided: a counting run, where a grid of independent
 thermal emitter modes populates one velocity-space peak, and an
@@ -90,11 +92,34 @@ def derive_shot_seed(master_seed: int, shot_id: int) -> int:
     return (hi << 64) | lo
 
 
+def _shot_key(master_seed: int, shot_id: int) -> np.ndarray:
+    """The Philox key of one shot: the two 64-bit words of its seed."""
+    seed = derive_shot_seed(master_seed, shot_id)
+    return np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
+
+
 def shot_rng(master_seed: int, shot_id: int) -> np.random.Generator:
     """Counter-based generator for one shot; see :data:`GENERATOR_ID`."""
-    seed = derive_shot_seed(master_seed, shot_id)
-    key = np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_shot_key(master_seed, shot_id)))
+
+
+def _shot_streams(master_seed: int):
+    """A function ``shot_id -> Generator`` drawing what :func:`shot_rng` draws.
+
+    Every call re-keys and returns one generator.  It writes back a state
+    captured from a new Philox, so the counter, the output buffer and the
+    buffered half-word start from zero for every shot.
+    """
+    bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+
+    def rekey(shot_id: int) -> np.random.Generator:
+        fresh["state"]["key"] = _shot_key(master_seed, shot_id)
+        bit_generator.state = fresh
+        return rng
+
+    return rekey
 
 
 def check_seed(obj) -> None:
@@ -234,6 +259,9 @@ class HomRun:
     counts_b: np.ndarray
 
     def port_counts(self, t2: float) -> tuple[np.ndarray, np.ndarray]:
+        """The counts at ``t2``; ``ValueError`` unless the scan holds it exactly once."""
+        if self.t2_values.count(t2) > 1:
+            raise ValueError(f"t2 = {t2!r} occurs more than once in the scan")
         point = self.t2_values.index(t2)
         return self.counts_a[point], self.counts_b[point]
 
@@ -271,8 +299,9 @@ def simulate_counting_run(config: SourceConfig) -> EventTable:
     # Velocities stream into one buffer, so no per-shot array outlives its shot.
     detected = bytearray()
     per_shot = np.zeros(config.shots, dtype=np.int64)
+    stream = _shot_streams(config.master_seed)
     for shot in range(config.shots):
-        rng = shot_rng(config.master_seed, shot)
+        rng = stream(shot)
         counts = rng.geometric(p_success) - 1
         total = int(counts.sum())
         if total:
@@ -308,6 +337,7 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     shape = (len(config.t2_values), config.shots_per_point)
     counts_a = np.zeros(shape, dtype=np.int64)
     counts_b = np.zeros(shape, dtype=np.int64)
+    stream = _shot_streams(config.master_seed)
     for t2_index, t2 in enumerate(config.t2_values):
         lam = overlap_amplitude(config, t2)
         joint = hom_joint_pmf(params, OverlapModel(lam=lam))
@@ -317,9 +347,7 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
         cdf = np.cumsum(flat / flat.sum())
         n_cols = joint.probs.shape[1]
         for shot in range(config.shots_per_point):
-            rng = shot_rng(
-                config.master_seed, t2_index * config.shots_per_point + shot
-            )
+            rng = stream(t2_index * config.shots_per_point + shot)
             idx = int(np.searchsorted(cdf, rng.random(), side="right"))
             n_a, n_b = divmod(idx, n_cols)
             if n_a:
@@ -342,12 +370,12 @@ def correlation_scan(
     master = run.config.get("master_seed", 0)
     points = []
     for index, t2 in enumerate(run.t2_values):
-        products = (run.counts_a[index] * run.counts_b[index]).astype(float)
+        products = run.counts_a[index] * run.counts_b[index]
         boot_seed = derive_shot_seed(master, STREAM_SCAN_POINT + index)
-        err = float(
-            bootstrap_std(products, np.mean, resamples=resamples, seed=boot_seed)
+        err = bootstrap_std(
+            products, lambda x, weights: weights @ x / len(x), resamples, boot_seed
         )
-        err = max(err, 1.0 / len(products))
+        err = max(float(err), 1.0 / len(products))
         points.append((t2, float(products.mean()), err))
     return points
 
@@ -390,12 +418,14 @@ def read_event_table(csv_path, meta_path) -> EventTable:
     """Inverse of :func:`write_event_table`; rows may come in any shot order.
 
     Rows are stably sorted by shot, so each shot keeps its row order.
-    Raises ``ValueError`` naming the offending line on malformed rows,
-    non-finite velocities included.
+    Raises ``ValueError`` unless the sidecar's ``shots`` is an integer in
+    ``[1, SHOT_ID_LIMIT]``, and names the offending line on malformed
+    rows, non-finite velocities included.
     """
     with open(meta_path) as fh:
         meta = json.load(fh)
-    shots = int(meta["shots"])
+    check_field(meta, "shots", 1, SHOT_ID_LIMIT, integer=True)
+    shots = meta["shots"]
     shot_ids = array("q")
     values = array("d")
     with open(csv_path) as fh:

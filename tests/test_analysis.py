@@ -17,6 +17,7 @@ from twinbeam.analysis import (
     cell_histograms,
     filter_cells,
     pooled_counts_histogram,
+    shot_histograms,
     sum_histograms,
     write_cell_stats,
 )
@@ -253,35 +254,138 @@ class TestPooledCounts:
             pooled_counts_histogram([], binned)
 
 
+def weighted_mean(data, weights):
+    return weights @ data / len(data)
+
+
 class TestBootstrapStd:
     def test_constant_statistic_is_zero(self):
         data = np.arange(100.0)
-        assert bootstrap_std(data, lambda rows: 1.0, resamples=200, seed=0) == 0.0
+        assert bootstrap_std(data, lambda x, w: 1.0, resamples=200, seed=0) == 0.0
 
     def test_mean_statistic_matches_analytic_error(self):
         rng = np.random.default_rng(6)
         data = rng.geometric(1 / 1.158, size=10_000) - 1.0
-        boot = float(bootstrap_std(data, np.mean, resamples=1000, seed=1))
+        boot = float(bootstrap_std(data, weighted_mean, resamples=1000, seed=1))
         analytic = data.std(ddof=1) / np.sqrt(len(data))
         assert abs(boot - analytic) / analytic < 0.20
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=500)
-        a = bootstrap_std(data, np.mean, resamples=300, seed=9)
-        b = bootstrap_std(data, np.mean, resamples=300, seed=9)
+        a = bootstrap_std(data, weighted_mean, resamples=300, seed=9)
+        b = bootstrap_std(data, weighted_mean, resamples=300, seed=9)
         assert a == b
 
     def test_vector_statistic(self):
         rng = np.random.default_rng(8)
         data = rng.integers(0, 4, size=(2000, 3))
-        err = bootstrap_std(data, lambda rows: rows.mean(axis=0), resamples=200, seed=2)
+        err = bootstrap_std(data, weighted_mean, resamples=200, seed=2)
         assert err.shape == (3,)
         assert np.all(err > 0)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_std(np.empty((0, 2)), np.mean)
+            bootstrap_std(np.empty((0, 2)), weighted_mean)
+
+
+def per_row_bootstrap_std(data, statistic, resamples, seed):
+    """Reference bootstrap: ``statistic`` of the resampled rows ``data[rows]``."""
+    rng = np.random.default_rng(seed)
+    n = len(data)
+    values = [statistic(data[rng.integers(0, n, size=n)]) for _ in range(resamples)]
+    return np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
+
+
+def assert_same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBootstrapMatchesPerRowReference:
+    """The weighted statistics of ``analyze-counts`` and ``correlation_scan``
+    equal their per-row forms to the last bit."""
+
+    def check(self, counts, resamples=60, seed=11):
+        width = int(counts.max()) + 1
+        assert_same_bytes(
+            bootstrap_std(
+                shot_histograms(counts, width),
+                lambda hists, weights: weights @ hists / counts.size,
+                resamples=resamples,
+                seed=seed,
+            ),
+            per_row_bootstrap_std(
+                counts,
+                lambda rows: np.bincount(rows.ravel(), minlength=width)[:width] / rows.size,
+                resamples,
+                seed,
+            ),
+        )
+        sums = counts.sum(axis=1)
+        pooled_width = int(sums.max()) + 6
+        assert_same_bytes(
+            bootstrap_std(
+                sums,
+                lambda s, weights: np.bincount(s, weights=weights, minlength=pooled_width)
+                / len(s),
+                resamples=resamples,
+                seed=seed,
+            ),
+            per_row_bootstrap_std(
+                counts,
+                lambda rows: np.bincount(rows.sum(axis=1), minlength=pooled_width)[
+                    :pooled_width
+                ]
+                / len(rows),
+                resamples,
+                seed,
+            ),
+        )
+        products = counts[:, 0] * counts[:, -1]
+        assert_same_bytes(
+            bootstrap_std(products, weighted_mean, resamples=resamples, seed=seed),
+            per_row_bootstrap_std(products.astype(float), np.mean, resamples, seed),
+        )
+
+    def test_empty_shots_and_all_zero_cells(self):
+        rng = np.random.default_rng(21)
+        counts = rng.geometric(0.4, size=(300, 5)) - 1
+        counts[::7] = 0  # empty shots
+        counts[:, 2] = 0  # a cell no shot reaches
+        self.check(counts)
+
+    def test_one_shot(self):
+        self.check(np.array([[0, 3, 1]]))
+
+    def test_large_counts(self):
+        rng = np.random.default_rng(22)
+        self.check(rng.integers(0, 400, size=(50, 2)), resamples=20)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(1, 4)),
+        high=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_small_matrices(self, shape, high, seed):
+        counts = np.random.default_rng(seed).integers(0, high, size=shape)
+        self.check(counts, resamples=10, seed=seed)
+
+
+class TestShotHistograms:
+    def test_rows_count_cell_values(self):
+        counts = np.array([[0, 2, 2], [1, 0, 0], [0, 0, 0]])
+        assert_same_bytes(
+            shot_histograms(counts, 4),
+            np.array([[1, 0, 2, 0], [2, 1, 0, 0], [3, 0, 0, 0]]),
+        )
+
+    def test_one_dimensional_counts(self):
+        assert_same_bytes(
+            shot_histograms(np.array([2, 0]), 3), np.array([[0, 0, 1], [1, 0, 0]])
+        )
 
 
 class TestSerialization:

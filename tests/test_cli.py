@@ -318,6 +318,41 @@ class TestAnalyzeCounts:
         assert ":6:" in result.output
         assert "non-finite" in result.output
 
+    @pytest.mark.parametrize("shots", [10**15, 10**11, 1.5, 0, -3, True])
+    def test_bad_sidecar_shots_exits_2_naming_key(self, tmp_path, runner, events_dir, shots):
+        config_path, events_out = events_dir
+        meta = json.loads((events_out / "events.meta.json").read_text())
+        meta["shots"] = meta["config"]["shots"] = shots
+        meta_path = tmp_path / "bad.meta.json"
+        meta_path.write_text(json.dumps(meta))
+        argv = [
+            "analyze-counts",
+            "--events", str(events_out / "events.csv"),
+            "--meta", str(meta_path),
+            "--config", str(config_path),
+            "--out", str(tmp_path / "x"),
+        ]
+        if shots == 10**11:
+            # Within SHOT_ID_LIMIT, but its count matrix needs 36 TB.  A cap
+            # on the address space makes that allocation fail whatever the
+            # system's overcommit policy.
+            cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (16 << 30,) * 2)"
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", f"{cap}; from twinbeam.cli import main; main()", *argv],
+                env=env, capture_output=True, text=True,
+            )
+            exit_code, output = result.returncode, result.stderr
+        else:
+            result = runner.invoke(main, argv)
+            exit_code, output = result.exit_code, result.output
+        assert exit_code == 2, output
+        assert "shots" in output
+        assert "Traceback" not in output
+
     def test_rerun_is_byte_identical(self, tmp_path, runner, events_dir):
         config_path, events_out = events_dir
         outs = (tmp_path / "r1", tmp_path / "r2")

@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from twinbeam.distributions import thermal_pmf
 from twinbeam.simulate import (
+    MAX_SEED,
     PORT_VELOCITIES,
     SHOT_ID_LIMIT,
     STREAM_DEGENERACY_FIT,
@@ -25,6 +26,7 @@ from twinbeam.simulate import (
     write_event_table,
     write_hom_events,
 )
+from twinbeam.simulate import _shot_streams
 
 
 class TestShotSeeds:
@@ -42,6 +44,37 @@ class TestShotSeeds:
         a = shot_rng(7, 0).random(4)
         b = shot_rng(7, 1).random(4)
         assert not np.allclose(a, b)
+
+
+def _mixed_draws(rng) -> list:
+    """Draws of every kind the simulators make, plus 64-bit integers."""
+    return [
+        rng.geometric([0.2, 0.5, 0.9]),
+        rng.normal(0.0, [1.0, 2.0, 3.0], size=(3, 3)),
+        rng.random(5),
+        rng.binomial([0, 3, 40], 0.25),
+        rng.integers(0, 2**40, size=3),
+    ]
+
+
+class TestReusedShotStream:
+    @given(
+        st.integers(min_value=0, max_value=MAX_SEED),
+        st.lists(st.integers(min_value=0, max_value=SHOT_ID_LIMIT - 1), min_size=1, max_size=6),
+    )
+    @example(0, [0, 0, 1])
+    def test_matches_shot_rng(self, master, shot_ids):
+        stream = _shot_streams(master)
+        for shot_id in shot_ids:
+            rng = stream(shot_id)
+            for got, want in zip(_mixed_draws(rng), _mixed_draws(shot_rng(master, shot_id))):
+                assert np.array_equal(got, want)
+            # One 32-bit draw leaves half of a 64-bit word buffered, on top
+            # of an advanced counter and buffer: the next shot must reset all.
+            rng.integers(-(2**31), 2**31, dtype=np.int32)
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 1
+            assert state["state"]["counter"].any()
 
 
 def _admitted(make) -> bool:
@@ -240,6 +273,12 @@ class TestHomRun:
         center = (n_a0.astype(float) * n_b0).mean()
         flank = (n_af.astype(float) * n_bf).mean()
         assert center < 0.5 * flank
+
+    def test_port_counts_rejects_repeated_t2(self):
+        run = simulate_hom_run(small_hom_config(t2_values=(0.0, 100.0, 0.0), shots_per_point=20))
+        assert len(run.port_counts(100.0)[0]) == 20
+        with pytest.raises(ValueError, match="more than once"):
+            run.port_counts(0.0)
 
     def test_correlation_scan_output(self):
         run = simulate_hom_run(small_hom_config())
