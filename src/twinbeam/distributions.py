@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom as _binom
-from scipy.stats import nbinom as _nbinom
-from scipy.stats import poisson as _poisson
+from scipy.special import betainc, gammaln, pdtrc, xlog1py, xlogy
 
 __all__ = [
     "TAIL_TOLERANCE",
@@ -183,6 +180,14 @@ def _thermal_tail_n_max(nu: float, tol: float) -> int:
     return max(0, math.ceil(math.log(tol / 2.0) / math.log(x)) - 1)
 
 
+def _tail_n_max(sf, tol: float) -> int:
+    # Smallest n with sf(n) <= tol: double an upper bound, then scan it once.
+    hi = 1
+    while sf(hi) > tol:
+        hi *= 2
+    return int(np.argmax(sf(np.arange(hi + 1)) <= tol))
+
+
 def thermal_pmf(nu: float, n_max: int = None) -> Pmf:
     """Thermal (geometric) occupation law ``P(n) = nu^n / (1+nu)^(n+1)``.
 
@@ -246,9 +251,9 @@ def multimode_pmf(nu: float, big_m: float, n_max: int = None) -> Pmf:
         if nu == 0.0:
             n_max = 0
         else:
-            # Same law as a negative binomial with size M, success M/(M+nu).
-            p = big_m / (big_m + nu)
-            n_max = int(_nbinom.isf(TAIL_TOLERANCE, big_m, p)) + 2
+            # Negative-binomial tail P(N > n) = I_q(n + 1, M), q = nu / (M + nu).
+            q = nu / (big_m + nu)
+            n_max = _tail_n_max(lambda n: betainc(n + 1.0, big_m, q), TAIL_TOLERANCE) + 2
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     ns = np.arange(n_max + 1)
@@ -261,7 +266,7 @@ def poisson_pmf(mean: float, n_max: int = None) -> Pmf:
     if mean < 0.0:
         raise ValueError(f"mean must be >= 0, got {mean}")
     if n_max is None:
-        n_max = 0 if mean == 0.0 else int(_poisson.isf(TAIL_TOLERANCE, mean)) + 2
+        n_max = 0 if mean == 0.0 else _tail_n_max(lambda n: pdtrc(n, mean), TAIL_TOLERANCE) + 2
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     n = np.arange(n_max + 1)
@@ -280,6 +285,21 @@ def detected_mean(nu: float, det: DetectorModel) -> float:
     return det.eta * nu
 
 
+def _binomial_pmf(k, n, p: float) -> np.ndarray:
+    """``P(Binomial(n, p) = k)`` through log-gamma, broadcast over ``k`` and ``n``."""
+    valid = k <= n
+    # Zero n - k where k > n: there xlog1py(n - k, -1) is +inf and the sum NaN.
+    rest = np.where(valid, n - k, 0)
+    log_w = (
+        gammaln(n + 1.0)
+        - gammaln(k + 1.0)
+        - gammaln(rest + 1.0)
+        + xlogy(k, p)
+        + xlog1py(rest, -p)
+    )
+    return np.where(valid, np.exp(log_w), 0.0)
+
+
 def binomial_thin(pmf: Pmf, det: DetectorModel) -> Pmf:
     """Count law after each atom survives detection with probability eta.
 
@@ -290,7 +310,7 @@ def binomial_thin(pmf: Pmf, det: DetectorModel) -> Pmf:
     eta = det.eta
     n = np.arange(pmf.n_max + 1)
     # loss_matrix[k, m] = P(Binomial(m, eta) = k)
-    loss_matrix = _binom.pmf(n[:, None], n[None, :], eta)
+    loss_matrix = _binomial_pmf(n[:, None], n[None, :], eta)
     return Pmf(
         probs=np.clip(loss_matrix @ pmf.probs, 0.0, 1.0),
         n_max=pmf.n_max,

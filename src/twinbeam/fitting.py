@@ -67,6 +67,7 @@ class DegeneracyFit:
     log_likelihood: float
     at_bound: bool = False
     bootstrap_std_err: float = None
+    bootstrap_failed: int = 0
 
     def __post_init__(self):
         if self.degeneracy <= 0:
@@ -77,6 +78,7 @@ class DegeneracyFit:
             "degeneracy": self.degeneracy,
             "std_err": self.std_err,
             "bootstrap_std_err": self.bootstrap_std_err,
+            "bootstrap_failed": self.bootstrap_failed,
             "fixed_mean": self.fixed_mean,
             "log_likelihood": self.log_likelihood,
             "at_bound": self.at_bound,
@@ -242,6 +244,7 @@ def fit_degeneracy(
     std_err = 1.0 / math.sqrt(-curvature) if curvature < 0 else math.inf
 
     bootstrap_std_err = None
+    bootstrap_failed = 0
     if bootstrap_resamples > 0:
         rng = np.random.default_rng(seed)
         probs = hist.occurrences / hist.total_shots
@@ -254,6 +257,7 @@ def fit_degeneracy(
             try:
                 refit = fit_degeneracy(resampled, fixed_mean, (lo, hi))
             except FitFailureError:
+                bootstrap_failed += 1
                 continue
             estimates.append(refit.degeneracy)
         if len(estimates) >= 2:
@@ -266,6 +270,7 @@ def fit_degeneracy(
         log_likelihood=ll_hat,
         at_bound=at_bound,
         bootstrap_std_err=bootstrap_std_err,
+        bootstrap_failed=bootstrap_failed,
     )
 
 

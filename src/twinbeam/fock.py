@@ -24,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln
 
-from .distributions import TAIL_TOLERANCE, Pmf, TmsvParams, _thermal_tail_n_max
+from .distributions import TAIL_TOLERANCE, Pmf, TmsvParams, _binomial_pmf, _thermal_tail_n_max
 
 __all__ = [
     "UndefinedVisibilityError",
@@ -259,13 +259,13 @@ def hom_joint_pmf(
     probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
     for n in range(n_max + 1):
         # k of the second beam's n atoms fall in the matched mode.
-        overlap_split = _vacuum_split_pmf(n, overlap.lam**2)
+        overlap_split = _binomial_pmf(np.arange(n + 1), n, overlap.lam**2)
         port_a = np.zeros(2 * n + 1)
         for k, w_k in enumerate(overlap_split):
             if w_k == 0.0:
                 continue
             matched = np.abs(_block_unitary(n + k, theta)[:, n]) ** 2
-            port_a += w_k * np.convolve(matched, _vacuum_split_pmf(n - k))
+            port_a += w_k * np.convolve(matched, _binomial_pmf(np.arange(n - k + 1), n - k, 0.5))
         n_a = np.arange(2 * n + 1)
         probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * port_a
     return JointPmf(probs=np.clip(probs, 0.0, 1.0))
@@ -301,19 +301,6 @@ def _paired_split_pmf(n: int) -> np.ndarray:
     return pmf
 
 
-def _vacuum_split_pmf(n: int, transmittance: float = 0.5) -> np.ndarray:
-    """Output count law at port a when ``|n>`` meets vacuum: Bin(n, t)."""
-    m = np.arange(n + 1)
-    log_w = (
-        gammaln(n + 1.0)
-        - gammaln(m + 1.0)
-        - gammaln(n - m + 1.0)
-        + xlogy(m, transmittance)
-        + xlog1py(n - m, -transmittance)
-    )
-    return np.exp(log_w)
-
-
 def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
     """Interference visibility of the pair source, from state vectors alone.
 
@@ -343,7 +330,7 @@ def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
         # Distinguishable beams: each |n> splits against vacuum, so the
         # port-a total is Bin(n,1/2) + Bin(n,1/2) = Bin(2n,1/2).
         baseline += pair_weights[n] * float(
-            _vacuum_split_pmf(2 * n) @ (m_dip * (2 * n - m_dip))
+            _binomial_pmf(m_dip, 2 * n, 0.5) @ (m_dip * (2 * n - m_dip))
         )
     if baseline == 0.0:
         raise UndefinedVisibilityError(
@@ -383,7 +370,7 @@ def thermal_input_visibility(nu: float, n_max: int = None) -> float:
         block_sq = np.abs(_block_unitary(total, theta)[:, lo : hi + 1]) ** 2
         dip += float(run_weights @ (product @ block_sq))
         # Distinguishable inputs each split against vacuum: Bin(T, 1/2) at port a.
-        baseline += float(run_weights.sum() * (_vacuum_split_pmf(total) @ product))
+        baseline += float(run_weights.sum() * (_binomial_pmf(m, total, 0.5) @ product))
     if baseline == 0.0:
         raise UndefinedVisibilityError(
             "distinguishable correlation is zero at this truncation"

@@ -257,6 +257,7 @@ class HomRun:
     t2_values: tuple[float, ...]
     counts_a: np.ndarray  # (points, shots_per_point)
     counts_b: np.ndarray
+    tail_mass: tuple[float, ...]  # per point, the mass the sampled law lacked
 
     def port_counts(self, t2: float) -> tuple[np.ndarray, np.ndarray]:
         """The counts at ``t2``; ``ValueError`` unless the scan holds it exactly once."""
@@ -306,7 +307,7 @@ def simulate_counting_run(config: SourceConfig) -> EventTable:
         total = int(counts.sum())
         if total:
             positions = np.repeat(centers, counts, axis=0)
-            positions = positions + rng.normal(0.0, widths, size=(total, 3))
+            positions = positions + rng.standard_normal((total, 3)) * widths
             kept = positions[rng.random(total) < config.eta]
             detected += kept.tobytes()
             per_shot[shot] = len(kept)
@@ -337,14 +338,17 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     shape = (len(config.t2_values), config.shots_per_point)
     counts_a = np.zeros(shape, dtype=np.int64)
     counts_b = np.zeros(shape, dtype=np.int64)
+    tail_mass = []
     stream = _shot_streams(config.master_seed)
     for t2_index, t2 in enumerate(config.t2_values):
         lam = overlap_amplitude(config, t2)
         joint = hom_joint_pmf(params, OverlapModel(lam=lam))
         flat = joint.probs.ravel()
         # The law lacks only the pair tail, at most TAIL_TOLERANCE of its
-        # mass; renormalize for sampling.
-        cdf = np.cumsum(flat / flat.sum())
+        # mass; record it, then renormalize for sampling.
+        kept = flat.sum()
+        tail_mass.append(float(1.0 - kept))
+        cdf = np.cumsum(flat / kept)
         n_cols = joint.probs.shape[1]
         for shot in range(config.shots_per_point):
             rng = stream(t2_index * config.shots_per_point + shot)
@@ -354,7 +358,9 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
                 counts_a[t2_index, shot] = rng.binomial(n_a, config.eta)
             if n_b:
                 counts_b[t2_index, shot] = rng.binomial(n_b, config.eta)
-    return HomRun(_config_dict(config), config.t2_values, counts_a, counts_b)
+    return HomRun(
+        _config_dict(config), config.t2_values, counts_a, counts_b, tuple(tail_mass)
+    )
 
 
 def correlation_scan(
@@ -485,6 +491,7 @@ def write_hom_events(run: HomRun, csv_path, meta_path) -> None:
         {
             "config": run.config,
             "t2_values": list(run.t2_values),
+            "tail_mass": list(run.tail_mass),
             "shots_per_point": run.config.get("shots_per_point"),
             "master_seed": run.config.get("master_seed"),
             "generator": GENERATOR_ID,

@@ -560,8 +560,9 @@ def test_cli_import_leaves_out_jsonschema():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    probe = "import sys, twinbeam.cli; print('jsonschema' in sys.modules)"
+    modules = ("jsonschema", "scipy.stats")
+    probe = f"import sys, twinbeam.cli; print([m for m in {modules!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

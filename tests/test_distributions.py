@@ -131,6 +131,15 @@ class TestMultimodePmf:
     def test_zero_mean_returns_point_mass(self):
         assert np.array_equal(multimode_pmf(0.0, 5.6, 3).probs, [1, 0, 0, 0])
 
+    def test_default_support_equals_isf_rule(self):
+        # scipy.stats is the independent reference for the tail search.
+        rng = np.random.default_rng(11)
+        nus = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), 400))
+        ms = np.exp(rng.uniform(math.log(0.05), math.log(100.0), 400))
+        for nu, m in zip(nus.tolist(), ms.tolist()):
+            expected = int(sps.nbinom.isf(TAIL_TOLERANCE, m, m / (m + nu))) + 2
+            assert multimode_pmf(nu, m).n_max == expected, (nu, m)
+
     def test_non_integer_mode_number_supported(self):
         pmf = multimode_pmf(1.0, 2.5, 50)
         assert pmf.total == pytest.approx(1.0, abs=1e-9)
@@ -164,6 +173,12 @@ class TestPoissonPmf:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             poisson_pmf(-1.0)
+
+    def test_default_support_equals_isf_rule(self):
+        rng = np.random.default_rng(12)
+        for mean in np.exp(rng.uniform(math.log(1e-3), math.log(500.0), 400)).tolist():
+            expected = int(sps.poisson.isf(TAIL_TOLERANCE, mean)) + 2
+            assert poisson_pmf(mean).n_max == expected, mean
 
 
 class TestDetectedMean:
@@ -201,6 +216,12 @@ class TestBinomialThin:
         pmf = multimode_pmf(2.8, 5.6, 40)
         thinned = binomial_thin(pmf, DetectorModel(eta=1.0))
         assert np.array_equal(thinned.probs, pmf.probs)
+
+    def test_point_mass_at_zero_efficiency(self):
+        pmf = multimode_pmf(2.8, 5.6, 40)
+        thinned = binomial_thin(pmf, DetectorModel(eta=0.0))
+        assert thinned.probs[0] == pytest.approx(pmf.total, abs=1e-15)
+        assert not thinned.probs[1:].any()
 
     def test_point_mass_splits_binomially(self):
         point = Pmf(probs=np.array([0.0, 0.0, 1.0, 0.0]), n_max=3)

@@ -89,6 +89,20 @@ class TestFitDegeneracy:
         assert fit.bootstrap_std_err is not None
         assert 0.5 < fit.bootstrap_std_err / fit.std_err < 2.0
 
+    def test_bootstrap_counts_failed_refits(self):
+        # About 0.999**1000 = 37 % of the resamples lose the rare count, and
+        # a histogram with one distinct count cannot be refitted.
+        hist = CountHistogram(occurrences=np.array([999, 1]), total_shots=1000)
+        resamples, seed = 60, 3
+        rng = np.random.default_rng(seed)
+        draws = [rng.multinomial(1000, hist.occurrences / 1000) for _ in range(resamples)]
+        degenerate = sum(np.count_nonzero(d) < 2 for d in draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = fit_degeneracy(hist, 0.001, bootstrap_resamples=resamples, seed=seed)
+        assert 0 < fit.bootstrap_failed == degenerate < resamples
+        assert fit.to_dict()["bootstrap_failed"] == degenerate
+
 
 class TestPredictVisibility:
     def test_present_work_value(self):

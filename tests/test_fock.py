@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, thermal_pmf
+from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
 from twinbeam.fock import (
     JointPmf,
     OverlapModel,
@@ -13,7 +13,6 @@ from twinbeam.fock import (
     UndefinedVisibilityError,
     _block_unitary,
     _paired_split_pmf,
-    _vacuum_split_pmf,
     beamsplitter,
     build_tmsv,
     cross_correlation,
@@ -177,7 +176,8 @@ class TestClosedFormColumns:
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 25])
     def test_vacuum_input_law(self, n):
         column = _block_unitary(n, math.pi / 4.0)[:, 0]
-        assert np.max(np.abs(np.abs(column) ** 2 - _vacuum_split_pmf(n))) < 1e-12
+        vacuum_split = _binomial_pmf(np.arange(n + 1), n, 0.5)
+        assert np.max(np.abs(np.abs(column) ** 2 - vacuum_split)) < 1e-12
 
     def test_paired_law_even_support(self):
         pmf = _paired_split_pmf(6)

@@ -1,12 +1,14 @@
 """Tests for the seeded Monte Carlo event generator."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from twinbeam.distributions import thermal_pmf
+from twinbeam.distributions import TAIL_TOLERANCE, thermal_pmf
 from twinbeam.simulate import (
     MAX_SEED,
     PORT_VELOCITIES,
@@ -279,6 +281,14 @@ class TestHomRun:
         assert len(run.port_counts(100.0)[0]) == 20
         with pytest.raises(ValueError, match="more than once"):
             run.port_counts(0.0)
+
+    def test_tail_mass_reported_on_default_scan(self, tmp_path):
+        run = simulate_hom_run(HomScanConfig(shots_per_point=1))
+        assert len(run.tail_mass) == len(HomScanConfig.t2_values)
+        assert all(0.0 <= mass <= TAIL_TOLERANCE for mass in run.tail_mass)
+        write_hom_events(run, tmp_path / "hom.csv", tmp_path / "hom.meta.json")
+        meta = json.loads((tmp_path / "hom.meta.json").read_text())
+        assert meta["tail_mass"] == list(run.tail_mass)
 
     def test_correlation_scan_output(self):
         run = simulate_hom_run(small_hom_config())
