@@ -6,12 +6,11 @@ from .analysis import (
     AnalysisParams,
     BinnedCounts,
     CellGrid,
-    CellSelection,
-    CellStats,
     CountHistogram,
     bin_events,
     bootstrap_std,
     cell_histograms,
+    cell_means,
     filter_cells,
     pooled_counts_histogram,
     sum_histograms,

@@ -4,14 +4,14 @@ The chain mirrors how the detector data is reduced: events are binned
 into a grid of contiguous velocity-space cells, each cell gets a
 count-occurrence histogram over shots, low-occupancy cells are dropped,
 and the survivors are either summed histogram-wise (single-mode view) or
-pooled shot-wise (multimode view).  Uncertainties come from resampling
-whole shots with replacement, shots being the independent unit of the
-experiment.
+pooled shot-wise (multimode view).  The per-cell histograms are one
+``(cells, width)`` matrix and the kept cells one array of flat indices.
+Uncertainties come from resampling whole shots with replacement, shots
+being the independent unit of the experiment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +23,9 @@ __all__ = [
     "CellGrid",
     "BinnedCounts",
     "CountHistogram",
-    "CellStats",
-    "CellSelection",
     "bin_events",
     "cell_histograms",
+    "cell_means",
     "filter_cells",
     "sum_histograms",
     "pooled_counts_histogram",
@@ -62,9 +61,6 @@ class CellGrid:
     def n_cells(self) -> int:
         nx, ny, nz = self.counts_per_axis
         return nx * ny * nz
-
-    def cell_index(self, flat: int) -> tuple[int, int, int]:
-        return np.unravel_index(flat, self.counts_per_axis)
 
 
 @dataclass(frozen=True)
@@ -123,60 +119,14 @@ class CountHistogram:
         object.__setattr__(self, "occurrences", occurrences)
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return self.occurrences / self.total_shots
-
-    @property
     def mean(self) -> float:
         n = np.arange(len(self.occurrences))
         return float(n @ self.occurrences) / self.total_shots
-
-    def to_csv(self, path, err=None) -> None:
-        """Write ``n,occurrences,probability,err`` rows."""
-        probs = self.probabilities
-        with open(path, "w") as fh:
-            fh.write("n,occurrences,probability,err\n")
-            for n, occ in enumerate(self.occurrences):
-                e = "" if err is None else repr(float(err[n]))
-                fh.write(f"{n},{occ},{float(probs[n])!r},{e}\n")
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "CountHistogram":
         counts = np.asarray(counts, dtype=int)
         return cls(np.bincount(counts), total_shots=len(counts))
-
-
-@dataclass(frozen=True)
-class CellStats:
-    """One cell's index, per-shot mean and occurrence histogram."""
-
-    index: tuple[int, int, int]
-    mean: float
-    histogram: CountHistogram
-
-
-@dataclass(frozen=True)
-class CellSelection:
-    """Outcome of the low-occupancy cell filter."""
-
-    kept: tuple[CellStats, ...]
-    threshold: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "kept", tuple(self.kept))
-
-    def __len__(self) -> int:
-        return len(self.kept)
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.kept) == 0
-
-    @property
-    def average_mean(self) -> float:
-        if self.is_empty:
-            return math.nan
-        return float(np.mean([c.mean for c in self.kept]))
 
 
 def bin_events(events, grid: CellGrid) -> BinnedCounts:
@@ -195,61 +145,43 @@ def bin_events(events, grid: CellGrid) -> BinnedCounts:
     return BinnedCounts(grid=grid, counts=counts, dropped=dropped)
 
 
-def cell_histograms(binned: BinnedCounts) -> list[CellStats]:
-    """One :class:`CellStats` per cell, in flat cell order."""
-    stats = []
-    for cell in range(binned.grid.n_cells):
-        hist = CountHistogram.from_counts(binned.counts[:, cell])
-        stats.append(
-            CellStats(
-                index=tuple(int(i) for i in binned.grid.cell_index(cell)),
-                mean=hist.mean,
-                histogram=hist,
-            )
-        )
-    return stats
+def cell_histograms(binned: BinnedCounts) -> np.ndarray:
+    """Per-cell occurrence histograms, one ``(n_cells, width)`` matrix.
+
+    Row ``c`` counts the shots in which cell ``c`` holds each count;
+    ``width`` is the largest count of any cell plus one.
+    """
+    return shot_histograms(binned.counts.T, binned.counts.max(initial=0) + 1)
 
 
-def filter_cells(stats: list[CellStats], min_mean: float) -> CellSelection:
-    """Keep cells whose per-shot mean reaches ``min_mean``."""
-    kept = tuple(s for s in stats if s.mean >= min_mean)
-    return CellSelection(kept=kept, threshold=min_mean)
+def cell_means(hists: np.ndarray) -> np.ndarray:
+    """Per-shot mean count of each cell, from its histogram row."""
+    return hists @ np.arange(hists.shape[1]) / hists.sum(axis=1)
 
 
-def _pad_to(arr: np.ndarray, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=arr.dtype)
-    out[: len(arr)] = arr
-    return out
+def filter_cells(means: np.ndarray, min_mean: float) -> np.ndarray:
+    """Flat indices of the cells whose per-shot mean reaches ``min_mean``."""
+    return np.flatnonzero(means >= min_mean)
 
 
-def sum_histograms(selected) -> CountHistogram:
-    """Element-wise sum of the selected cells' histograms.
+def sum_histograms(hists: np.ndarray) -> CountHistogram:
+    """Sum of the histogram rows ``hists``, e.g. ``cell_histograms(b)[kept]``.
 
     The result treats every (cell, shot) pair as one sample, so
-    ``total_shots`` is the shot count times the number of cells.
+    ``total_shots`` is the shot count times the number of cells, and its
+    width is the largest count present plus one.
     """
-    cells = list(selected.kept if isinstance(selected, CellSelection) else selected)
-    if not cells:
+    if len(hists) == 0:
         raise ValueError("cannot sum an empty cell selection")
-    width = max(len(c.histogram.occurrences) for c in cells)
-    occurrences = np.zeros(width, dtype=int)
-    for cell in cells:
-        occurrences += _pad_to(cell.histogram.occurrences, width)
-    return CountHistogram(
-        occurrences=occurrences,
-        total_shots=sum(c.histogram.total_shots for c in cells),
-    )
+    occurrences = np.trim_zeros(hists.sum(axis=0), "b")
+    return CountHistogram(occurrences=occurrences, total_shots=int(occurrences.sum()))
 
 
-def pooled_counts_histogram(selected, binned: BinnedCounts) -> CountHistogram:
-    """Histogram of the per-shot total count over the selected cells."""
-    cells = list(selected.kept if isinstance(selected, CellSelection) else selected)
-    if not cells:
+def pooled_counts_histogram(counts: np.ndarray) -> CountHistogram:
+    """Histogram of the per-shot total of ``counts``, e.g. ``binned.counts[:, kept]``."""
+    if counts.shape[1] == 0:
         raise ValueError("cannot pool an empty cell selection")
-    shape = binned.grid.counts_per_axis
-    flat_idx = [np.ravel_multi_index(c.index, shape) for c in cells]
-    sums = binned.counts[:, flat_idx].sum(axis=1)
-    return CountHistogram.from_counts(sums)
+    return CountHistogram.from_counts(counts.sum(axis=1))
 
 
 def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:
@@ -294,11 +226,11 @@ def bootstrap_std(
     return np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
 
 
-def write_cell_stats(path, stats: list[CellStats], selection: CellSelection) -> None:
-    """CSV export with ``ix,iy,iz,mean,kept`` columns."""
-    kept_ids = {s.index for s in selection.kept}
+def write_cell_stats(path, grid: CellGrid, means: np.ndarray, kept: np.ndarray) -> None:
+    """CSV export with ``ix,iy,iz,mean,kept`` columns, one row per cell."""
+    index = np.unravel_index(np.arange(grid.n_cells), grid.counts_per_axis)
+    flags = np.isin(np.arange(grid.n_cells), kept)
     with open(path, "w") as fh:
         fh.write("ix,iy,iz,mean,kept\n")
-        for s in stats:
-            ix, iy, iz = s.index
-            fh.write(f"{ix},{iy},{iz},{float(s.mean)!r},{int(s.index in kept_ids)}\n")
+        for ix, iy, iz, mean, flag in zip(*index, means.tolist(), flags.tolist()):
+            fh.write(f"{ix},{iy},{iz},{mean!r},{int(flag)}\n")

@@ -1,19 +1,27 @@
-"""The one range check behind every configuration dataclass.
+"""The checks at the program's input boundary.
 
 Each config field states its range once, in its class's
 ``__post_init__``, through :func:`check_field`.  The check rejects NaN,
 infinities and integers too large for a float, bools where numbers are
 expected and ``10.0`` where an integer is expected, so a JSON document
-cannot slip a value past it.
+cannot slip a value past it.  Both CSV inputs, event tables and HOM
+scans, go through :func:`read_csv_rows`, which holds every row to its
+column types and every float to being finite, and names the offending
+line.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import re
 import sys
+import warnings
 
-__all__ = ["check_field"]
+import numpy as np
+
+__all__ = ["check_field", "read_csv_rows", "csv_row_error"]
 
 
 def check_field(
@@ -64,3 +72,62 @@ def check_field(
         what = f"null or {what}"
     shown = list(value) if isinstance(value, tuple) else value
     raise ValueError(f"{name} must be {what}, got {shown!r}")
+
+
+# loadtxt counts data rows from 0 in conversion errors and from 1 in
+# column-count errors; blank lines are skipped in both counts.
+_LOADTXT_CONVERT = re.compile(r"(could not convert .*) at row (\d+), column (\d+)\.$")
+_LOADTXT_COLUMNS = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+
+
+def csv_row_error(path, row: int, message: str) -> ValueError:
+    """A ``ValueError`` that names the ``path:line:`` of data row ``row``.
+
+    ``row`` counts from 0 the non-blank lines after the header, as the
+    rows of :func:`read_csv_rows` do.
+    """
+    with open(path) as fh:
+        fh.readline()
+        lines = (n for n, line in enumerate(fh, start=2) if line != "\n")
+        lineno = next(itertools.islice(lines, row, None), "?")
+    return ValueError(f"{path}:{lineno}: {message}")
+
+
+def read_csv_rows(path, header: str, dtype) -> np.ndarray:
+    """The rows of the CSV file at ``path`` as one structured array.
+
+    The first line must read ``header`` (an empty file holds no rows).
+    Every further line is one row of ``dtype``'s fields, comma-separated;
+    blank lines are skipped and ``#`` starts no comment.  Raises
+    ``ValueError`` naming ``path:line:`` at the first row that does not
+    parse or holds a non-finite float.
+    """
+    with open(path) as fh:
+        first = fh.readline()
+        if first and first.strip() != header:
+            raise ValueError(f"{path}:1: unexpected header {first.strip()!r}")
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is a valid empty table.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _loadtxt_error(path, str(exc)) from None
+    finite = np.ones(len(rows), dtype=bool)
+    for name in rows.dtype.names:
+        if rows.dtype[name].base.kind == "f":
+            values = rows[name]
+            finite &= np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not finite.all():
+        raise csv_row_error(path, int(np.argmin(finite)), "non-finite value")
+    return rows
+
+
+def _loadtxt_error(path, message: str) -> ValueError:
+    if found := _LOADTXT_COLUMNS.search(message):
+        expected, got, row = found.groups()
+        return csv_row_error(path, int(row) - 1, f"expected {expected} fields, got {got}")
+    if found := _LOADTXT_CONVERT.search(message):
+        what, row, column = found.groups()
+        return csv_row_error(path, int(row), f"{what} in column {column}")
+    return ValueError(f"{path}: {message}")

@@ -20,16 +20,17 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    CountHistogram,
     bin_events,
     bootstrap_std,
     cell_histograms,
+    cell_means,
     filter_cells,
     pooled_counts_histogram,
     shot_histograms,
     sum_histograms,
     write_cell_stats,
 )
+from .checks import read_csv_rows
 from .config import ConfigError, config_digest, default_config, load_config, section
 from .distributions import multimode_pmf, poisson_pmf, thermal_pmf
 from .fitting import (
@@ -65,7 +66,9 @@ def _fail(code: int, message: str):
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
     return digest.hexdigest()
 
 
@@ -166,22 +169,15 @@ def cmd_simulate_source(config_path, out, seed, stamp):
     )
 
 
-def _histogram_csv(path: Path, hist, err, overlays: dict) -> None:
-    probs = hist.probabilities
+def _histogram_csv(path: Path, occurrences, err, overlays: dict) -> None:
+    probs = occurrences / occurrences.sum()
     names = list(overlays)
     with open(path, "w") as fh:
         fh.write("n,occurrences,probability,err" + "".join(f",{n}" for n in names) + "\n")
-        for n, occ in enumerate(hist.occurrences):
+        for n, occ in enumerate(occurrences):
             row = [str(n), str(int(occ)), repr(float(probs[n])), repr(float(err[n]))]
             row += [repr(float(overlays[name][n])) for name in names]
             fh.write(",".join(row) + "\n")
-
-
-def _model_column(pmf, width: int) -> np.ndarray:
-    column = np.zeros(width)
-    take = min(width, len(pmf.probs))
-    column[:take] = pmf.probs[:take]
-    return column
 
 
 @main.command("analyze-counts")
@@ -212,46 +208,42 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         binned = bin_events(table, grid)
     except MemoryError:
         _fail(EXIT_INPUT_ERROR, f"shots = {table.n_shots}: count matrix too large")
-    stats = cell_histograms(binned)
-    selection = filter_cells(stats, params.min_mean)
-    write_cell_stats(out_dir / "cell_stats.csv", stats, selection)
-    if selection.is_empty:
+    hists = cell_histograms(binned)
+    means = cell_means(hists)
+    kept = filter_cells(means, params.min_mean)
+    write_cell_stats(out_dir / "cell_stats.csv", grid, means, kept)
+    if len(kept) == 0:
         _write_manifest(out_dir, doc, master, [out_dir / "cell_stats.csv"], stamp)
         _fail(
             EXIT_EMPTY_RESULT,
             f"no cells reach the mean threshold {params.min_mean}",
         )
-
-    kept_flat = [
-        np.ravel_multi_index(c.index, grid.counts_per_axis) for c in selection.kept
-    ]
-    kept_counts = binned.counts[:, kept_flat]
+    kept_counts = binned.counts[:, kept]
+    mean_single = float(means[kept].mean())
 
     # Per-cell histograms summed over the kept cells, with overlays at the
     # measured average mean.
-    summed = sum_histograms(selection)
+    summed = sum_histograms(hists[kept])
     width = len(summed.occurrences)
     summed_err = bootstrap_std(
         shot_histograms(kept_counts, width),
-        lambda hists, weights: weights @ hists / kept_counts.size,
+        lambda rows, weights: weights @ rows / kept_counts.size,
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM),
     )
-    mean_single = selection.average_mean
     _histogram_csv(
         out_dir / "summed_histogram.csv",
-        summed,
+        summed.occurrences,
         summed_err,
         {
-            "thermal": _model_column(thermal_pmf(mean_single, width - 1), width),
-            "poisson": _model_column(poisson_pmf(mean_single, width - 1), width),
+            "thermal": thermal_pmf(mean_single, width - 1).probs,
+            "poisson": poisson_pmf(mean_single, width - 1).probs,
         },
     )
 
     # Shot-wise pooled counts over the same cells, fit for the mode count.
-    pooled = pooled_counts_histogram(selection, binned)
+    pooled = pooled_counts_histogram(kept_counts)
     pooled_width = len(pooled.occurrences) + 5
-    pooled_occ = np.concatenate([pooled.occurrences, np.zeros(5, dtype=int)])
     pooled_err = bootstrap_std(
         kept_counts.sum(axis=1),
         lambda sums, weights: (
@@ -269,27 +261,23 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         )
     except FitFailureError as exc:
         _fail(EXIT_FIT_FAILURE, f"degeneracy fit failed: {exc}")
-    padded = CountHistogram(occurrences=pooled_occ, total_shots=pooled.total_shots)
     _histogram_csv(
         out_dir / "pooled_histogram.csv",
-        padded,
+        np.pad(pooled.occurrences, (0, 5)),
         pooled_err,
         {
-            "thermal": _model_column(thermal_pmf(pooled.mean, pooled_width - 1), pooled_width),
-            "poisson": _model_column(poisson_pmf(pooled.mean, pooled_width - 1), pooled_width),
-            "multimode": _model_column(
-                multimode_pmf(pooled.mean, fit.degeneracy, pooled_width - 1),
-                pooled_width,
-            ),
+            "thermal": thermal_pmf(pooled.mean, pooled_width - 1).probs,
+            "poisson": poisson_pmf(pooled.mean, pooled_width - 1).probs,
+            "multimode": multimode_pmf(pooled.mean, fit.degeneracy, pooled_width - 1).probs,
         },
     )
     _write_json(
         out_dir / "degeneracy_fit.json",
         {
             **fit.to_dict(),
-            "kept_cells": len(selection),
+            "kept_cells": len(kept),
             "events_dropped": int(binned.dropped.sum()),
-            "average_cell_mean": selection.average_mean,
+            "average_cell_mean": mean_single,
             "pooled_mean": pooled.mean,
             "input_digest": _sha256(Path(events_path)),
         },
@@ -302,8 +290,8 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
     ]
     _write_manifest(out_dir, doc, master, files, stamp)
     click.echo(
-        f"kept {len(selection)}/{grid.n_cells} cells, average mean "
-        f"{selection.average_mean:.4f}, pooled mean {pooled.mean:.3f}, "
+        f"kept {len(kept)}/{grid.n_cells} cells, average mean "
+        f"{mean_single:.4f}, pooled mean {pooled.mean:.3f}, "
         f"fitted mode count {fit.degeneracy:.2f} +/- {fit.std_err:.2f}"
     )
 
@@ -332,27 +320,6 @@ def cmd_simulate_hom(config_path, out, seed, stamp):
     click.echo(f"wrote {len(points)} scan points -> {scan_csv}")
 
 
-def _read_scan_csv(path: str):
-    points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if lineno == 1:
-                if line != "t2_us,corr,err":
-                    raise ValueError(f"{path}:1: unexpected header {line!r}")
-                continue
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            try:
-                points.append(tuple(float(p) for p in parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return points
-
-
 @main.command("fit-dip")
 @click.argument("scan_csv", type=click.Path(exists=False))
 @click.option("--nu", type=float, default=None, help="Mean occupation for a predicted-visibility comparison row.")
@@ -363,7 +330,8 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
     """Fit the Gaussian dip in a correlation scan."""
     out_dir = _prepare_out(out)
     try:
-        points = _read_scan_csv(scan_csv)
+        # One (t2, corr, err) row per scan point.
+        points = read_csv_rows(scan_csv, "t2_us,corr,err", [("point", "f8", 3)])["point"]
     except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     if len(points) < 5:
@@ -396,7 +364,7 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
             f"{fit.visibility:.2f} +/- {fit.visibility_err:.2f}"
         )
     _write_json(out_dir / "dip_fit.json", payload)
-    ts = np.array(sorted(p[0] for p in points))
+    ts = np.sort(points[:, 0])
     t_dense = np.linspace(ts.min(), ts.max(), 200)
     curve = fit.model(t_dense)
     curve_csv = out_dir / "fitted_curve.csv"

@@ -11,7 +11,6 @@ which maps a thermal law of mean ``nu`` onto a thermal law of mean
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -118,57 +117,6 @@ class Pmf:
     @property
     def total(self) -> float:
         return float(self.probs.sum())
-
-    def to_csv(self, path) -> None:
-        """Write ``n,probability`` rows with metadata comment lines."""
-        with open(path, "w") as fh:
-            fh.write(f"# n_max={self.n_max}\n")
-            fh.write(f"# tail_tolerance={self.tail_tolerance!r}\n")
-            fh.write("n,probability\n")
-            for n, p in enumerate(self.probs):
-                fh.write(f"{n},{float(p)!r}\n")
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "n_max": self.n_max,
-                    "tail_tolerance": self.tail_tolerance,
-                    "probs": [float(p) for p in self.probs],
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "Pmf":
-        meta = {}
-        probs = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    meta[key.strip()] = value.strip()
-                elif line and not line.startswith("n,"):
-                    _, _, p = line.partition(",")
-                    probs.append(float(p))
-        return cls(
-            probs=np.array(probs),
-            n_max=int(meta["n_max"]),
-            tail_tolerance=float(meta["tail_tolerance"]),
-        )
-
-    @classmethod
-    def from_json(cls, path) -> "Pmf":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(
-            probs=np.array(doc["probs"]),
-            n_max=int(doc["n_max"]),
-            tail_tolerance=float(doc["tail_tolerance"]),
-        )
 
 
 def _thermal_tail_n_max(nu: float, tol: float) -> int:

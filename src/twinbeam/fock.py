@@ -90,8 +90,6 @@ class JointPmf:
     """Joint count probabilities for two detection ports."""
 
     probs: np.ndarray
-    label_a: str = "a"
-    label_b: str = "b"
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -112,13 +110,6 @@ class JointPmf:
     @property
     def truncation_loss(self) -> float:
         return max(0.0, 1.0 - self.total)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"n_{self.label_a},n_{self.label_b},probability\n")
-            for na in range(self.probs.shape[0]):
-                for nb in range(self.probs.shape[1]):
-                    fh.write(f"{na},{nb},{float(self.probs[na, nb])!r}\n")
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analysis import AnalysisParams, bootstrap_std
-from .checks import check_field
+from .checks import check_field, csv_row_error, read_csv_rows
 from .distributions import TmsvParams
 from .fock import OverlapModel, hom_joint_pmf
 
@@ -426,46 +425,22 @@ def read_event_table(csv_path, meta_path) -> EventTable:
     Rows are stably sorted by shot, so each shot keeps its row order.
     Raises ``ValueError`` unless the sidecar's ``shots`` is an integer in
     ``[1, SHOT_ID_LIMIT]``, and names the offending line on malformed
-    rows, non-finite velocities included.
+    rows, non-finite velocities and shots outside ``0..shots - 1``
+    included.
     """
     with open(meta_path) as fh:
         meta = json.load(fh)
     check_field(meta, "shots", 1, SHOT_ID_LIMIT, integer=True)
     shots = meta["shots"]
-    shot_ids = array("q")
-    values = array("d")
-    with open(csv_path) as fh:
-        header = fh.readline()
-        if header and header.strip() != "shot,vx,vy,vz":
-            raise ValueError(f"{csv_path}:1: unexpected header {header.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{csv_path}:{lineno}: expected 4 fields, got {len(parts)}"
-                )
-            try:
-                row_shot = int(parts[0])
-                vx, vy, vz = float(parts[1]), float(parts[2]), float(parts[3])
-            except ValueError as exc:
-                raise ValueError(f"{csv_path}:{lineno}: {exc}") from None
-            if not (math.isfinite(vx) and math.isfinite(vy) and math.isfinite(vz)):
-                raise ValueError(f"{csv_path}:{lineno}: non-finite velocity {line!r}")
-            if not 0 <= row_shot < shots:
-                raise ValueError(
-                    f"{csv_path}:{lineno}: shot {row_shot} outside 0..{shots - 1}"
-                )
-            shot_ids.append(row_shot)
-            values.extend((vx, vy, vz))
-    shot = np.frombuffer(shot_ids, dtype=np.int64)
-    velocities = np.frombuffer(values).reshape(-1, 3)
-    order = np.argsort(shot, kind="stable")
+    rows = read_csv_rows(csv_path, "shot,vx,vy,vz", [("shot", "i8"), ("v", "f8", 3)])
+    outside = (rows["shot"] < 0) | (rows["shot"] >= shots)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise csv_row_error(csv_path, row, f"shot {rows['shot'][row]} outside 0..{shots - 1}")
+    rows = rows[np.argsort(rows["shot"], kind="stable")]
     return EventTable(
-        shot=shot[order],
-        velocities=velocities[order],
+        shot=rows["shot"],
+        velocities=rows["v"],
         n_shots=shots,
         config=meta["config"],
         master_seed=int(meta["master_seed"]),

@@ -19,6 +19,7 @@ from twinbeam.analysis import (
     CellGrid,
     bin_events,
     cell_histograms,
+    cell_means,
     filter_cells,
     pooled_counts_histogram,
     sum_histograms,
@@ -173,9 +174,8 @@ def _single_mode_grid_run():
     )
     table = simulate_counting_run(config)
     grid = CellGrid(counts_per_axis=(3, 3, 2))
-    binned = bin_events(table, grid)
-    selection = filter_cells(cell_histograms(binned), min_mean=0.0)
-    return sum_histograms(selection)
+    hists = cell_histograms(bin_events(table, grid))
+    return sum_histograms(hists[filter_cells(cell_means(hists), min_mean=0.0)])
 
 
 def test_acceptance_6_counting_histogram_thermal_not_poisson(acceptance):
@@ -198,8 +198,8 @@ def test_acceptance_7_degeneracy_fit(acceptance):
     # Matched pipeline: default geometry, 45 cells, threshold 0.135.
     table = simulate_counting_run(SourceConfig())
     binned = bin_events(table, CellGrid())
-    selection = filter_cells(cell_histograms(binned), min_mean=0.135)
-    pooled = pooled_counts_histogram(selection, binned)
+    kept = filter_cells(cell_means(cell_histograms(binned)), min_mean=0.135)
+    pooled = pooled_counts_histogram(binned.counts[:, kept])
     fit_sim = fit_degeneracy(pooled, fixed_mean=pooled.mean)
     sim_ok = 1.0 < fit_sim.degeneracy < 18.0 and abs(pooled.mean - 2.8) < 0.5
 

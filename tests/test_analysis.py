@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from twinbeam.analysis import (
+    BinnedCounts,
     CellGrid,
-    CellStats,
-    CountHistogram,
     bin_events,
     bootstrap_std,
     cell_histograms,
+    cell_means,
     filter_cells,
     pooled_counts_histogram,
     shot_histograms,
@@ -135,84 +135,94 @@ class TestBinEvents:
         assert np.array_equal(binned.dropped, dropped)
 
 
+def histograms(*cells):
+    """Histogram rows of per-cell count columns, one row per cell."""
+    counts = np.column_stack(cells)
+    return shot_histograms(counts.T, counts.max() + 1)
+
+
 class TestCellHistograms:
     def test_all_zero_counts(self):
         grid = CellGrid()
         binned = bin_events(table_from_events([[] for _ in range(7)]), grid)
-        stats = cell_histograms(binned)
-        assert len(stats) == grid.n_cells
-        for s in stats:
-            assert s.histogram.occurrences[0] == 7
-            assert s.mean == 0.0
+        hists = cell_histograms(binned)
+        assert hists.shape == (grid.n_cells, 1)
+        assert np.all(hists[:, 0] == 7)
+        assert np.all(cell_means(hists) == 0.0)
 
     def test_histogram_totals_match_shots(self):
         rng = np.random.default_rng(1)
         rows = [rng.normal(0.0, 6.0, size=(20, 3)) for _ in range(50)]
-        binned = bin_events(table_from_events(rows), CellGrid())
-        for s in cell_histograms(binned):
-            assert s.histogram.occurrences.sum() == s.histogram.total_shots == 50
+        hists = cell_histograms(bin_events(table_from_events(rows), CellGrid()))
+        assert np.all(hists.sum(axis=1) == 50)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         rows = [rng.normal(0.0, 6.0, size=(15, 3)) for _ in range(30)]
-        stats = cell_histograms(bin_events(table_from_events(rows), CellGrid()))
-        key = lambda s: (s.mean, tuple(s.histogram.occurrences))
-        assert sorted(map(key, stats)) == sorted(map(key, reversed(stats)))
+        hists = cell_histograms(bin_events(table_from_events(rows), CellGrid()))
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        assert_same_bytes(
+            cell_histograms(bin_events(table_from_events(shuffled), CellGrid())), hists
+        )
+
+    def test_rows_and_means_equal_per_cell_reference(self):
+        # Per cell: a bincount of its counts, and the mean as a Python
+        # float of the integer sum divided by the shot count.
+        rng = np.random.default_rng(9)
+        counts = rng.geometric(1 / 1.16, size=(1876, 45)) - 1
+        counts[:, 7] = 0
+        binned = BinnedCounts(grid=CellGrid(), counts=counts, dropped=np.zeros(1876))
+        hists = cell_histograms(binned)
+        means = cell_means(hists)
+        assert hists.shape == (45, counts.max() + 1)
+        for cell in range(45):
+            occ = np.bincount(counts[:, cell])
+            assert np.array_equal(np.trim_zeros(hists[cell], "b"), occ)
+            assert means[cell] == float(np.arange(len(occ)) @ occ) / 1876
 
 
 class TestFilterCells:
-    def _stats(self, means):
-        return [
-            CellStats(
-                index=(i, 0, 0),
-                mean=m,
-                histogram=CountHistogram(occurrences=np.array([1]), total_shots=1),
-            )
-            for i, m in enumerate(means)
-        ]
-
     def test_threshold_zero_keeps_all(self):
-        sel = filter_cells(self._stats([0.0, 0.1, 0.2]), min_mean=0.0)
-        assert len(sel) == 3
+        kept = filter_cells(np.array([0.0, 0.1, 0.2]), min_mean=0.0)
+        assert len(kept) == 3
 
     def test_threshold_above_all_flags_empty(self):
-        sel = filter_cells(self._stats([0.1, 0.2]), min_mean=0.5)
-        assert sel.is_empty
-        assert np.isnan(sel.average_mean)
+        kept = filter_cells(np.array([0.1, 0.2]), min_mean=0.5)
+        assert len(kept) == 0
+        assert kept.dtype.kind == "i"
 
     def test_keeps_and_reports(self):
-        sel = filter_cells(self._stats([0.1, 0.14, 0.2]), min_mean=0.135)
-        assert len(sel) == 2
-        assert sel.average_mean == pytest.approx(0.17)
-        assert sel.threshold == 0.135
-
-
-def make_cell(index, counts):
-    hist = CountHistogram.from_counts(np.asarray(counts))
-    return CellStats(index=index, mean=hist.mean, histogram=hist)
+        means = np.array([0.1, 0.14, 0.2])
+        kept = filter_cells(means, min_mean=0.135)
+        assert kept.tolist() == [1, 2]
+        assert means[kept].mean() == pytest.approx(0.17)
 
 
 class TestSumHistograms:
     def test_single_cell_identity(self):
-        cell = make_cell((0, 0, 0), [0, 1, 0, 2])
-        summed = sum_histograms([cell])
-        assert np.array_equal(summed.occurrences, cell.histogram.occurrences)
+        hists = histograms([0, 1, 0, 2])
+        summed = sum_histograms(hists)
+        assert np.array_equal(summed.occurrences, hists[0])
         assert summed.total_shots == 4
 
     def test_order_invariance(self):
-        cells = [make_cell((i, 0, 0), [i, 1, 0, 2]) for i in range(3)]
-        a = sum_histograms(cells)
-        b = sum_histograms(list(reversed(cells)))
+        hists = histograms(*([i, 1, 0, 2] for i in range(3)))
+        a = sum_histograms(hists)
+        b = sum_histograms(hists[::-1])
         assert np.array_equal(a.occurrences, b.occurrences)
+
+    def test_width_is_largest_kept_count_plus_one(self):
+        hists = histograms([0, 5, 0], [1, 1, 0], [2, 0, 0])
+        assert hists.shape[1] == 6
+        summed = sum_histograms(hists[[1, 2]])
+        assert summed.occurrences.tolist() == [3, 2, 1]
+        assert summed.total_shots == 6
 
     def test_simulated_thermal_cells_match_thermal_law(self):
         # 18 independent synthetic thermal cells at the measured mean.
         rng = np.random.default_rng(3)
-        cells = [
-            make_cell((i, 0, 0), rng.geometric(1 / 1.158, size=1876) - 1)
-            for i in range(18)
-        ]
-        summed = sum_histograms(cells)
+        cells = [rng.geometric(1 / 1.158, size=1876) - 1 for i in range(18)]
+        summed = sum_histograms(histograms(*cells))
         model = thermal_pmf(0.158, 20).probs * summed.total_shots
         k = 5
         obs = np.zeros(k)
@@ -225,7 +235,7 @@ class TestSumHistograms:
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
-            sum_histograms([])
+            sum_histograms(histograms([0, 1, 2])[[]])
 
 
 class TestPooledCounts:
@@ -233,25 +243,25 @@ class TestPooledCounts:
         rng = np.random.default_rng(4)
         rows = [rng.normal(0.0, 3.0, size=(6, 3)) for _ in range(40)]
         binned = bin_events(table_from_events(rows), CellGrid())
-        stats = cell_histograms(binned)
-        target = max(stats, key=lambda s: s.mean)
-        pooled = pooled_counts_histogram([target], binned)
-        assert np.array_equal(pooled.occurrences, target.histogram.occurrences)
+        hists = cell_histograms(binned)
+        target = int(np.argmax(cell_means(hists)))
+        pooled = pooled_counts_histogram(binned.counts[:, [target]])
+        assert np.array_equal(pooled.occurrences, np.trim_zeros(hists[target], "b"))
 
     def test_pooled_mean_adds_cell_means(self):
         rng = np.random.default_rng(5)
         rows = [rng.normal(0.0, 6.0, size=(25, 3)) for _ in range(100)]
         binned = bin_events(table_from_events(rows), CellGrid())
-        stats = cell_histograms(binned)
-        sel = filter_cells(stats, min_mean=0.0)
-        pooled = pooled_counts_histogram(sel, binned)
-        assert pooled.mean == pytest.approx(sum(s.mean for s in stats), rel=1e-12)
+        means = cell_means(cell_histograms(binned))
+        kept = filter_cells(means, min_mean=0.0)
+        pooled = pooled_counts_histogram(binned.counts[:, kept])
+        assert pooled.mean == pytest.approx(means.sum(), rel=1e-12)
 
     def test_empty_selection_rejected(self):
         rows = [[(0.0, 0.0, 0.0)]]
         binned = bin_events(table_from_events(rows), CellGrid())
         with pytest.raises(ValueError):
-            pooled_counts_histogram([], binned)
+            pooled_counts_histogram(binned.counts[:, []])
 
 
 def weighted_mean(data, weights):
@@ -389,21 +399,12 @@ class TestShotHistograms:
 
 
 class TestSerialization:
-    def test_histogram_csv(self, tmp_path):
-        hist = CountHistogram.from_counts(np.array([0, 1, 1, 2, 0, 0]))
-        err = np.array([0.01, 0.02, 0.005, 0.0])
-        path = tmp_path / "hist.csv"
-        hist.to_csv(path, err=err)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,occurrences,probability,err"
-        assert lines[1] == "0,3,0.5,0.01"
-        assert len(lines) == 4
-
     def test_cell_stats_csv(self, tmp_path):
-        stats = [make_cell((0, 0, 0), [0, 1]), make_cell((0, 0, 1), [2, 2])]
-        sel = filter_cells(stats, min_mean=1.0)
+        grid = CellGrid(counts_per_axis=(1, 1, 2))
+        means = cell_means(histograms([0, 1], [2, 2]))
+        kept = filter_cells(means, min_mean=1.0)
         path = tmp_path / "cells.csv"
-        write_cell_stats(path, stats, sel)
+        write_cell_stats(path, grid, means, kept)
         lines = path.read_text().splitlines()
         assert lines[0] == "ix,iy,iz,mean,kept"
         assert lines[1] == "0,0,0,0.5,0"

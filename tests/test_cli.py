@@ -452,6 +452,24 @@ class TestSimulateHomAndFitDip:
         assert result.exit_code == 2
         assert not (out / "dip_fit.json").exists()
 
+    @pytest.mark.parametrize(
+        "row",
+        ["inf,0.3,0.01", "0.0,inf,0.01", "0.0,0.3,inf", "0.0,nan,0.01"],
+        ids=["inf-t2", "inf-corr", "inf-err", "nan-corr"],
+    )
+    def test_fit_dip_non_finite_scan_value_exits_2_naming_line(self, tmp_path, runner, row):
+        t = np.linspace(-240.0, 240.0, 9)
+        corr = 0.4 * (1 - 0.7 * np.exp(-(t**2) / (2 * 86.0**2)))
+        rows = [f"{a},{b},0.01" for a, b in zip(t, corr)]
+        rows[4] = row
+        path = tmp_path / "scan.csv"
+        path.write_text("t2_us,corr,err\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "f"
+        result = runner.invoke(main, ["fit-dip", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"{path}:6:" in result.output
+        assert not (out / "dip_fit.json").exists()
+
     def test_flat_scan_when_overlap_never_opens(self, tmp_path, runner):
         # Dip centre far outside the scanned window: overlap stays ~0 and
         # the correlation curve is flat within its errors.

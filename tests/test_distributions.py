@@ -278,20 +278,3 @@ class TestPmfValue:
         pmf = thermal_pmf(0.5, 10)
         with pytest.raises(ValueError):
             pmf.probs[0] = 0.0
-
-    def test_csv_roundtrip(self, tmp_path):
-        pmf = multimode_pmf(2.8, 5.6, 20)
-        path = tmp_path / "pmf.csv"
-        pmf.to_csv(path)
-        back = Pmf.from_csv(path)
-        assert back.n_max == pmf.n_max
-        assert back.tail_tolerance == pmf.tail_tolerance
-        assert np.array_equal(back.probs, pmf.probs)
-
-    def test_json_roundtrip(self, tmp_path):
-        pmf = thermal_pmf(0.158)
-        path = tmp_path / "pmf.json"
-        pmf.to_json(path)
-        back = Pmf.from_json(path)
-        assert back.n_max == pmf.n_max
-        assert np.array_equal(back.probs, pmf.probs)

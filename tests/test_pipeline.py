@@ -14,6 +14,7 @@ from twinbeam.analysis import (
     CellGrid,
     bin_events,
     cell_histograms,
+    cell_means,
     filter_cells,
     pooled_counts_histogram,
     sum_histograms,
@@ -39,9 +40,10 @@ def matched_chain():
     )
     table = simulate_counting_run(config)
     binned = bin_events(table, CellGrid())
-    stats = cell_histograms(binned)
-    selection = filter_cells(stats, min_mean=0.135)
-    return stats, selection, binned
+    hists = cell_histograms(binned)
+    means = cell_means(hists)
+    kept = filter_cells(means, min_mean=0.135)
+    return hists, means, kept, binned
 
 
 def pooled_chi2_p(occurrences, model_probs, n_fitted=0):
@@ -63,25 +65,24 @@ def pooled_chi2_p(occurrences, model_probs, n_fitted=0):
 
 
 def test_cell_means_span_published_range(matched_chain):
-    stats, selection, _ = matched_chain
-    means = np.array([s.mean for s in stats])
+    _, means, kept, _ = matched_chain
     assert means.min() > 0.02
     assert 0.05 < means.min() + 0.03 < 0.25
     assert means.max() < 0.25
-    assert 8 <= len(selection) <= 26
-    assert 0.135 <= selection.average_mean <= 0.20
+    assert 8 <= len(kept) <= 26
+    assert 0.135 <= means[kept].mean() <= 0.20
 
 
 def test_summed_histogram_is_thermal(matched_chain):
-    _, selection, _ = matched_chain
-    summed = sum_histograms(selection)
-    p = pooled_chi2_p(summed.occurrences, thermal_pmf(selection.average_mean, 30).probs)
+    hists, means, kept, _ = matched_chain
+    summed = sum_histograms(hists[kept])
+    p = pooled_chi2_p(summed.occurrences, thermal_pmf(means[kept].mean(), 30).probs)
     assert p > 0.01
 
 
 def test_pooled_histogram_rejects_thermal_accepts_multimode(matched_chain):
-    _, selection, binned = matched_chain
-    pooled = pooled_counts_histogram(selection, binned)
+    _, _, kept, binned = matched_chain
+    pooled = pooled_counts_histogram(binned.counts[:, kept])
     fit = fit_degeneracy(pooled, fixed_mean=pooled.mean)
     assert 1.0 < fit.degeneracy < 18.0
 
@@ -98,8 +99,8 @@ def test_pooled_histogram_rejects_thermal_accepts_multimode(matched_chain):
 
 
 def test_pooled_counts_prefer_multimode_by_likelihood(matched_chain):
-    _, selection, binned = matched_chain
-    pooled = pooled_counts_histogram(selection, binned)
+    _, _, kept, binned = matched_chain
+    pooled = pooled_counts_histogram(binned.counts[:, kept])
     fit = fit_degeneracy(pooled, fixed_mean=pooled.mean)
     ns = np.flatnonzero(pooled.occurrences)
     occ = pooled.occurrences[ns]

@@ -1,6 +1,8 @@
 """Tests for the seeded Monte Carlo event generator."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -367,7 +369,11 @@ class TestEventTableIO:
     def test_empty_shots_survive_roundtrip(self, tmp_path):
         table = simulate_counting_run(small_config(shots=10, nu_per_mode=0.0))
         write_event_table(table, tmp_path / "e.csv", tmp_path / "e.meta.json")
-        back = read_event_table(tmp_path / "e.csv", tmp_path / "e.meta.json")
+        assert (tmp_path / "e.csv").read_text() == "shot,vx,vy,vz\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = read_event_table(tmp_path / "e.csv", tmp_path / "e.meta.json")
+        assert caught == []
         assert back.n_shots == 10
         assert len(back.shot) == len(back.velocities) == 0
         assert np.array_equal(back.counts_per_shot(), np.zeros(10))
@@ -380,6 +386,30 @@ class TestEventTableIO:
         lines[2] = "0,not-a-number,1.0,2.0"
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":3:"):
+            read_event_table(csv_path, meta_path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (["0,1.0,2.0,3.0", "0,oops,2.0,3.0"], 3),
+            (["0,1.0,2.0,3.0", "0,1.0,2.0"], 3),
+            (["0,1.0,2.0,3.0", "0,1.0,2.0,3.0,4.0"], 3),
+            (["0,1.0,2.0,3.0", "# comment"], 3),
+            (["0,1.0,2.0,3.0", "5,1.0,2.0,3.0"], 3),
+            (["0,1.0,2.0,3.0", "-1,1.0,2.0,3.0"], 3),
+            (["0,1.0,2.0,3.0", "", "", "1,oops,2.0,3.0"], 5),
+            (["", "0,1.0,2.0,3.0", "", "1,1.0,2.0"], 5),
+        ],
+        ids=[
+            "bad-float", "3-fields", "5-fields", "comment", "shot-at-shots", "shot-minus-1",
+            "bad-float-after-blank", "3-fields-after-blank",
+        ],
+    )
+    def test_malformed_rows_name_their_line(self, tmp_path, body, line):
+        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
+        csv_path.write_text("shot,vx,vy,vz\n" + "\n".join(body) + "\n")
+        meta_path.write_text(json.dumps({"shots": 5, "config": {"shots": 5}, "master_seed": 0}))
+        with pytest.raises(ValueError, match=re.escape(f"{csv_path}:{line}:")):
             read_event_table(csv_path, meta_path)
 
     def test_hom_events_csv(self, tmp_path):
