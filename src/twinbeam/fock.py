@@ -69,7 +69,7 @@ class TruncatedPureState:
             raise ValueError(
                 f"grid of {amps.size} amplitudes exceeds the dense-storage cap"
             )
-        norm_sq = float(np.vdot(amps, amps).real)
+        norm_sq = float((amps.real**2 + amps.imag**2).sum())
         if norm_sq > 1.0 + 1e-9:
             raise ValueError(f"state norm^2 = {norm_sq} > 1")
         amps = amps.copy()
@@ -78,7 +78,7 @@ class TruncatedPureState:
 
     @property
     def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return float((self.amplitudes.real**2 + self.amplitudes.imag**2).sum())
 
     @property
     def truncation_loss(self) -> float:
@@ -248,6 +248,7 @@ def hom_joint_pmf(
     x = params.alpha_mag**2
     theta = math.pi / 4.0
     probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
+    vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
     for n in range(n_max + 1):
         # k of the second beam's n atoms fall in the matched mode.
         overlap_split = _binomial_pmf(np.arange(n + 1), n, overlap.lam**2)
@@ -256,7 +257,7 @@ def hom_joint_pmf(
             if w_k == 0.0:
                 continue
             matched = np.abs(_block_unitary(n + k, theta)[:, n]) ** 2
-            port_a += w_k * np.convolve(matched, _binomial_pmf(np.arange(n - k + 1), n - k, 0.5))
+            port_a += w_k * np.convolve(matched, vacuum[n - k])
         n_a = np.arange(2 * n + 1)
         probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * port_a
     return JointPmf(probs=np.clip(probs, 0.0, 1.0))

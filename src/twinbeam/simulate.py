@@ -4,9 +4,10 @@ Shots are statistically independent repetitions of the experiment.  Every
 shot owns a private counter-based random stream (Philox, 128-bit key)
 derived from the master seed through an injective SplitMix64 mix, so
 generating shots in any order, or in parallel, reproduces the sequential
-run bit for bit.  A run builds one Philox generator and re-keys it before
-each shot, which gives the same streams as a new generator per shot
-(:func:`shot_rng`) at a fraction of the cost.
+run bit for bit.  A run derives the keys of a block of shots in one array
+pass and re-keys one Philox generator before each shot from a fresh state
+held as plain ints.  That gives the same streams as a new generator per
+shot (:func:`shot_rng`) at a fraction of the cost.
 
 Two run types are provided: a counting run, where a grid of independent
 thermal emitter modes populates one velocity-space peak, and an
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -66,59 +68,68 @@ STREAM_DEGENERACY_FIT = 2**40 + 2
 STREAM_SCAN_POINT = 10**12  # plus the scan-point index
 SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
 
-# Event rows formatted per write call; bounds the writers' memory.
-_WRITE_CHUNK_ROWS = 1 << 10
+# Rows per block: event rows formatted per write call, and shot keys
+# derived per array pass.  Bounds the memory of writers and runs.
+_CHUNK_ROWS = 1 << 10
+
+_U64 = np.uint64
 
 
-def _splitmix64(value: int) -> int:
-    """One round of the SplitMix64 finalizer; a bijection on 64-bit ints."""
-    z = (value + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """One SplitMix64 finalizer round on a uint64 array; a bijection modulo 2**64.
+
+    Constants are ``np.uint64``: numpy 1.x promotes uint64 and a Python int to float64.
+    """
+    z = z + _U64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
 
 
-def derive_shot_seed(master_seed: int, shot_id: int) -> int:
-    """128-bit per-shot seed, injective in ``shot_id`` for a fixed master.
+def _shot_keys(master_seed: int, first: int, count: int) -> tuple[list, list]:
+    """Low and high Philox key words of shots ``first .. first + count - 1``.
 
     The low word is ``splitmix64(master XOR splitmix64(shot_id))``: both
     stages are bijections of their 64-bit input, so distinct shot ids can
     never collide under the same master seed.  The high word is one more
     SplitMix64 round of the low word.
     """
-    lo = _splitmix64((master_seed & _MASK64) ^ _splitmix64(shot_id & _MASK64))
-    hi = _splitmix64(lo)
+    ids = np.arange(count, dtype=np.uint64) + _U64(first)
+    lo = _splitmix64(_U64(master_seed & _MASK64) ^ _splitmix64(ids))
+    return lo.tolist(), _splitmix64(lo).tolist()
+
+
+def derive_shot_seed(master_seed: int, shot_id: int) -> int:
+    """Stream ``shot_id``'s 128-bit seed, its Philox key words; injective in ``shot_id``."""
+    (lo,), (hi,) = _shot_keys(master_seed, shot_id & _MASK64, 1)
     return (hi << 64) | lo
-
-
-def _shot_key(master_seed: int, shot_id: int) -> np.ndarray:
-    """The Philox key of one shot: the two 64-bit words of its seed."""
-    seed = derive_shot_seed(master_seed, shot_id)
-    return np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
 
 
 def shot_rng(master_seed: int, shot_id: int) -> np.random.Generator:
     """Counter-based generator for one shot; see :data:`GENERATOR_ID`."""
-    return np.random.Generator(np.random.Philox(key=_shot_key(master_seed, shot_id)))
+    key = np.array(_shot_keys(master_seed, shot_id & _MASK64, 1), dtype=np.uint64).ravel()
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _shot_streams(master_seed: int):
-    """A function ``shot_id -> Generator`` drawing what :func:`shot_rng` draws.
+def _shot_streams(master_seed: int, first: int, count: int):
+    """Yield a generator per shot ``first .. first + count - 1``, as :func:`shot_rng` would.
 
-    Every call re-keys and returns one generator.  It writes back a state
-    captured from a new Philox, so the counter, the output buffer and the
+    It is the same generator each time, re-keyed: the loop writes each
+    shot's key words into the state of a new Philox, held as plain ints,
+    and writes that back, so the counter, the output buffer and the
     buffered half-word start from zero for every shot.
     """
     bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bit_generator)
     fresh = bit_generator.state
-
-    def rekey(shot_id: int) -> np.random.Generator:
-        fresh["state"]["key"] = _shot_key(master_seed, shot_id)
-        bit_generator.state = fresh
-        return rng
-
-    return rekey
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key = fresh["state"]["key"]
+    for block in range(first, first + count, _CHUNK_ROWS):
+        keys = _shot_keys(master_seed, block, min(_CHUNK_ROWS, first + count - block))
+        for key[0], key[1] in zip(*keys):
+            bit_generator.state = fresh
+            yield rng
 
 
 def check_seed(obj) -> None:
@@ -299,9 +310,7 @@ def simulate_counting_run(config: SourceConfig) -> EventTable:
     # Velocities stream into one buffer, so no per-shot array outlives its shot.
     detected = bytearray()
     per_shot = np.zeros(config.shots, dtype=np.int64)
-    stream = _shot_streams(config.master_seed)
-    for shot in range(config.shots):
-        rng = stream(shot)
+    for shot, rng in enumerate(_shot_streams(config.master_seed, 0, config.shots)):
         counts = rng.geometric(p_success) - 1
         total = int(counts.sum())
         if total:
@@ -338,7 +347,6 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     counts_a = np.zeros(shape, dtype=np.int64)
     counts_b = np.zeros(shape, dtype=np.int64)
     tail_mass = []
-    stream = _shot_streams(config.master_seed)
     for t2_index, t2 in enumerate(config.t2_values):
         lam = overlap_amplitude(config, t2)
         joint = hom_joint_pmf(params, OverlapModel(lam=lam))
@@ -348,11 +356,14 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
         kept = flat.sum()
         tail_mass.append(float(1.0 - kept))
         cdf = np.cumsum(flat / kept)
+        # The sum may end a few ulps below 1; no uniform may fall past the support.
+        cdf[np.flatnonzero(flat)[-1] :] = 1.0
+        cdf = cdf.tolist()
         n_cols = joint.probs.shape[1]
-        for shot in range(config.shots_per_point):
-            rng = stream(t2_index * config.shots_per_point + shot)
-            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-            n_a, n_b = divmod(idx, n_cols)
+        first = t2_index * config.shots_per_point
+        streams = _shot_streams(config.master_seed, first, config.shots_per_point)
+        for shot, rng in enumerate(streams):
+            n_a, n_b = divmod(bisect_right(cdf, rng.random()), n_cols)
             if n_a:
                 counts_a[t2_index, shot] = rng.binomial(n_a, config.eta)
             if n_b:
@@ -387,8 +398,8 @@ def correlation_scan(
 
 def _write_rows(fh, shot: np.ndarray, velocities, suffix: str = "") -> None:
     """Write ``shot,vx,vy,vz<suffix>`` rows, a fixed number of rows at a time."""
-    for lo in range(0, len(shot), _WRITE_CHUNK_ROWS):
-        hi = lo + _WRITE_CHUNK_ROWS
+    for lo in range(0, len(shot), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
         rows = zip(shot[lo:hi].tolist(), velocities[lo:hi].tolist())
         fh.write("".join(f"{s},{vx!r},{vy!r},{vz!r}{suffix}\n" for s, (vx, vy, vz) in rows))
 

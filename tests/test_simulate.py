@@ -1,6 +1,7 @@
 """Tests for the seeded Monte Carlo event generator."""
 
 import json
+import math
 import re
 import warnings
 
@@ -10,7 +11,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from twinbeam.distributions import TAIL_TOLERANCE, thermal_pmf
+from twinbeam import simulate
+from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, thermal_pmf
+from twinbeam.fock import OverlapModel, hom_joint_pmf
 from twinbeam.simulate import (
     MAX_SEED,
     PORT_VELOCITIES,
@@ -30,7 +33,7 @@ from twinbeam.simulate import (
     write_event_table,
     write_hom_events,
 )
-from twinbeam.simulate import _shot_streams
+from twinbeam.simulate import _CHUNK_ROWS, _shot_keys, _shot_streams
 
 
 class TestShotSeeds:
@@ -64,21 +67,57 @@ def _mixed_draws(rng) -> list:
 class TestReusedShotStream:
     @given(
         st.integers(min_value=0, max_value=MAX_SEED),
-        st.lists(st.integers(min_value=0, max_value=SHOT_ID_LIMIT - 1), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=SHOT_ID_LIMIT - 1),
+        st.integers(min_value=1, max_value=6),
     )
-    @example(0, [0, 0, 1])
-    def test_matches_shot_rng(self, master, shot_ids):
-        stream = _shot_streams(master)
-        for shot_id in shot_ids:
-            rng = stream(shot_id)
-            for got, want in zip(_mixed_draws(rng), _mixed_draws(shot_rng(master, shot_id))):
-                assert np.array_equal(got, want)
+    @example(0, 0, 3)
+    @example(MAX_SEED, SHOT_ID_LIMIT - 1, 1)
+    @example(MAX_SEED, SHOT_ID_LIMIT - _CHUNK_ROWS - 1, _CHUNK_ROWS + 1)  # two key blocks
+    def test_matches_shot_rng(self, master, first, count):
+        count = min(count, SHOT_ID_LIMIT - first)
+        offset = -1
+        for offset, rng in enumerate(_shot_streams(master, first, count)):
+            if 2 < offset < count - 3:
+                continue  # a long run is compared at both ends, where its key blocks meet
+            want = shot_rng(master, first + offset)
+            for got, expected in zip(_mixed_draws(rng), _mixed_draws(want)):
+                assert np.array_equal(got, expected)
             # One 32-bit draw leaves half of a 64-bit word buffered, on top
             # of an advanced counter and buffer: the next shot must reset all.
             rng.integers(-(2**31), 2**31, dtype=np.int32)
             state = rng.bit_generator.state
             assert state["has_uint32"] == 1
             assert state["state"]["counter"].any()
+        assert offset == count - 1
+
+    def test_stream_domain_seeds_unchanged(self):
+        # The bootstrap and fit seeds of every run come from these streams.
+        master = SourceConfig.master_seed
+        assert derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM) == (
+            0x135F0D07D5D07AD376D88C32F843F7FF
+        )
+        assert derive_shot_seed(master, STREAM_POOLED_HISTOGRAM) == (
+            0xF90C295F3502DA2E09F69132A1AF8E9E
+        )
+        assert derive_shot_seed(master, STREAM_DEGENERACY_FIT) == (
+            0xE79EEE155EE590AEA95121E9C90A1DE5
+        )
+        assert derive_shot_seed(master, STREAM_SCAN_POINT) == 0x9886A1A6F43556466C0A8AF6D34ED19E
+        assert derive_shot_seed(master, STREAM_SCAN_POINT + 12) == (
+            0xD23BFAB0FFB5AB1CF49F75025339B5C3
+        )
+
+    def test_bulk_keys_match_scalar_seeds(self):
+        # Words of the scalar derive_shot_seed that preceded the bulk keys.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _shot_keys(MAX_SEED, 1023, 2)
+            last = _shot_keys(MAX_SEED, SHOT_ID_LIMIT - 1, 1)
+            first = _shot_keys(MAX_SEED, 0, 1)
+        assert block == ([0x7D9BC01394CD55D0, 0x7168CE796820D220],
+                         [0x72931F7E10BE98B1, 0x4958DFE10D5C985F])
+        assert last == ([0xF7FDE76B2AB8BF17], [0xD3590BAFC98B4A12])
+        assert first == ([0x2DD82C88FA32B270], [0x7985575AA0F03783])
 
 
 def _admitted(make) -> bool:
@@ -242,6 +281,12 @@ def small_hom_config(**overrides):
     return HomScanConfig(**defaults)
 
 
+def _hom_law(config, t2) -> np.ndarray:
+    """Joint port-count law of one scan point under the declared Gaussian overlap."""
+    lam = math.exp(-((t2 - config.t0) ** 2) / (2 * config.sigma_m**2))
+    return hom_joint_pmf(TmsvParams(nu=config.nu), OverlapModel(lam=lam)).probs
+
+
 class TestHomRun:
     def test_structure(self):
         run = simulate_hom_run(small_hom_config())
@@ -277,6 +322,43 @@ class TestHomRun:
         center = (n_a0.astype(float) * n_b0).mean()
         flank = (n_af.astype(float) * n_bf).mean()
         assert center < 0.5 * flank
+
+    def test_equals_per_shot_reference(self):
+        # Shots own their streams, so a reverse pass, one fresh generator
+        # and one searchsorted per shot, draws the same counts.
+        config = small_hom_config()
+        run = simulate_hom_run(config)
+        for point in reversed(range(len(config.t2_values))):
+            probs = _hom_law(config, config.t2_values[point])
+            cdf = np.cumsum(probs.ravel() / probs.sum())
+            for shot in reversed(range(config.shots_per_point)):
+                rng = shot_rng(config.master_seed, point * config.shots_per_point + shot)
+                index = int(np.searchsorted(cdf, rng.random(), side="right"))
+                n_a, n_b = divmod(index, probs.shape[1])
+                want_a = rng.binomial(n_a, config.eta) if n_a else 0
+                want_b = rng.binomial(n_b, config.eta) if n_b else 0
+                assert (run.counts_a[point, shot], run.counts_b[point, shot]) == (want_a, want_b)
+
+    def test_top_uniform_stays_in_support(self, monkeypatch):
+        # The normalized CDF can end a few ulps below 1; the largest double
+        # below 1 must still draw a pair the law can produce.
+        class TopUniform:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+            def binomial(self, n, p):
+                return n  # no thinning: the drawn pair is recorded as is
+
+        monkeypatch.setattr(
+            simulate, "_shot_streams", lambda master, first, count: [TopUniform()] * count
+        )
+        config = small_hom_config(shots_per_point=1)
+        run = simulate_hom_run(config)
+        for point, t2 in enumerate(config.t2_values):
+            probs = _hom_law(config, t2)
+            n_a, n_b = run.counts_a[point, 0], run.counts_b[point, 0]
+            assert n_a < probs.shape[0] and n_b < probs.shape[1]
+            assert probs[n_a, n_b] > 0.0
 
     def test_port_counts_rejects_repeated_t2(self):
         run = simulate_hom_run(small_hom_config(t2_values=(0.0, 100.0, 0.0), shots_per_point=20))
