@@ -106,7 +106,7 @@ class Pmf:
             raise ValueError(
                 f"probs has {len(probs)} entries but n_max={self.n_max}"
             )
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not (0.0 <= probs.min() and probs.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if probs.sum() > 1.0 + 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()} > 1")
@@ -144,8 +144,8 @@ def thermal_pmf(nu: float, n_max: int = None) -> Pmf:
         n_max: truncation count; defaults to the smallest support whose
             analytic tail mass is below ``TAIL_TOLERANCE``.
     """
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if n_max is None:
         n_max = _thermal_tail_n_max(nu, TAIL_TOLERANCE)
     if n_max < 0:
@@ -167,10 +167,10 @@ def multimode_log_pmf(nu: float, big_m: float, ns: np.ndarray) -> np.ndarray:
     Log-gamma keeps the evaluation finite where the gamma function itself
     overflows (n + M > 170 in double precision).
     """
-    if big_m <= 0.0:
-        raise ValueError(f"degeneracy parameter must be > 0, got {big_m}")
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    if not 0.0 < big_m < math.inf:
+        raise ValueError(f"big_m (degeneracy) must be finite and > 0, got {big_m}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     ns = np.asarray(ns)
     if nu == 0.0:
         return np.where(ns == 0, 0.0, -np.inf)
@@ -191,10 +191,10 @@ def multimode_pmf(nu: float, big_m: float, n_max: int = None) -> Pmf:
     For ``nu = 0`` the zero-count point mass is returned (the formula is
     indeterminate there).
     """
-    if big_m <= 0.0:
-        raise ValueError(f"degeneracy parameter must be > 0, got {big_m}")
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    if not 0.0 < big_m < math.inf:
+        raise ValueError(f"big_m (degeneracy) must be finite and > 0, got {big_m}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if n_max is None:
         if nu == 0.0:
             n_max = 0
@@ -211,8 +211,8 @@ def multimode_pmf(nu: float, big_m: float, n_max: int = None) -> Pmf:
 
 def poisson_pmf(mean: float, n_max: int = None) -> Pmf:
     """Poisson law ``P(n) = mean^n exp(-mean) / n!``."""
-    if mean < 0.0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and >= 0, got {mean}")
     if n_max is None:
         n_max = 0 if mean == 0.0 else _tail_n_max(lambda n: pdtrc(n, mean), TAIL_TOLERANCE) + 2
     if n_max < 0:
@@ -228,8 +228,8 @@ def poisson_pmf(mean: float, n_max: int = None) -> Pmf:
 
 def detected_mean(nu: float, det: DetectorModel) -> float:
     """Mean detected count for true mean ``nu`` and efficiency ``det.eta``."""
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     return det.eta * nu
 
 

@@ -1,15 +1,15 @@
 """Brute-force truncated-Fock-space calculator for the twin-beam source.
 
-The one splitter primitive is :func:`_block_unitary`: the numerically
-exponentiated two-mode mixing generator on the block of fixed total count,
-which it conserves, so every block is exact.  The dense calculator
-(``TruncatedPureState``, ``build_tmsv``, ``beamsplitter``,
-``joint_counts``) applies those blocks to state vectors over truncated
-occupation-number grids; :func:`hom_joint_pmf` and the visibility oracles
-work block by block without any per-mode cutoff.  The module exists to
-derive independently what the closed-form laws in
-:mod:`twinbeam.distributions` and :mod:`twinbeam.fitting` assert, and to
-hand exact joint count distributions to the Monte Carlo simulator.
+The one splitter primitive is :func:`_splitter_blocks`, an exact recursion
+that builds the block of total count ``T + 1`` (which the splitter
+conserves) from the block of total ``T``; each block is built once and
+freed after use.  The dense calculator (``TruncatedPureState``,
+``build_tmsv``, ``beamsplitter``, ``joint_counts``) applies those blocks to
+state vectors over truncated occupation-number grids; :func:`hom_joint_pmf`
+and the visibility oracles work block by block without any per-mode
+cutoff.  The module exists to derive independently what the closed-form
+laws in :mod:`twinbeam.distributions` and :mod:`twinbeam.fitting` assert,
+and to hand exact joint count distributions to the Monte Carlo simulator.
 
 Splitter convention: symmetric 50:50 with the i-phase on reflection,
 ``a -> (a + i b)/sqrt(2)``.  Count distributions do not depend on this
@@ -20,11 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .distributions import TAIL_TOLERANCE, Pmf, TmsvParams, _binomial_pmf, _thermal_tail_n_max
 
@@ -95,7 +92,7 @@ class JointPmf:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError("joint probabilities must be a 2-D table")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if not (0.0 <= probs.min() and probs.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if probs.sum() > 1.0 + 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()} > 1")
@@ -127,22 +124,34 @@ class OverlapModel:
             raise ValueError(f"overlap amplitude must be in [0, 1], got {self.lam}")
 
 
-@lru_cache(maxsize=None)
-def _block_unitary(total: int, theta: float) -> np.ndarray:
-    """Splitter unitary on the total-occupation-``total`` block.
+def _splitter_blocks(t_max: int, theta: float):
+    """Yield the real splitter block ``U_T`` for ``T = 0 .. t_max`` in order.
 
-    The mixing generator ``K = a^dag b + b^dag a`` conserves the total
-    count, so ``exp(i theta K)`` restricted to one block is exact: no
-    truncation enters.  Basis order is the occupation of the first mode,
-    ``m = 0 .. total``.
+    Block ``T`` acts on ``|m, T-m>``, ``m = 0 .. T``.  In the style of Risbo's
+    recursion (J. Geodesy 70, 383, 1996), one of ``T + 1`` atoms is split off:
+    it is in mode a with weight ``w_a(m) = sqrt(m/(T+1))`` (``d_a = 1``) or in
+    mode b with ``w_b(m) = sqrt((T+1-m)/(T+1))`` (``d_b = 0``), so
+    ``U_{T+1}[m', m] = sum_{p,q} w_p(m') w_q(m) u[p,q] U_T[m'-d_p, m-d_q]``
+    with the one-atom splitter ``u = [[c, -s], [s, c]]`` in the order a, b.
+    A step restricts an orthogonal product through an isometry, so it cannot
+    amplify rounding.  ``exp(i theta (a^dag b + b^dag a))`` is ``i^(m - m') U_T``.
     """
-    if total == 0:
-        return np.ones((1, 1), dtype=complex)
-    m = np.arange(total)
-    off_diag = np.sqrt((m + 1.0) * (total - m))
-    vals, vecs = eigh_tridiagonal(np.zeros(total + 1), off_diag)
-    phases = np.exp(1j * theta * vals)
-    return (vecs * phases) @ vecs.T
+    c, s = math.cos(theta), math.sin(theta)
+    root = np.sqrt(np.arange(t_max + 1.0))
+    roots = np.multiply.outer(root, root)  # (T+1) w_p(m') w_q(m) are views of it
+    block = np.ones((1, 1))
+    yield block
+    for total in range(1, t_max + 1):
+        # sqrt(m) for m = 1 .. total (mode a), sqrt(total - m) for m = 0 .. total - 1 (b)
+        a, b = slice(1, total + 1), slice(total, 0, -1)
+        cos_part = block * (c / total)
+        sin_part = block * (s / total)
+        block = np.zeros((total + 1, total + 1))
+        np.multiply(roots[a, a], cos_part, out=block[1:, 1:])
+        block[1:, :-1] -= roots[a, b] * sin_part
+        block[:-1, 1:] += roots[b, a] * sin_part
+        block[:-1, :-1] += roots[b, b] * cos_part
+        yield block
 
 
 def build_tmsv(params: TmsvParams, n_max: int) -> TruncatedPureState:
@@ -196,11 +205,12 @@ def beamsplitter(
     n_max = state.n_max
     moved = np.moveaxis(state.amplitudes, (mode_i, mode_j), (-2, -1))
     mixed = np.zeros_like(moved)
-    # Each anti-diagonal of the (mode_i, mode_j) grid is one total-count block.
-    for total in range(2 * n_max + 1):
+    # Each anti-diagonal of the (mode_i, mode_j) grid is one total-count block;
+    # the phase i^(m - m') turns the real block into the complex splitter.
+    for total, block in enumerate(_splitter_blocks(2 * n_max, theta)):
         m = np.arange(max(0, total - n_max), min(total, n_max) + 1)
-        block = _block_unitary(total, theta)[np.ix_(m, m)]
-        mixed[..., m, total - m] = moved[..., m, total - m] @ block.T
+        sub = block[np.ix_(m, m)] * np.array([1, 1j, -1, -1j])[(m - m[:, None]) % 4]
+        mixed[..., m, total - m] = moved[..., m, total - m] @ sub.T
     out = np.moveaxis(mixed, (-2, -1), (mode_i, mode_j))
     return TruncatedPureState(mode_count=k, n_max=state.n_max, amplitudes=out)
 
@@ -246,20 +256,21 @@ def hom_joint_pmf(
     if n_max is None:
         n_max = _thermal_tail_n_max(params.nu, TAIL_TOLERANCE)
     x = params.alpha_mag**2
-    theta = math.pi / 4.0
-    probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
     vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
-    for n in range(n_max + 1):
-        # k of the second beam's n atoms fall in the matched mode.
-        overlap_split = _binomial_pmf(np.arange(n + 1), n, overlap.lam**2)
-        port_a = np.zeros(2 * n + 1)
-        for k, w_k in enumerate(overlap_split):
-            if w_k == 0.0:
-                continue
-            matched = np.abs(_block_unitary(n + k, theta)[:, n]) ** 2
-            port_a += w_k * np.convolve(matched, vacuum[n - k])
+    # k of the second beam's n atoms fall in the matched mode.
+    splits = [_binomial_pmf(np.arange(n + 1), n, overlap.lam**2) for n in range(n_max + 1)]
+    port_a = [np.zeros(2 * n + 1) for n in range(n_max + 1)]
+    # Block T serves every matched input |n, k> with n + k = T.  For each n,
+    # k still ascends with T, so each port-a law sums in the order of k.
+    for total, block in enumerate(_splitter_blocks(2 * n_max, math.pi / 4.0)):
+        for n in range((total + 1) // 2, min(total, n_max) + 1):
+            w_k = splits[n][total - n]
+            if w_k != 0.0:
+                port_a[n] += w_k * np.convolve(block[:, n] ** 2, vacuum[2 * n - total])
+    probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
+    for n, law in enumerate(port_a):
         n_a = np.arange(2 * n + 1)
-        probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * port_a
+        probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * law
     return JointPmf(probs=np.clip(probs, 0.0, 1.0))
 
 
@@ -270,27 +281,31 @@ def cross_correlation(joint: JointPmf) -> float:
     return float(n_a @ joint.probs @ n_b)
 
 
-def _paired_split_pmf(n: int) -> np.ndarray:
+def _central_binomials(n: int) -> np.ndarray:
+    """``p_j = C(2j, j) / 4^j`` for ``j = 0 .. n``, from the ratio ``(2j-1) / (2j)``."""
+    j = np.arange(1.0, n + 1.0)
+    return np.concatenate(([1.0], np.cumprod((2.0 * j - 1.0) / (2.0 * j))))
+
+
+def _paired_split_pmf(n: int, central: np.ndarray) -> np.ndarray:
     """Output count law at port a for the paired input ``|n, n>``.
 
-    Under the splitter the paired creation operators collapse to
-    ``(a+ib)(ia+b)/2 = i(a^2+b^2)/2`` (applied to creation operators), so
-    the output superposes only even splits ``|2k, 2n-2k>`` with
-    single-term coefficients.  Those are evaluated through log-gamma,
-    which stays exact to machine precision at any ``n`` because no
-    cancelling sums occur.  Returns probabilities over ``m = 0 .. 2n``.
+    The paired creation operators collapse to ``(a+ib)(ia+b)/2 = i(a^2+b^2)/2``,
+    so only even splits ``|2k, 2n-2k>`` occur, each with probability
+    ``C(n,k)^2 (2k)! (2n-2k)! / (4^n n!^2) = p_k p_{n-k}`` (``central`` holds
+    ``p_0 .. p_n`` or more): no cancelling sums and no underflow at any ``n``.
+    Returns probabilities over ``m = 0 .. 2n``.
     """
-    k = np.arange(n + 1)
-    log_w = (
-        2.0 * (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
-        + gammaln(2.0 * k + 1.0)
-        + gammaln(2.0 * (n - k) + 1.0)
-        - 2.0 * n * math.log(2.0)
-        - 2.0 * gammaln(n + 1.0)
-    )
     pmf = np.zeros(2 * n + 1)
-    pmf[2 * k] = np.exp(log_w)
+    pmf[::2] = central[: n + 1] * central[n::-1]
     return pmf
+
+
+def _half_binomial_pmf(n: int, central: np.ndarray) -> np.ndarray:
+    """``Bin(2n, 1/2)`` built outward from its central term, so ``4^-n`` never underflows."""
+    i = np.arange(1.0, n + 1.0)
+    upper = central[n] * np.cumprod((n - i + 1.0) / (n + i))
+    return np.concatenate((upper[::-1], central[n : n + 1], upper))
 
 
 def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
@@ -301,33 +316,23 @@ def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
     which keeps every splitter output exactly (blocks conserve the total
     count) and scales to mean occupations of order 100.
     """
-    nu = params.nu
-    if nu == 0.0:
-        raise UndefinedVisibilityError(
-            "vacuum input: distinguishable correlation is zero"
-        )
     if n_max is None:
-        n_max = max(1, _thermal_tail_n_max(nu, TAIL_TOLERANCE))
+        n_max = max(1, _thermal_tail_n_max(params.nu, TAIL_TOLERANCE))
     x = params.alpha_mag**2
-    ns = np.arange(n_max + 1)
-    pair_weights = (1.0 - x) * x**ns
+    pair_weights = (1.0 - x) * x ** np.arange(n_max + 1)
+    central = _central_binomials(n_max)
 
     dip = 0.0
     baseline = 0.0
     for n in range(1, n_max + 1):
         m_dip = np.arange(2 * n + 1)
-        dip += pair_weights[n] * float(
-            _paired_split_pmf(n) @ (m_dip * (2 * n - m_dip))
-        )
+        product = m_dip * (2 * n - m_dip)
+        dip += pair_weights[n] * float(_paired_split_pmf(n, central) @ product)
         # Distinguishable beams: each |n> splits against vacuum, so the
         # port-a total is Bin(n,1/2) + Bin(n,1/2) = Bin(2n,1/2).
-        baseline += pair_weights[n] * float(
-            _binomial_pmf(m_dip, 2 * n, 0.5) @ (m_dip * (2 * n - m_dip))
-        )
+        baseline += pair_weights[n] * float(_half_binomial_pmf(n, central) @ product)
     if baseline == 0.0:
-        raise UndefinedVisibilityError(
-            "distinguishable correlation is zero at this truncation"
-        )
+        raise UndefinedVisibilityError("distinguishable correlation is zero at this truncation")
     return 1.0 - dip / baseline
 
 
@@ -340,31 +345,25 @@ def thermal_input_visibility(nu: float, n_max: int = None) -> float:
     product of occupation laws.  Runs of one total ``T = n1 + n2`` share a
     splitter block, so each block is applied to all its runs at once.
     """
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
-    if nu == 0.0:
-        raise UndefinedVisibilityError(
-            "vacuum input: distinguishable correlation is zero"
-        )
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if n_max is None:
         n_max = max(1, _thermal_tail_n_max(nu, TAIL_TOLERANCE))
     x = nu / (1.0 + nu)
     weights = (1.0 - x) * x ** np.arange(n_max + 1)
 
-    theta = math.pi / 4.0
     dip = 0.0
     baseline = 0.0
-    for total in range(1, 2 * n_max + 1):
+    # The vacuum block (T = 0) adds exactly zero to both sums.
+    for total, block in enumerate(_splitter_blocks(2 * n_max, math.pi / 4.0)):
         lo, hi = max(0, total - n_max), min(total, n_max)
         run_weights = weights[lo : hi + 1] * weights[total - hi : total - lo + 1][::-1]
         m = np.arange(total + 1)
         product = m * (total - m)
-        block_sq = np.abs(_block_unitary(total, theta)[:, lo : hi + 1]) ** 2
+        block_sq = block[:, lo : hi + 1] ** 2
         dip += float(run_weights @ (product @ block_sq))
         # Distinguishable inputs each split against vacuum: Bin(T, 1/2) at port a.
         baseline += float(run_weights.sum() * (_binomial_pmf(m, total, 0.5) @ product))
     if baseline == 0.0:
-        raise UndefinedVisibilityError(
-            "distinguishable correlation is zero at this truncation"
-        )
+        raise UndefinedVisibilityError("distinguishable correlation is zero at this truncation")
     return 1.0 - dip / baseline

@@ -15,6 +15,7 @@ from twinbeam.distributions import (
     TmsvParams,
     binomial_thin,
     detected_mean,
+    multimode_log_pmf,
     multimode_pmf,
     pmf_moments,
     poisson_pmf,
@@ -270,6 +271,10 @@ class TestPmfValue:
         with pytest.raises(ValueError):
             Pmf(probs=np.array([0.9, 0.9]), n_max=1)
 
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Pmf(probs=np.array([math.nan, 0.5]), n_max=1)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             Pmf(probs=np.array([1.0]), n_max=3)
@@ -278,3 +283,29 @@ class TestPmfValue:
         pmf = thermal_pmf(0.5, 10)
         with pytest.raises(ValueError):
             pmf.probs[0] = 0.0
+
+
+class TestNonFiniteParameters:
+    """Each law rejects a NaN or infinite parameter and names it."""
+
+    @pytest.mark.parametrize(
+        "law,args,name",
+        [
+            (multimode_pmf, (math.nan, 2.0), "nu"),
+            (multimode_pmf, (1.0, math.nan), "big_m"),
+            (multimode_pmf, (math.inf, 2.0), "nu"),
+            (multimode_pmf, (1.0, math.inf), "big_m"),
+            (multimode_log_pmf, (math.nan, 2.0, np.arange(4)), "nu"),
+            (multimode_log_pmf, (1.0, math.inf, np.arange(4)), "big_m"),
+            (poisson_pmf, (math.nan,), "mean"),
+            (poisson_pmf, (math.inf,), "mean"),
+            (thermal_pmf, (math.nan, 5), "nu"),
+            (thermal_pmf, (math.nan,), "nu"),
+            (thermal_pmf, (math.inf, 5), "nu"),
+            (detected_mean, (math.nan, DetectorModel(0.5)), "nu"),
+            (detected_mean, (math.inf, DetectorModel(0.5)), "nu"),
+        ],
+    )
+    def test_rejected_with_its_name(self, law, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} .*finite"):
+            law(*args)

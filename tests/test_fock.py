@@ -1,9 +1,12 @@
 """Tests for the truncated-Fock-space calculator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import gammaln
 
 from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
 from twinbeam.fock import (
@@ -11,8 +14,10 @@ from twinbeam.fock import (
     OverlapModel,
     TruncatedPureState,
     UndefinedVisibilityError,
-    _block_unitary,
+    _central_binomials,
+    _half_binomial_pmf,
     _paired_split_pmf,
+    _splitter_blocks,
     beamsplitter,
     build_tmsv,
     cross_correlation,
@@ -34,6 +39,26 @@ def fock_state(occupations, n_max):
     amps = np.zeros((n_max + 1,) * k, dtype=complex)
     amps[tuple(occupations)] = 1.0
     return TruncatedPureState(mode_count=k, n_max=n_max, amplitudes=amps)
+
+
+def splitter_block(total, theta):
+    """The real block of ``total`` atoms, the last one the recursion yields."""
+    for block in _splitter_blocks(total, theta):
+        pass
+    return block
+
+
+def complex_block(total, theta):
+    """The complex splitter block through the phase ``i^(m - m')``."""
+    m = np.arange(total + 1)
+    return splitter_block(total, theta) * np.array([1, 1j, -1, -1j])[(m - m[:, None]) % 4]
+
+
+def expm_block(total, theta):
+    """Independent reference: ``exp(i theta K)`` with ``K = a^dag b + b^dag a``."""
+    m = np.arange(total)
+    k = np.diag(np.sqrt((m + 1.0) * (total - m)), 1)
+    return expm(1j * theta * (k + k.T))
 
 
 def splitter_column_oracle(n1, n2):
@@ -146,7 +171,7 @@ class TestBeamsplitter:
     @pytest.mark.parametrize("n1,n2", [(1, 0), (1, 1), (2, 1), (3, 2), (4, 4)])
     def test_against_polynomial_expansion(self, n1, n2):
         total = n1 + n2
-        column = _block_unitary(total, math.pi / 4.0)[:, n1]
+        column = complex_block(total, math.pi / 4.0)[:, n1]
         oracle = splitter_column_oracle(n1, n2)
         # Global phase is convention; compare amplitudes up to one phase.
         best = min(
@@ -166,23 +191,89 @@ class TestBeamsplitter:
 
 
 class TestClosedFormColumns:
-    """The scalable split laws must agree with the exponentiated unitary."""
+    """The scalable split laws must agree with the splitter blocks."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 30])
     def test_paired_input_law(self, n):
-        column = _block_unitary(2 * n, math.pi / 4.0)[:, n]
-        assert np.max(np.abs(np.abs(column) ** 2 - _paired_split_pmf(n))) < 1e-12
+        column = splitter_block(2 * n, math.pi / 4.0)[:, n]
+        paired = _paired_split_pmf(n, _central_binomials(n))
+        assert np.max(np.abs(column**2 - paired)) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 25])
     def test_vacuum_input_law(self, n):
-        column = _block_unitary(n, math.pi / 4.0)[:, 0]
+        column = splitter_block(n, math.pi / 4.0)[:, 0]
         vacuum_split = _binomial_pmf(np.arange(n + 1), n, 0.5)
-        assert np.max(np.abs(np.abs(column) ** 2 - vacuum_split)) < 1e-12
+        assert np.max(np.abs(column**2 - vacuum_split)) < 1e-12
 
     def test_paired_law_even_support(self):
-        pmf = _paired_split_pmf(6)
+        pmf = _paired_split_pmf(6, _central_binomials(6))
         assert pmf[1::2].sum() == 0.0
         assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 537, 538, 1000, 2383])
+    def test_paired_law_matches_log_gamma_form(self, n):
+        # C(n,k)^2 (2k)! (2n-2k)! / (4^n n!^2); at these arguments gammaln
+        # itself is good to about 1e-11 relative.
+        k = np.arange(n + 1)
+        log_w = (
+            2.0 * (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
+            + gammaln(2.0 * k + 1.0)
+            + gammaln(2.0 * (n - k) + 1.0)
+            - 2.0 * n * math.log(2.0)
+            - 2.0 * gammaln(n + 1.0)
+        )
+        paired = _paired_split_pmf(n, _central_binomials(n))[::2]
+        assert np.max(np.abs(paired / np.exp(log_w) - 1.0)) < 1e-10
+
+    def test_central_binomials_exact(self):
+        exact = [math.comb(2 * j, j) / 4**j for j in range(600)]
+        assert np.max(np.abs(_central_binomials(599) / exact - 1.0)) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 9, 200, 537, 538, 2383])
+    def test_half_binomial_law_exact(self, n):
+        # Integer arithmetic as the reference; 4^-n alone underflows past n = 537.
+        row = [1]
+        for m in range(2 * n):
+            row.append(row[-1] * (2 * n - m) // (m + 1))
+        exact = np.array([c / 4**n for c in row])
+        law = _half_binomial_pmf(n, _central_binomials(n))
+        assert np.max(np.abs(law - exact)) < 1e-16
+        kept = exact > 1e-300
+        assert np.max(np.abs(law[kept] / exact[kept] - 1.0)) < 1e-13
+
+
+THETAS = [math.pi / 4.0, math.acos(math.sqrt(0.3)), 0.1]
+
+
+class TestSplitterBlocks:
+    """The block recursion against an independent matrix exponential."""
+
+    def test_yields_every_total_in_order(self):
+        shapes = [block.shape for block in _splitter_blocks(6, 0.3)]
+        assert shapes == [(t + 1, t + 1) for t in range(7)]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_matches_matrix_exponential(self, theta):
+        for total, block in enumerate(_splitter_blocks(40, theta)):
+            m = np.arange(total + 1)
+            phased = block * np.array([1, 1j, -1, -1j])[(m - m[:, None]) % 4]
+            assert np.max(np.abs(phased - expm_block(total, theta))) < 1e-13, total
+
+    def test_orthogonal_at_large_total(self):
+        block = splitter_block(260, math.pi / 4.0)
+        eye = np.eye(261)
+        assert np.max(np.abs(block @ block.T - eye)) <= 1e-13
+        assert np.max(np.abs(block.T @ block - eye)) <= 1e-13
+
+    @pytest.mark.parametrize("n1,n2", [(1, 0), (0, 1), (2, 1), (3, 4), (5, 5)])
+    def test_beamsplitter_phase_at_transmittance_0_9(self, n1, n2):
+        # beamsplitter applies i^(m - m') to the real blocks; its output
+        # amplitudes must equal the complex exponential's column.
+        total = n1 + n2
+        out = beamsplitter(fock_state((n1, n2), total), 0, 1, transmittance=0.9)
+        m = np.arange(total + 1)
+        reference = expm_block(total, math.acos(math.sqrt(0.9)))[:, n1]
+        assert np.max(np.abs(out.amplitudes[m, total - m] - reference)) < 1e-13
 
 
 class TestJointCounts:
@@ -275,6 +366,12 @@ class TestHomJointPmf:
             OverlapModel(lam=1.5)
 
 
+class TestJointPmfValue:
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            JointPmf(probs=np.array([[math.nan, 0.5]]))
+
+
 class TestCrossCorrelation:
     def test_point_mass_coincidence(self):
         probs = np.zeros((3, 3))
@@ -300,6 +397,11 @@ class TestVisibilityOracle:
     def test_large_occupation_limit(self):
         v = visibility_oracle(TmsvParams(nu=100.0))
         assert v == pytest.approx(0.501246882793, abs=1e-4)
+
+    @pytest.mark.parametrize("nu", [46.1, 100.0])
+    def test_large_occupation_matches_formula_tightly(self, nu):
+        v = visibility_oracle(TmsvParams(nu=nu))
+        assert abs(v - formula_visibility(nu)) < 1e-9
 
     def test_vacuum_rejected(self):
         with pytest.raises(UndefinedVisibilityError):
@@ -359,3 +461,19 @@ class TestThermalInputVisibility:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             thermal_input_visibility(-0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^nu .*finite"):
+            thermal_input_visibility(bad)
+
+    def test_retains_no_memory(self):
+        # Every block is built once, used and freed: nothing outlives the call.
+        tracemalloc.start()
+        try:
+            thermal_input_visibility(5.0)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1e6
+        assert peak < 16e6
