@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, pdtrc, xlog1py, xlogy
 
 __all__ = [
     "TAIL_TOLERANCE",
@@ -128,12 +127,33 @@ def _thermal_tail_n_max(nu: float, tol: float) -> int:
     return max(0, math.ceil(math.log(tol / 2.0) / math.log(x)) - 1)
 
 
-def _tail_n_max(sf, tol: float) -> int:
-    # Smallest n with sf(n) <= tol: double an upper bound, then scan it once.
-    hi = 1
-    while sf(hi) > tol:
-        hi *= 2
-    return int(np.argmax(sf(np.arange(hi + 1)) <= tol))
+def _law(log_pmf, n_max: int, size: int) -> Pmf:
+    """The law on ``0 .. n_max``, or on its default support if ``n_max`` is None.
+
+    The default support ends 2 past the smallest n whose tail mass is at
+    most ``TAIL_TOLERANCE``.  ``log_pmf`` is evaluated on ``size`` terms,
+    doubled until the last term is negligible and falling; the mass beyond
+    each n is a reverse cumulative sum, added smallest-first, and the law
+    is sliced from that one evaluation.
+    """
+    if n_max is None:
+        while True:
+            log_p = log_pmf(np.arange(size))
+            if log_p[-1] < min(log_p[-2], math.log(TAIL_TOLERANCE) - 25.0):
+                break
+            size *= 2
+        probs = np.exp(log_p)
+        beyond = np.cumsum(probs[:0:-1])[::-1]  # beyond[n] = probs[n + 1:].sum()
+        n_max = int(np.argmax(beyond <= TAIL_TOLERANCE)) + 2
+        return Pmf(probs=probs[: n_max + 1], n_max=n_max)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    return Pmf(probs=np.exp(log_pmf(np.arange(n_max + 1))), n_max=n_max)
+
+
+def _log_products(ratios: np.ndarray) -> np.ndarray:
+    """Logs of the running products ``1, r[0], r[0] r[1], ...`` of ``ratios``."""
+    return np.concatenate(([0.0], np.cumsum(np.log(ratios))))
 
 
 def thermal_pmf(nu: float, n_max: int = None) -> Pmf:
@@ -164,8 +184,9 @@ def multimode_log_pmf(nu: float, big_m: float, ns: np.ndarray) -> np.ndarray:
     """Log of the M-mode thermal counting law, evaluated in log space.
 
     ``P_M(n) = Gamma(n+M) / (Gamma(n+1) Gamma(M)) (1+M/nu)^-n (1+nu/M)^-M``.
-    Log-gamma keeps the evaluation finite where the gamma function itself
-    overflows (n + M > 170 in double precision).
+    The gamma ratio is the product of ``(M + j) / (j + 1)`` over ``j < n``,
+    summed as logs, so the evaluation stays finite where the gamma function
+    itself overflows (n + M > 170 in double precision).
     """
     if not 0.0 < big_m < math.inf:
         raise ValueError(f"big_m (degeneracy) must be finite and > 0, got {big_m}")
@@ -174,10 +195,9 @@ def multimode_log_pmf(nu: float, big_m: float, ns: np.ndarray) -> np.ndarray:
     ns = np.asarray(ns)
     if nu == 0.0:
         return np.where(ns == 0, 0.0, -np.inf)
+    j = np.arange(ns.max(initial=0))
     return (
-        gammaln(ns + big_m)
-        - gammaln(ns + 1.0)
-        - gammaln(big_m)
+        _log_products((big_m + j) / (j + 1.0))[ns]
         - ns * math.log1p(big_m / nu)
         - big_m * math.log1p(nu / big_m)
     )
@@ -195,35 +215,24 @@ def multimode_pmf(nu: float, big_m: float, n_max: int = None) -> Pmf:
         raise ValueError(f"big_m (degeneracy) must be finite and > 0, got {big_m}")
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
-    if n_max is None:
-        if nu == 0.0:
-            n_max = 0
-        else:
-            # Negative-binomial tail P(N > n) = I_q(n + 1, M), q = nu / (M + nu).
-            q = nu / (big_m + nu)
-            n_max = _tail_n_max(lambda n: betainc(n + 1.0, big_m, q), TAIL_TOLERANCE) + 2
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    ns = np.arange(n_max + 1)
-    probs = np.exp(multimode_log_pmf(nu, big_m, ns))
-    return Pmf(probs=probs, n_max=n_max)
+    return _law(
+        lambda ns: multimode_log_pmf(nu, big_m, ns),
+        0 if n_max is None and nu == 0.0 else n_max,
+        int(nu + 12.0 * math.sqrt(nu + nu * nu / big_m)) + 16,
+    )
 
 
 def poisson_pmf(mean: float, n_max: int = None) -> Pmf:
     """Poisson law ``P(n) = mean^n exp(-mean) / n!``."""
     if not 0.0 <= mean < math.inf:
         raise ValueError(f"mean must be finite and >= 0, got {mean}")
-    if n_max is None:
-        n_max = 0 if mean == 0.0 else _tail_n_max(lambda n: pdtrc(n, mean), TAIL_TOLERANCE) + 2
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    n = np.arange(n_max + 1)
     if mean == 0.0:
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-    else:
-        probs = np.exp(n * math.log(mean) - mean - gammaln(n + 1.0))
-    return Pmf(probs=probs, n_max=n_max)
+        return thermal_pmf(0.0, n_max)  # the vacuum point mass
+    return _law(
+        lambda n: _log_products(mean / n[1:]) - mean,
+        n_max,
+        int(mean + 12.0 * math.sqrt(mean)) + 16,
+    )
 
 
 def detected_mean(nu: float, det: DetectorModel) -> float:
@@ -234,16 +243,20 @@ def detected_mean(nu: float, det: DetectorModel) -> float:
 
 
 def _binomial_pmf(k, n, p: float) -> np.ndarray:
-    """``P(Binomial(n, p) = k)`` through log-gamma, broadcast over ``k`` and ``n``."""
+    """``P(Binomial(n, p) = k)`` from a log-factorial table, broadcast over ``k`` and ``n``."""
+    if p in (0.0, 1.0):
+        return (k == n * p).astype(float)
     valid = k <= n
-    # Zero n - k where k > n: there xlog1py(n - k, -1) is +inf and the sum NaN.
-    rest = np.where(valid, n - k, 0)
+    # Where k > n, take k = n so the term stays finite; it is zeroed below.
+    k = np.where(valid, k, n)
+    rest = n - k
+    log_fact = _log_products(np.arange(1.0, np.max(n) + 1))
     log_w = (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(rest + 1.0)
-        + xlogy(k, p)
-        + xlog1py(rest, -p)
+        log_fact[n]
+        - log_fact[k]
+        - log_fact[rest]
+        + k * math.log(p)
+        + rest * math.log1p(-p)
     )
     return np.where(valid, np.exp(log_w), 0.0)
 

@@ -2,7 +2,8 @@
 
 The degeneracy fit maximizes the multinomial likelihood of the M-mode
 thermal counting law with the mean held fixed at its measured value, so
-the mode count is the only adjustable parameter.  The interferometer dip
+the mode count is the only adjustable parameter; the maximum is the root
+of the closed-form score in ``M``.  The interferometer dip
 is fit by damped Gauss-Newton (Levenberg style) weighted least squares
 with a free baseline.  Visibility predictions evaluate
 ``V = 1 - (2 + 1/(2 nu))^(-1)`` and propagate the occupation uncertainty
@@ -12,11 +13,9 @@ both to first order and by Monte Carlo.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .analysis import CountHistogram
 from .checks import check_field
@@ -34,7 +33,8 @@ __all__ = [
     "fit_gaussian_dip",
 ]
 
-DEFAULT_DEGENERACY_BRACKET = (1e-3, 1e4)
+# Search range for the mode count; the score is checked for a sign change on it.
+DEGENERACY_BRACKET = (1e-6, 1e7)
 
 
 class FitFailureError(RuntimeError):
@@ -155,29 +155,27 @@ class VisibilityPrediction:
         }
 
 
-def _degeneracy_log_likelihood(hist: CountHistogram, mean: float, m: float) -> float:
-    ns = np.flatnonzero(hist.occurrences)
-    occ = hist.occurrences[ns]
-    return float(occ @ multimode_log_pmf(mean, m, ns))
-
-
 def fit_degeneracy(
     hist: CountHistogram,
     fixed_mean: float,
-    bracket: tuple[float, float] = DEFAULT_DEGENERACY_BRACKET,
     bootstrap_resamples: int = 0,
     seed: int = 0,
+    strict: bool = False,
 ) -> DegeneracyFit:
     """Fit the mode count of the M-mode thermal law to a count histogram.
 
-    The mean is held at ``fixed_mean`` (the separately measured value);
-    the likelihood is maximized over ``log M`` inside ``bracket`` by
-    bounded scalar minimization to a relative tolerance of 1e-6.  If the
-    maximum sits on a bracket edge the bracket is widened once with a
-    warning; a persistent edge solution (Poisson-like data) is returned
-    flagged via ``at_bound`` rather than raised.  ``std_err`` comes from
-    the observed information (likelihood curvature) at the maximum;
-    ``bootstrap_resamples > 0`` adds a multinomial-resampling error.
+    The mean is held at ``fixed_mean`` (the separately measured value) and
+    the maximum-likelihood ``M`` is the root of the score in ``M`` inside
+    ``DEGENERACY_BRACKET``, found by Newton steps in ``log M`` that bisect
+    whenever a step would leave the bracket.  A score without a sign change
+    on the bracket puts the fit at that edge, flagged via ``at_bound``, or
+    raises ``FitFailureError`` when ``strict``.  With ``fixed_mean`` the
+    sample mean, that edge is the upper one exactly when the sample variance
+    is at most the mean (Levin & Reeds, Ann. Statist. 5, 79, 1977).
+    ``std_err`` is ``1/sqrt(-dscore/dM)``, the observed information.
+    ``bootstrap_resamples > 0`` adds a multinomial-resampling error from
+    refits at the same ``fixed_mean``, strict when the fit found a root;
+    refits that raise count in ``bootstrap_failed``.
     """
     if fixed_mean <= 0:
         raise ValueError(f"fixed_mean must be > 0, got {fixed_mean}")
@@ -186,76 +184,53 @@ def fit_degeneracy(
             "histogram is degenerate: fewer than two distinct counts observed",
             {"occurrences": hist.occurrences.tolist()},
         )
+    occ, shots, mean = hist.occurrences, hist.total_shots, fixed_mean
+    tail = (shots - np.cumsum(occ)[:-1]).astype(float)  # shots counting more than j
+    excess = shots * mean - float(np.arange(len(occ)) @ occ)
 
-    def neg_ll_log(t: float) -> float:
-        return -_degeneracy_log_likelihood(hist, fixed_mean, math.exp(t))
-
-    def edge_kind(lo: float, hi: float, m_hat: float, ll_hat: float) -> str:
-        # Treat an edge whose likelihood is statistically indistinguishable
-        # from the maximum as "no interior optimum" (plateau toward the
-        # Poisson limit, or pinned at the lower end).
-        if min(m_hat / lo, hi / m_hat) < 1.01:
-            return "lower" if m_hat / lo < 1.01 else "upper"
-        if -neg_ll_log(math.log(hi)) >= ll_hat - 5e-3:
-            return "upper"
-        if -neg_ll_log(math.log(lo)) >= ll_hat - 5e-3:
-            return "lower"
-        return ""
-
-    lo, hi = bracket
-    expanded = False
-    for _ in range(2):
-        res = minimize_scalar(
-            neg_ll_log,
-            bounds=(math.log(lo), math.log(hi)),
-            method="bounded",
-            options={"xatol": 5e-7},
+    def score(m: float) -> tuple[float, float]:
+        # psi(n + M) - psi(M) = sum_{j<n} 1/(M + j), so no digamma is needed.
+        inv = 1.0 / (m + np.arange(len(tail)))
+        return (
+            tail @ inv - shots * math.log1p(mean / m) + excess / (mean + m),
+            shots * mean / (m * (m + mean)) - tail @ inv**2 - excess / (mean + m) ** 2,
         )
-        m_hat = math.exp(res.x)
-        edge = edge_kind(lo, hi, m_hat, -res.fun)
-        if not edge or expanded:
+
+    m_lo, m_hi = DEGENERACY_BRACKET
+    edge = m_hi if score(m_hi)[0] >= 0 else m_lo if score(m_lo)[0] <= 0 else None
+    if edge is not None and strict:
+        raise FitFailureError(
+            "degeneracy score does not change sign on the bracket",
+            {"bracket": DEGENERACY_BRACKET, "edge": edge},
+        )
+    lo, hi = math.log(m_lo), math.log(m_hi)
+    t = 0.5 * (lo + hi)
+    for _ in range(100 if edge is None else 0):
+        s, slope = score(math.exp(t))
+        if s > 0:
+            lo = t
+        else:
+            hi = t
+        step = -s / (math.exp(t) * slope) if slope < 0 else math.inf
+        t, step = (t + step, abs(step)) if lo <= t + step <= hi else (0.5 * (lo + hi), math.inf)
+        if min(step, hi - lo) <= 1e-10:
             break
-        warnings.warn(
-            f"degeneracy fit has no interior optimum near {m_hat:.3g}; "
-            "expanding the bracket once"
-        )
-        lo, hi = lo / 1e3, hi * 1e3
-        expanded = True
-    at_bound = bool(edge)
-    if at_bound:
-        warnings.warn(
-            f"degeneracy fit pinned at the {edge} edge ({m_hat:.3g}); "
-            + (
-                "data is consistent with the large-M (Poisson) limit"
-                if edge == "upper"
-                else "data is more clustered than a single thermal mode"
-            )
-        )
-        if edge == "upper":
-            m_hat = hi
-
-    ll_hat = -res.fun
-    h = max(1e-4 * m_hat, 1e-9)
-    curvature = (
-        _degeneracy_log_likelihood(hist, fixed_mean, m_hat + h)
-        - 2.0 * ll_hat
-        + _degeneracy_log_likelihood(hist, fixed_mean, max(m_hat - h, 1e-12))
-    ) / h**2
-    std_err = 1.0 / math.sqrt(-curvature) if curvature < 0 else math.inf
+    m_hat = math.exp(t) if edge is None else edge
+    slope = score(m_hat)[1]
+    std_err = 1.0 / math.sqrt(-slope) if slope < 0 else math.inf
+    ns = np.flatnonzero(occ)
+    log_likelihood = float(occ[ns] @ multimode_log_pmf(fixed_mean, m_hat, ns))
 
     bootstrap_std_err = None
     bootstrap_failed = 0
     if bootstrap_resamples > 0:
         rng = np.random.default_rng(seed)
-        probs = hist.occurrences / hist.total_shots
+        probs = occ / shots
         estimates = []
         for _ in range(bootstrap_resamples):
-            resampled = CountHistogram(
-                occurrences=rng.multinomial(hist.total_shots, probs),
-                total_shots=hist.total_shots,
-            )
+            resampled = CountHistogram(rng.multinomial(shots, probs), total_shots=shots)
             try:
-                refit = fit_degeneracy(resampled, fixed_mean, (lo, hi))
+                refit = fit_degeneracy(resampled, fixed_mean, strict=edge is None)
             except FitFailureError:
                 bootstrap_failed += 1
                 continue
@@ -267,8 +242,8 @@ def fit_degeneracy(
         degeneracy=m_hat,
         std_err=std_err,
         fixed_mean=fixed_mean,
-        log_likelihood=ll_hat,
-        at_bound=at_bound,
+        log_likelihood=log_likelihood,
+        at_bound=edge is not None,
         bootstrap_std_err=bootstrap_std_err,
         bootstrap_failed=bootstrap_failed,
     )

@@ -221,9 +221,7 @@ def joint_counts(
     modes_b: tuple[int, ...],
 ) -> JointPmf:
     """Joint distribution of the summed counts in two groups of modes."""
-    if sorted(modes_a) + sorted(modes_b) != sorted(
-        set(modes_a) | set(modes_b)
-    ) or set(modes_a) | set(modes_b) != set(range(state.mode_count)):
+    if sorted([*modes_a, *modes_b]) != list(range(state.mode_count)):
         raise ValueError("modes_a and modes_b must partition the mode indices")
     weights = np.abs(state.amplitudes) ** 2
     idx = np.indices(weights.shape)

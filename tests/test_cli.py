@@ -573,13 +573,16 @@ class TestPredictVisibility:
         assert not (out / "visibility_prediction.json").exists()
 
 
-def test_cli_import_leaves_out_jsonschema():
+@pytest.mark.parametrize("module", ["twinbeam", "twinbeam.cli"])
+def test_import_leaves_out_scipy_and_jsonschema(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
-    modules = ("jsonschema", "scipy.stats")
-    probe = f"import sys, twinbeam.cli; print([m for m in {modules!r} if m in sys.modules])"
+    probe = (
+        f"import sys, {module}; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'jsonschema')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

@@ -10,6 +10,7 @@ from scipy import stats as sps
 
 from twinbeam.distributions import (
     DetectorModel,
+    _binomial_pmf,
     TAIL_TOLERANCE,
     Pmf,
     TmsvParams,
@@ -245,6 +246,45 @@ class TestBinomialThin:
         thinned = binomial_thin(pmf, DetectorModel(eta=eta))
         ref = thermal_pmf(eta * nu, pmf.n_max)
         assert np.max(np.abs(thinned.probs - ref.probs)) < 1e-9
+
+
+class TestLargeArguments:
+    """The ratio-product kernels against scipy.stats where n + M > 170.
+
+    Bound: relative 1e-10 wherever the reference exceeds 1e-280, and
+    below 1e-270 elsewhere (the kernels sum about n logs, so their
+    relative error grows with n; 2e-11 was the largest seen here).
+    """
+
+    @staticmethod
+    def assert_close(got, ref):
+        big = ref > 1e-280
+        assert np.all(np.abs(got[big] - ref[big]) <= 1e-10 * ref[big])
+        assert np.all(got[~big] < 1e-270)
+
+    @pytest.mark.parametrize("n", [171, 600, 2400])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_binomial_kernel(self, n, p):
+        k = np.arange(n + 3)
+        self.assert_close(_binomial_pmf(k, n, p), sps.binom.pmf(k, n, p))
+
+    @pytest.mark.parametrize(
+        "nu,m,n_max", [(50.0, 300.0, 800), (100.0, 150.0, 1500), (300.0, 2.0, None), (5.0, 400.0, None)]
+    )
+    def test_multimode_law(self, nu, m, n_max):
+        pmf = multimode_pmf(nu, m, n_max)
+        assert pmf.n_max + m > 170
+        self.assert_close(pmf.probs, sps.nbinom.pmf(np.arange(pmf.n_max + 1), m, m / (m + nu)))
+
+    @pytest.mark.parametrize("mean,n_max", [(200.0, None), (1000.0, 2000), (150.0, 1200)])
+    def test_poisson_law(self, mean, n_max):
+        pmf = poisson_pmf(mean, n_max)
+        self.assert_close(pmf.probs, sps.poisson.pmf(np.arange(pmf.n_max + 1), mean))
+
+    @pytest.mark.parametrize("law,args", [(multimode_pmf, (20.0, 0.3)), (poisson_pmf, (300.0,))])
+    def test_default_support_is_the_explicit_law_cut_short(self, law, args):
+        default = law(*args)
+        assert np.array_equal(default.probs, law(*args, default.n_max).probs)
 
 
 class TestMoments:

@@ -1,5 +1,6 @@
 """Tests for the degeneracy fit, dip fit, and visibility prediction."""
 
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,15 @@ V_033 = 0.715517241379
 V_08 = 0.619047619048
 SIGMA_V_033_007 = 0.026010702
 SIGMA_V_08_02 = 0.022675737
+
+
+def lgamma_log_likelihood(hist, mean, m):
+    """Fixed-mean negative-binomial log-likelihood through math.lgamma."""
+    return math.fsum(
+        int(occ) * (math.lgamma(n + m) - math.lgamma(m) - math.lgamma(n + 1.0)
+                    - n * math.log1p(m / mean) - m * math.log1p(mean / m))
+        for n, occ in enumerate(hist.occurrences) if occ
+    )
 
 
 def nbinom_histogram(nu, m, n_samples, seed):
@@ -88,6 +98,55 @@ class TestFitDegeneracy:
         fit = fit_degeneracy(hist, fixed_mean=2.8, bootstrap_resamples=100, seed=1)
         assert fit.bootstrap_std_err is not None
         assert 0.5 < fit.bootstrap_std_err / fit.std_err < 2.0
+
+    def test_large_interior_mode_count_is_not_at_bound(self):
+        # Variance above the mean, and the likelihood peaks near M = 330: a
+        # maximum this flat was once taken for the Poisson-limit plateau.
+        rng = np.random.default_rng(112)
+        hist = CountHistogram.from_counts(rng.negative_binomial(300.0, 300.0 / 301.0, 2000))
+        counts = np.repeat(np.arange(len(hist.occurrences)), hist.occurrences)
+        assert counts.var() > counts.mean()
+        fit = fit_degeneracy(hist, fixed_mean=hist.mean)
+        assert not fit.at_bound
+        assert 100 < fit.degeneracy < 1000
+        ll_hat = lgamma_log_likelihood(hist, hist.mean, fit.degeneracy)
+        for step in (0.99, 1.01):
+            assert lgamma_log_likelihood(hist, hist.mean, fit.degeneracy * step) < ll_hat
+
+    def test_std_err_is_the_likelihood_curvature(self):
+        hist = nbinom_histogram(2.8, 5.6, 1876 * 18, seed=42)
+        fit = fit_degeneracy(hist, fixed_mean=2.8)
+        m, h = fit.degeneracy, 1e-3 * fit.degeneracy
+        curvature = (
+            lgamma_log_likelihood(hist, 2.8, m + h)
+            - 2.0 * lgamma_log_likelihood(hist, 2.8, m)
+            + lgamma_log_likelihood(hist, 2.8, m - h)
+        ) / h**2
+        assert fit.std_err == pytest.approx(1.0 / math.sqrt(-curvature), rel=1e-4)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_at_bound_exactly_when_variance_at_most_mean(self, seed):
+        # Levin & Reeds (1977): at the sample mean the likelihood has an
+        # interior maximum exactly when the sample variance exceeds the mean.
+        # Seeds 1, 6, 8 and 11 draw a variance above the mean, the rest not.
+        rng = np.random.default_rng(seed)
+        counts = rng.negative_binomial(400.0, 400.0 / 401.0, 300)
+        hist = CountHistogram.from_counts(counts)
+        fit = fit_degeneracy(hist, fixed_mean=hist.mean)
+        assert fit.at_bound == (counts.var() <= counts.mean())
+
+    def test_strict_fit_raises_without_a_root(self):
+        hist = CountHistogram.from_counts(np.random.default_rng(7).poisson(2.8, 20000))
+        assert fit_degeneracy(hist, fixed_mean=hist.mean).at_bound
+        with pytest.raises(FitFailureError):
+            fit_degeneracy(hist, fixed_mean=hist.mean, strict=True)
+
+    def test_emits_no_warning(self):
+        poisson = CountHistogram.from_counts(np.random.default_rng(7).poisson(2.8, 20000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_degeneracy(poisson, fixed_mean=2.8, bootstrap_resamples=20)
+            fit_degeneracy(nbinom_histogram(2.8, 5.6, 1876, seed=3), 2.8, bootstrap_resamples=20)
 
     def test_bootstrap_counts_failed_refits(self):
         # About 0.999**1000 = 37 % of the resamples lose the rare count, and

@@ -289,6 +289,23 @@ class TestJointCounts:
         joint = joint_counts(state, (0, 1), (2, 3))
         assert joint.probs[3, 3] == 1.0
 
+    @pytest.mark.parametrize("modes_a,modes_b", [((0, 1), (2,)), ((0, 2), (1,))])
+    def test_either_order_gives_the_transposed_law(self, modes_a, modes_b):
+        rng = np.random.default_rng(4)
+        amps = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+        state = TruncatedPureState(mode_count=3, n_max=3, amplitudes=amps / np.linalg.norm(amps))
+        forward = joint_counts(state, modes_a, modes_b).probs
+        assert np.array_equal(joint_counts(state, modes_b, modes_a).probs, forward.T)
+        assert np.array_equal(joint_counts(state, modes_a[::-1], modes_b).probs, forward)
+
+    @pytest.mark.parametrize(
+        "modes_a,modes_b",
+        [((0, 1), (1, 2)), ((2,), (0,)), ((0, 0), (1, 2)), ((2,), (0, 1, 1)), ((0, 1), (3,))],
+    )
+    def test_non_partitions_rejected(self, modes_a, modes_b):
+        with pytest.raises(ValueError, match="partition"):
+            joint_counts(fock_state((1, 0, 2), 2), modes_a, modes_b)
+
 
 class TestHomJointPmf:
     def test_no_overlap_matches_distinguishable_baseline(self):
