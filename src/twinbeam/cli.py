@@ -334,12 +334,10 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
         points = read_csv_rows(scan_csv, "t2_us,corr,err", [("point", "f8", 3)])["point"]
     except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-    if len(points) < 5:
-        _fail(EXIT_INPUT_ERROR, f"need at least 5 scan points, got {len(points)}")
     try:
         fit = fit_gaussian_dip(points)
     except FitFailureError as exc:
-        _fail(EXIT_FIT_FAILURE, f"dip fit did not converge: {exc} {exc.diagnostics}")
+        _fail(EXIT_FIT_FAILURE, f"dip fit failed: {exc} {exc.diagnostics}")
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
 

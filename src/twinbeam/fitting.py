@@ -4,8 +4,10 @@ The degeneracy fit maximizes the multinomial likelihood of the M-mode
 thermal counting law with the mean held fixed at its measured value, so
 the mode count is the only adjustable parameter; the maximum is the root
 of the closed-form score in ``M``.  The interferometer dip
-is fit by damped Gauss-Newton (Levenberg style) weighted least squares
-with a free baseline.  Visibility predictions evaluate
+is a weighted least-squares fit by bounded variable projection: baseline
+and depth are solved in closed form with ``0 <= V <= 1``, and a refined
+grid searches the centre and ``log`` width inside bounds set by the scan.
+Visibility predictions evaluate
 ``V = 1 - (2 + 1/(2 nu))^(-1)`` and propagate the occupation uncertainty
 both to first order and by Monte Carlo.
 """
@@ -35,6 +37,8 @@ __all__ = [
 
 # Search range for the mode count; the score is checked for a sign change on it.
 DEGENERACY_BRACKET = (1e-6, 1e7)
+# Nodes per axis of each (t0, log sigma) grid round of the dip fit.
+DIP_GRID_NODES = 31
 
 
 class FitFailureError(RuntimeError):
@@ -102,7 +106,7 @@ class DipFit:
     baseline_err: float
     chi2: float
     n_iterations: int
-    converged: bool = True
+    at_bound: tuple = ()
 
     def __post_init__(self):
         if not -1e-9 <= self.visibility <= 1.0 + 1e-9:
@@ -125,7 +129,13 @@ class DipFit:
             "chi2": self.chi2,
             "n_iterations": self.n_iterations,
             "converged": self.converged,
+            "at_bound": list(self.at_bound),
         }
+
+    @property
+    def converged(self) -> bool:
+        """True when no parameter sits on a bound of the fit."""
+        return not self.at_bound
 
     def model(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -288,133 +298,118 @@ def propagate_visibility_uncertainty(
     )
 
 
-def _dip_initial_guess(t, y):
-    order = np.argsort(t)
-    t_sorted, y_sorted = t[order], y[order]
-    n_edge = max(1, int(round(0.15 * len(t))))
-    baseline = float(np.mean(np.concatenate([y_sorted[:n_edge], y_sorted[-n_edge:]])))
-    if baseline <= 0:
-        baseline = max(float(np.mean(y)), 1e-12)
-    t0 = float(t_sorted[np.argmin(y_sorted)])
-    depth = baseline - float(np.min(y_sorted))
-    vis = min(max(depth / baseline, 1e-3), 0.999)
-    below = t_sorted[y_sorted < baseline - 0.5 * depth]
-    if len(below) >= 2 and below.max() > below.min():
-        sigma = (below.max() - below.min()) / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-    else:
-        sigma = (t_sorted.max() - t_sorted.min()) / 6.0
-    return np.array([baseline, vis, t0, max(sigma, 1e-9)])
+def _dip_profile(t0, sigma, t, y, w2):
+    """Best ``(chi2, B, B V)`` under ``0 <= V <= 1`` at each ``(t0, sigma)`` pair.
+
+    With ``g`` the Gaussian at ``(t0, sigma)`` the model ``B - (B V) g`` is a
+    weighted straight line in ``g``.  Where that line's ``0 <= B V <= B`` it
+    is the answer; otherwise the better of the edges ``V = 0`` (``B`` the
+    weighted mean) and ``V = 1`` (``B`` the fit of ``y`` on ``1 - g``) is.
+    ``chi2`` is summed from the residuals, not from expanded sums, so it stays
+    exact near a perfect fit.
+    """
+    g = np.exp(-0.5 * ((t[:, None] - t0) / sigma) ** 2)  # one column per pair
+    y_mean = w2 @ y / w2.sum()
+    g_mean = w2 @ g / w2.sum()
+    dg = g - g_mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = (w2 * (y_mean - y)) @ dg / (w2 @ dg**2)
+    h = 1.0 - g
+    full = (w2 * y) @ h / (w2 @ h**2)
+    b = np.stack([y_mean + depth * g_mean, np.full_like(full, y_mean), full])
+    bv = np.stack([depth, np.zeros_like(full), full])
+    chi2 = np.stack([
+        w2 @ (y[:, None] - b[0] + depth * g) ** 2,
+        np.full_like(full, w2 @ (y - y_mean) ** 2),
+        w2 @ (y[:, None] - full * h) ** 2,
+    ])
+    chi2[0, ~((depth >= 0) & (depth <= b[0]))] = np.inf
+    pick = np.argmin(chi2, axis=0), np.arange(len(t0))
+    return chi2[pick], b[pick], bv[pick]
 
 
-def fit_gaussian_dip(points, max_iterations: int = 200) -> DipFit:
+def fit_gaussian_dip(points) -> DipFit:
     """Weighted fit of ``B (1 - V exp(-(t-t0)^2/(2 sigma^2)))`` to a scan.
 
-    Damped Gauss-Newton with an adaptive Levenberg damping factor and the
-    analytic Jacobian.  Initial values: baseline from the outer 30% of
-    points, ``t0`` at the minimum, ``V`` from the depth-to-baseline
-    ratio, ``sigma`` from the half-depth width.  Parameter errors are the
-    square roots of the diagonal of the inverse weighted normal matrix at
-    convergence (measurement errors taken as given).
+    Bounded variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+    413, 1973): ``_dip_profile`` solves ``B`` and ``B V`` in closed form with
+    ``0 <= V <= 1``, which leaves a search over ``t0`` in ``[min t, max t]``
+    and ``log sigma`` from half the smallest spacing of distinct ``t`` to the
+    span.  A ``DIP_GRID_NODES``-square grid first covers that box; each
+    round then centres the grid on the best node so far, and when no node
+    beats the centre the grid shrinks to the centre's neighbours, until its
+    half-width is below 1e-10 of the box.  ``n_iterations`` counts the
+    rounds, and ``at_bound`` names the parameters left on a bound.  Each
+    point is weighted by its own error; parameter errors are the square
+    roots of the diagonal of the inverse weighted normal matrix of all four
+    parameters at the solution (measurement errors taken as given).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must be (t2, correlation, error) triples")
-    if len(pts) < 5:
-        raise ValueError(f"need at least 5 points, got {len(pts)}")
-    t, y, err = pts[:, 0], pts[:, 1], pts[:, 2]
+    t, y, err = pts.T
+    ts = np.array(sorted(set(t.tolist())))  # np.unique would import numpy.ma
+    if len(ts) < 5:
+        raise ValueError(f"need at least 5 distinct t2 values, got {len(ts)}")
     if np.any(err <= 0):
         raise ValueError("all point errors must be positive")
-    w = 1.0 / err
-
-    def residuals(theta):
-        b, v, t0, sigma = theta
-        gauss = np.exp(-((t - t0) ** 2) / (2.0 * sigma**2))
-        model = b * (1.0 - v * gauss)
-        return (y - model) * w, gauss
-
-    def jacobian(theta, gauss):
-        b, v, t0, sigma = theta
-        dt = t - t0
-        col_b = (1.0 - v * gauss) * w
-        col_v = -b * gauss * w
-        col_t0 = -b * v * gauss * dt / sigma**2 * w
-        col_sigma = -b * v * gauss * dt**2 / sigma**3 * w
-        return np.column_stack([col_b, col_v, col_t0, col_sigma])
-
-    theta = _dip_initial_guess(t, y)
-    damping = 1e-3
-    r, gauss = residuals(theta)
-    cost = float(r @ r)
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iterations + 1):
-        jac = jacobian(theta, gauss)
-        normal = jac.T @ jac
-        gradient = jac.T @ r
-        stepped = False
-        for _ in range(25):
-            lhs = normal + damping * np.diag(np.diag(normal))
-            try:
-                delta = np.linalg.solve(lhs, gradient)
-            except np.linalg.LinAlgError:
-                damping *= 10.0
-                continue
-            trial = theta + delta
-            trial[3] = abs(trial[3])
-            if trial[3] == 0 or trial[0] <= 0:
-                damping *= 10.0
-                continue
-            r_trial, gauss_trial = residuals(trial)
-            cost_trial = float(r_trial @ r_trial)
-            if cost_trial <= cost + 1e-15:
-                rel_step = np.max(np.abs(delta) / (np.abs(theta) + 1e-12))
-                theta, r, gauss = trial, r_trial, gauss_trial
-                improvement = cost - cost_trial
-                cost = cost_trial
-                damping = max(damping / 3.0, 1e-12)
-                stepped = True
-                if rel_step < 1e-12 or improvement < 1e-15 * max(cost, 1.0):
-                    converged = True
-                break
-            damping *= 10.0
-        if converged:
-            break
-        if not stepped:
-            # Damping saturated without improvement: stationary point.
-            converged = True
-            break
-
-    if not converged:
-        raise FitFailureError(
-            f"dip fit did not converge in {max_iterations} iterations",
-            {
-                "theta": theta.tolist(),
-                "chi2": cost,
-                "damping": damping,
-                "iterations": iteration,
-            },
+    w2 = err**-2.0
+    lo = np.array([ts[0], math.log(np.diff(ts).min() / 2.0)])
+    hi = np.array([ts[-1], math.log(ts[-1] - ts[0])])
+    axis = np.linspace(-1.0, 1.0, DIP_GRID_NODES)
+    centre, step, best, rounds = (lo + hi) / 2.0, (hi - lo) / 2.0, np.inf, 0
+    while np.any(step > 1e-10 * (hi - lo)):
+        rounds += 1
+        nodes = np.clip(centre[:, None] + step[:, None] * axis, lo[:, None], hi[:, None])
+        t0s, log_sigmas = (a.ravel() for a in np.meshgrid(*nodes, indexing="ij"))
+        chi2s = _dip_profile(t0s, np.exp(log_sigmas), t, y, w2)[0]
+        k = int(np.argmin(chi2s))
+        if chi2s[k] < best:  # ties keep the centre, so a flat chi2 shrinks the grid
+            best, centre = chi2s[k], np.array([t0s[k], log_sigmas[k]])
+        else:
+            step = step * 2.0 / (DIP_GRID_NODES - 1)
+    t0_hat, sigma = float(centre[0]), float(np.exp(centre[1]))
+    chi2, baseline, depth = (
+        float(a[0]) for a in _dip_profile(centre[:1], np.exp(centre[1:]), t, y, w2)
+    )
+    visibility = depth / baseline
+    at_bound = tuple(
+        name
+        for name, value, bounds in (
+            ("visibility", visibility, (0.0, 1.0)),
+            ("t0", centre[0], (lo[0], hi[0])),
+            ("sigma", centre[1], (lo[1], hi[1])),
         )
+        if value in bounds
+    )
 
-    jac = jacobian(theta, gauss)
+    gauss = np.exp(-0.5 * ((t - t0_hat) / sigma) ** 2)
+    dt = t - t0_hat
+    jac = np.column_stack([
+        1.0 - visibility * gauss,
+        -baseline * gauss,
+        -baseline * visibility * gauss * dt / sigma**2,
+        -baseline * visibility * gauss * dt**2 / sigma**3,
+    ]) / err[:, None]
     try:
         covariance = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         raise FitFailureError(
             "singular normal matrix at the dip-fit solution",
-            {"theta": theta.tolist(), "chi2": cost},
+            {"theta": [baseline, visibility, t0_hat, sigma], "chi2": chi2,
+             "at_bound": list(at_bound)},
         ) from None
     errors = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    baseline, visibility, t0_hat, sigma = theta
     return DipFit(
-        visibility=float(min(max(visibility, 0.0), 1.0)),
-        t0=float(t0_hat),
-        sigma=float(abs(sigma)),
-        baseline=float(baseline),
+        visibility=visibility,
+        t0=t0_hat,
+        sigma=sigma,
+        baseline=baseline,
         baseline_err=float(errors[0]),
         visibility_err=float(errors[1]),
         t0_err=float(errors[2]),
         sigma_err=float(errors[3]),
-        chi2=cost,
-        n_iterations=iteration,
-        converged=True,
+        chi2=chi2,
+        n_iterations=rounds,
+        at_bound=at_bound,
     )

@@ -431,6 +431,51 @@ class TestSimulateHomAndFitDip:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "t2",
+        [[-100.0, -100.0, 0.0, 0.0, 100.0, 100.0], [0.0] * 5],
+        ids=["three-distinct", "five-equal"],
+    )
+    def test_fit_dip_too_few_distinct_t2_exits_2(self, tmp_path, runner, t2):
+        path = tmp_path / "repeated.csv"
+        corr = 0.4 * (1 - 0.7 * np.exp(-(np.array(t2) ** 2) / (2 * 86.0**2)))
+        path.write_text(
+            "t2_us,corr,err\n" + "".join(f"{a},{b},0.01\n" for a, b in zip(t2, corr))
+        )
+        out = tmp_path / "f"
+        result = runner.invoke(main, ["fit-dip", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "distinct t2" in result.output
+        assert not (out / "dip_fit.json").exists()
+
+    def test_fit_dip_flat_scan_exits_4(self, tmp_path, runner):
+        # An exactly flat scan fits at V = 0, where t0 and sigma leave the
+        # model and the normal matrix is singular.
+        path = tmp_path / "flat.csv"
+        path.write_text(
+            "t2_us,corr,err\n" + "".join(f"{a},0.25,0.5\n" for a in np.linspace(-240, 240, 9))
+        )
+        out = tmp_path / "f"
+        result = runner.invoke(main, ["fit-dip", str(path), "--out", str(out)])
+        assert result.exit_code == 4
+        assert "dip fit failed: singular normal matrix" in result.output
+        assert not (out / "dip_fit.json").exists()
+
+    def test_fit_dip_default_seed_1_fits_with_sigma_at_bound(self, tmp_path, runner):
+        # The shipped 13-point scan on seed 1 pulls sigma below the point
+        # spacing; the fit stops at its lower bound instead of failing.
+        path = write_doc(tmp_path, {"master_seed": 1})
+        hom = tmp_path / "hom"
+        result = runner.invoke(main, ["simulate-hom", "--config", str(path), "--out", str(hom)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "fit"
+        result = runner.invoke(main, ["fit-dip", str(hom / "hom_scan.csv"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        fit = json.loads((out / "dip_fit.json").read_text())
+        assert fit["at_bound"] == ["sigma"]
+        assert not fit["converged"]
+        assert 0.0 <= fit["visibility"] <= 1.0
+
     def test_fit_dip_malformed_row_exits_2(self, tmp_path, runner):
         path = tmp_path / "bad.csv"
         path.write_text("t2_us,corr,err\n0.0,1.0\n")

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats as sps
 
 from twinbeam.analysis import CountHistogram
+from twinbeam.config import default_config, section
 from twinbeam.distributions import TmsvParams
 from twinbeam.fitting import (
     FitFailureError,
@@ -16,6 +17,7 @@ from twinbeam.fitting import (
     predict_visibility,
     propagate_visibility_uncertainty,
 )
+from twinbeam.simulate import correlation_scan, simulate_hom_run
 
 # Frozen from independent evaluation of 1 - (2 + 1/(2 nu))^(-1).
 V_033 = 0.715517241379
@@ -243,6 +245,23 @@ class TestFitGaussianDip:
         assert abs(fit.t0 - 12.0) < 86.0 * 1e-6
         assert abs(fit.sigma - 86.0) / 86.0 < 1e-6
         assert abs(fit.baseline - 0.38) / 0.38 < 1e-6
+        assert fit.at_bound == ()
+        assert fit.converged
+
+    def test_visibility_above_one_stops_at_bound(self):
+        # A dip deeper than its baseline asks for V = 1.3; the fit holds V = 1.
+        t = np.linspace(-260, 260, 15)
+        points = dip_points(0.38, 1.3, 12.0, 86.0, t, err=0.01)
+        fit = fit_gaussian_dip(points)
+        assert fit.visibility == 1.0
+        assert "visibility" in fit.at_bound
+        assert not fit.converged
+        assert fit.to_dict()["at_bound"] == list(fit.at_bound)
+
+    def test_too_few_distinct_t2_rejected(self):
+        t = [-100.0, -100.0, 0.0, 0.0, 100.0, 100.0]
+        with pytest.raises(ValueError, match="distinct t2"):
+            fit_gaussian_dip(dip_points(1.0, 0.5, 0.0, 50.0, t, err=0.1))
 
     def test_noiseless_residual_floor(self):
         t = np.linspace(-300, 300, 21)
@@ -295,3 +314,27 @@ class TestFitGaussianDip:
         points = dip_points(0.5, 0.6, 0.0, 80.0, t, err=0.01)
         fit = fit_gaussian_dip(points)
         assert fit.model(np.array([0.0]))[0] == pytest.approx(0.5 * (1 - 0.6), rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def default_seed_scans():
+    """Scans of the shipped ``hom`` section on seeds 1-12."""
+    doc = default_config()
+    resamples = section(doc, "analysis").bootstrap_resamples
+    return {
+        seed: np.asarray(
+            correlation_scan(simulate_hom_run(section(doc, "hom", seed)), resamples=resamples)
+        )
+        for seed in range(1, 13)
+    }
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_default_seed_dip_fit_stays_in_bounds(default_seed_scans, seed):
+    # An unbounded fit failed on seeds 1, 2 and 12 and pushed V above 1 on 8.
+    points = default_seed_scans[seed]
+    fit = fit_gaussian_dip(points)
+    t2 = np.unique(points[:, 0])
+    assert 0.0 <= fit.visibility <= 1.0
+    assert np.diff(t2).min() / 2 * (1 - 1e-12) <= fit.sigma <= (t2[-1] - t2[0]) * (1 + 1e-12)
+    assert t2[0] <= fit.t0 <= t2[-1]
