@@ -7,7 +7,9 @@ and the survivors are either summed histogram-wise (single-mode view) or
 pooled shot-wise (multimode view).  The per-cell histograms are one
 ``(cells, width)`` matrix and the kept cells one array of flat indices.
 Uncertainties come from resampling whole shots with replacement, shots
-being the independent unit of the experiment.
+being the independent unit of the experiment.  Every bootstrapped
+statistic is a shot mean of a per-shot row that takes few distinct
+values, so a resample is a multinomial weight on the distinct rows.
 """
 
 from __future__ import annotations
@@ -198,32 +200,27 @@ def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:
 
 
 def bootstrap_std(
-    data, statistic, resamples: int = AnalysisParams.bootstrap_resamples, seed: int = 0
+    rows, shots, resamples: int = AnalysisParams.bootstrap_resamples, seed: int = 0
 ):
-    """Standard deviation of ``statistic`` under shot resampling.
+    """Bootstrap standard deviation of the shot mean of per-shot rows.
 
-    ``data`` holds per-shot sufficient statistics along its first axis.
-    Each of the ``resamples`` resamples draws ``n`` shots with replacement
-    (one ``integers(0, n, size=n)`` call) and calls
-    ``statistic(data, weights)``, where ``weights[i]`` counts the draws of
-    shot ``i``; it returns a scalar or an array.  A statistic of the
-    resampled rows ``data[rows]`` that sums over shots is a weighted sum
-    here, e.g. ``weights @ data / n`` for the mean.  With integer data
-    such sums are exact, so they equal the per-row form to the last bit.
+    ``rows`` holds the distinct per-shot rows (scalars or vectors) along
+    its first axis and ``shots[i]`` the number of shots showing row ``i``,
+    e.g. ``np.unique(per_shot, axis=0, return_counts=True)``.  Drawing the
+    ``n`` shots with replacement puts a Multinomial(``n``, ``shots / n``)
+    weight on the distinct rows, so all ``resamples`` resamples are one
+    ``multinomial`` draw ``W`` and the result is the SD of ``W @ rows / n``
+    over them: a scalar for scalar rows, one SD per column otherwise.
     Seeded, hence deterministic.
     """
-    data = np.asarray(data)
-    if data.shape[0] == 0:
+    rows, shots = np.asarray(rows), np.asarray(shots)
+    n = int(shots.sum())
+    if n == 0:
         raise ValueError("cannot bootstrap empty data")
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples}")
-    rng = np.random.default_rng(seed)
-    n = data.shape[0]
-    values = []
-    for _ in range(resamples):
-        rows = rng.integers(0, n, size=n)
-        values.append(statistic(data, np.bincount(rows, minlength=n)))
-    return np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
+    weights = np.random.default_rng(seed).multinomial(n, shots / n, size=resamples)
+    return np.std(weights @ rows / n, axis=0, ddof=1)
 
 
 def write_cell_stats(path, grid: CellGrid, means: np.ndarray, kept: np.ndarray) -> None:

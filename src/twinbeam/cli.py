@@ -208,6 +208,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         binned = bin_events(table, grid)
     except MemoryError:
         _fail(EXIT_INPUT_ERROR, f"shots = {table.n_shots}: count matrix too large")
+    del table  # the event columns are not needed past binning
     hists = cell_histograms(binned)
     means = cell_means(hists)
     kept = filter_cells(means, params.min_mean)
@@ -226,11 +227,10 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
     summed = sum_histograms(hists[kept])
     width = len(summed.occurrences)
     summed_err = bootstrap_std(
-        shot_histograms(kept_counts, width),
-        lambda rows, weights: weights @ rows / kept_counts.size,
+        *np.unique(shot_histograms(kept_counts, width), axis=0, return_counts=True),
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM),
-    )
+    ) / len(kept)
     _histogram_csv(
         out_dir / "summed_histogram.csv",
         summed.occurrences,
@@ -244,11 +244,10 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
     # Shot-wise pooled counts over the same cells, fit for the mode count.
     pooled = pooled_counts_histogram(kept_counts)
     pooled_width = len(pooled.occurrences) + 5
+    sums, shots = np.unique(kept_counts.sum(axis=1), return_counts=True)
     pooled_err = bootstrap_std(
-        kept_counts.sum(axis=1),
-        lambda sums, weights: (
-            np.bincount(sums, weights=weights, minlength=pooled_width) / len(sums)
-        ),
+        np.eye(pooled_width)[sums],
+        shots,
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_POOLED_HISTOGRAM),
     )

@@ -234,11 +234,12 @@ def fit_degeneracy(
     bootstrap_std_err = None
     bootstrap_failed = 0
     if bootstrap_resamples > 0:
-        rng = np.random.default_rng(seed)
-        probs = occ / shots
+        draws = np.random.default_rng(seed).multinomial(
+            shots, occ / shots, size=bootstrap_resamples
+        )
         estimates = []
-        for _ in range(bootstrap_resamples):
-            resampled = CountHistogram(rng.multinomial(shots, probs), total_shots=shots)
+        for draw in draws:
+            resampled = CountHistogram(draw, total_shots=shots)
             try:
                 refit = fit_degeneracy(resampled, fixed_mean, strict=edge is None)
             except FitFailureError:

@@ -22,7 +22,7 @@ from twinbeam.analysis import (
     write_cell_stats,
 )
 from twinbeam.distributions import thermal_pmf
-from twinbeam.simulate import EventTable
+from twinbeam.simulate import EventTable, HomRun, correlation_scan
 
 
 def table_from_events(event_rows):
@@ -264,124 +264,74 @@ class TestPooledCounts:
             pooled_counts_histogram(binned.counts[:, []])
 
 
-def weighted_mean(data, weights):
-    return weights @ data / len(data)
-
-
-class TestBootstrapStd:
-    def test_constant_statistic_is_zero(self):
-        data = np.arange(100.0)
-        assert bootstrap_std(data, lambda x, w: 1.0, resamples=200, seed=0) == 0.0
-
-    def test_mean_statistic_matches_analytic_error(self):
-        rng = np.random.default_rng(6)
-        data = rng.geometric(1 / 1.158, size=10_000) - 1.0
-        boot = float(bootstrap_std(data, weighted_mean, resamples=1000, seed=1))
-        analytic = data.std(ddof=1) / np.sqrt(len(data))
-        assert abs(boot - analytic) / analytic < 0.20
-
-    def test_deterministic_under_seed(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=500)
-        a = bootstrap_std(data, weighted_mean, resamples=300, seed=9)
-        b = bootstrap_std(data, weighted_mean, resamples=300, seed=9)
-        assert a == b
-
-    def test_vector_statistic(self):
-        rng = np.random.default_rng(8)
-        data = rng.integers(0, 4, size=(2000, 3))
-        err = bootstrap_std(data, weighted_mean, resamples=200, seed=2)
-        assert err.shape == (3,)
-        assert np.all(err > 0)
-
-    def test_empty_data_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_std(np.empty((0, 2)), weighted_mean)
-
-
-def per_row_bootstrap_std(data, statistic, resamples, seed):
-    """Reference bootstrap: ``statistic`` of the resampled rows ``data[rows]``."""
-    rng = np.random.default_rng(seed)
-    n = len(data)
-    values = [statistic(data[rng.integers(0, n, size=n)]) for _ in range(resamples)]
-    return np.std(np.asarray(values, dtype=float), axis=0, ddof=1)
-
-
 def assert_same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
 
 
-class TestBootstrapMatchesPerRowReference:
-    """The weighted statistics of ``analyze-counts`` and ``correlation_scan``
-    equal their per-row forms to the last bit."""
+def sd_tolerance(resamples, z=4.0):
+    """``z`` times the relative standard error of an SD estimated from
+    ``resamples`` near-normal values, ``1/sqrt(2 (R - 1))``."""
+    return z / math.sqrt(2 * (resamples - 1))
 
-    def check(self, counts, resamples=60, seed=11):
-        width = int(counts.max()) + 1
-        assert_same_bytes(
-            bootstrap_std(
-                shot_histograms(counts, width),
-                lambda hists, weights: weights @ hists / counts.size,
-                resamples=resamples,
-                seed=seed,
-            ),
-            per_row_bootstrap_std(
-                counts,
-                lambda rows: np.bincount(rows.ravel(), minlength=width)[:width] / rows.size,
-                resamples,
-                seed,
-            ),
-        )
-        sums = counts.sum(axis=1)
-        pooled_width = int(sums.max()) + 6
-        assert_same_bytes(
-            bootstrap_std(
-                sums,
-                lambda s, weights: np.bincount(s, weights=weights, minlength=pooled_width)
-                / len(s),
-                resamples=resamples,
-                seed=seed,
-            ),
-            per_row_bootstrap_std(
-                counts,
-                lambda rows: np.bincount(rows.sum(axis=1), minlength=pooled_width)[
-                    :pooled_width
-                ]
-                / len(rows),
-                resamples,
-                seed,
-            ),
-        )
-        products = counts[:, 0] * counts[:, -1]
-        assert_same_bytes(
-            bootstrap_std(products, weighted_mean, resamples=resamples, seed=seed),
-            per_row_bootstrap_std(products.astype(float), np.mean, resamples, seed),
-        )
 
-    def test_empty_shots_and_all_zero_cells(self):
-        rng = np.random.default_rng(21)
-        counts = rng.geometric(0.4, size=(300, 5)) - 1
-        counts[::7] = 0  # empty shots
-        counts[:, 2] = 0  # a cell no shot reaches
-        self.check(counts)
+class TestBootstrapStd:
+    def test_constant_statistic_is_zero(self):
+        assert bootstrap_std([7], [100], resamples=200, seed=0) == 0.0
+        err = bootstrap_std([[3, 1]], [500], resamples=200, seed=0)
+        assert_same_bytes(err, np.zeros(2))
 
-    def test_one_shot(self):
-        self.check(np.array([[0, 3, 1]]))
+    def test_mean_statistic_matches_analytic_error(self):
+        rng = np.random.default_rng(6)
+        data = rng.geometric(1 / 1.158, size=10_000) - 1
+        boot = float(bootstrap_std(*np.unique(data, return_counts=True), 1000, seed=1))
+        analytic = data.std() / math.sqrt(len(data))
+        assert abs(boot - analytic) / analytic < sd_tolerance(1000)
 
-    def test_large_counts(self):
-        rng = np.random.default_rng(22)
-        self.check(rng.integers(0, 400, size=(50, 2)), resamples=20)
+    def test_vector_statistic(self):
+        # One-hot rows of the distinct per-shot values: each column's SD is
+        # the binomial sqrt(p (1 - p) / n) of that value's frequency, and it
+        # is the SD the column alone gets under the same draws.
+        rng = np.random.default_rng(8)
+        _, shots = np.unique(rng.integers(0, 4, size=2000), return_counts=True)
+        rows = np.eye(len(shots))
+        err = bootstrap_std(rows, shots, resamples=1000, seed=2)
+        assert err.shape == (len(shots),)
+        p = shots / shots.sum()
+        analytic = np.sqrt(p * (1 - p) / shots.sum())
+        assert np.all(np.abs(err - analytic) / analytic < sd_tolerance(1000))
+        for column in range(len(shots)):
+            alone = bootstrap_std(rows[:, column], shots, resamples=1000, seed=2)
+            assert alone == pytest.approx(err[column], rel=1e-12)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(1, 30), st.integers(1, 4)),
-        high=st.integers(1, 6),
-        seed=st.integers(0, 2**32),
-    )
-    def test_random_small_matrices(self, shape, high, seed):
-        counts = np.random.default_rng(seed).integers(0, high, size=shape)
-        self.check(counts, resamples=10, seed=seed)
+    def test_deterministic_under_seed(self):
+        rng = np.random.default_rng(7)
+        rows, shots = np.unique(rng.integers(0, 9, size=(500, 2)), axis=0, return_counts=True)
+        a = bootstrap_std(rows, shots, resamples=300, seed=9)
+        assert_same_bytes(a, bootstrap_std(rows, shots, resamples=300, seed=9))
+        assert not np.array_equal(a, bootstrap_std(rows, shots, resamples=300, seed=10))
+
+    def test_empty_data_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            bootstrap_std(np.empty((0, 2)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_fewer_than_two_resamples_rejected(self, resamples):
+        with pytest.raises(ValueError, match="resamples"):
+            bootstrap_std([0, 1], [5, 5], resamples=resamples)
+
+    def test_rows_and_shot_counts_must_align(self):
+        with pytest.raises(ValueError):
+            bootstrap_std([0, 1, 2], [5, 5])
+
+    def test_scan_point_without_coincidences_gets_floor(self):
+        counts_a = np.array([[0, 2, 0, 1], [1, 1, 2, 0]])
+        counts_b = np.array([[3, 0, 0, 0], [1, 2, 1, 1]])
+        run = HomRun({"master_seed": 5}, (0.0, 1.0), counts_a, counts_b, (0.0, 0.0))
+        (_, corr_0, err_0), (_, corr_1, err_1) = correlation_scan(run, resamples=50)
+        assert (corr_0, err_0) == (0.0, 0.25)
+        assert corr_1 == 1.25 and err_1 > 0.25
 
 
 class TestShotHistograms:
