@@ -189,6 +189,10 @@ class TestCountingRun:
         assert np.array_equal(a.shot, b.shot)
         assert np.array_equal(a.velocities, b.velocities)
 
+    def test_velocities_on_the_write_lattice(self):
+        velocities = simulate_counting_run(small_config()).velocities
+        assert np.array_equal(np.round(velocities, 9), velocities)
+
     def test_law_of_large_numbers(self):
         config = small_config(shots=20_000, nu_per_mode=0.3, eta=0.4)
         table = simulate_counting_run(config)
@@ -264,6 +268,7 @@ class TestCountingRun:
                 positions = np.repeat(centers, counts, axis=0)
                 positions = positions + rng.normal(0.0, widths, size=(total, 3))
                 events = positions[rng.random(total) < config.eta]
+            events = np.round(events, 9)
             assert np.array_equal(events, table.velocities[table.shot == shot_id])
 
 
@@ -388,7 +393,7 @@ def per_shot_event_csv(table) -> str:
     lines = ["shot,vx,vy,vz\n"]
     for shot in range(table.n_shots):
         for vx, vy, vz in table.velocities[table.shot == shot]:
-            lines.append(f"{shot},{float(vx)!r},{float(vy)!r},{float(vz)!r}\n")
+            lines.append("%d,%.9f,%.9f,%.9f\n" % (shot, vx, vy, vz))
     return "".join(lines)
 
 
@@ -400,13 +405,27 @@ def per_shot_hom_csv(run) -> str:
             vx, vy, vz = PORT_VELOCITIES[port]
             for shot, count in enumerate(counts):
                 for _ in range(count):
-                    lines.append(
-                        f"{shot},{float(vx)!r},{float(vy)!r},{float(vz)!r},{port},{float(t2)!r}\n"
-                    )
+                    lines.append("%d,%.9f,%.9f,%.9f,%s,%r\n" % (shot, vx, vy, vz, port, t2))
     return "".join(lines)
 
 
 class TestEventTableIO:
+    @given(st.floats(min_value=-1e12, max_value=1e12))
+    @example(-0.0)
+    @example(-1e-300)
+    @example(-4.9e-10)
+    @example(-5e-10)
+    @example(float(np.nextafter(1.25, 0.0)))
+    @example(float(np.nextafter(-3.75, -np.inf)))
+    @example(1.25 + 5e-10)
+    @example(3.75 - 5e-10)
+    @example(8388607.999999999)
+    @example(1e12)
+    def test_lattice_value_prints_and_parses_to_itself(self, x):
+        # The writer's contract: a 9-decimal value survives "%.9f" bit for bit.
+        r = np.round(x, 9)
+        assert np.float64(float("%.9f" % r)).tobytes() == np.float64(r).tobytes()
+
     def test_writer_matches_per_shot_reference(self, tmp_path):
         table = simulate_counting_run(small_config())
         assert (table.counts_per_shot() == 0).any()
@@ -493,6 +512,13 @@ class TestEventTableIO:
         meta_path.write_text(json.dumps({"shots": 5, "config": {"shots": 5}, "master_seed": 0}))
         with pytest.raises(ValueError, match=re.escape(f"{csv_path}:{line}:")):
             read_event_table(csv_path, meta_path)
+
+    def test_hom_t2_column_reads_back_exactly(self, tmp_path):
+        t2_values = (-100.0 / 3, 0.1, 2.0 / 3, 1e-7)
+        run = simulate_hom_run(small_hom_config(t2_values=t2_values, shots_per_point=200))
+        write_hom_events(run, tmp_path / "hom.csv", tmp_path / "hom.meta.json")
+        rows = (tmp_path / "hom.csv").read_text().splitlines()[1:]
+        assert {float(row.rsplit(",", 1)[1]) for row in rows} == set(run.t2_values)
 
     def test_hom_events_csv(self, tmp_path):
         run = simulate_hom_run(small_hom_config(shots_per_point=50))
