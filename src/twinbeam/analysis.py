@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_field
+from .checks import check_field, write_csv
 
 __all__ = [
     "AnalysisParams",
@@ -225,9 +225,6 @@ def bootstrap_std(
 
 def write_cell_stats(path, grid: CellGrid, means: np.ndarray, kept: np.ndarray) -> None:
     """CSV export with ``ix,iy,iz,mean,kept`` columns, one row per cell."""
-    index = np.unravel_index(np.arange(grid.n_cells), grid.counts_per_axis)
-    flags = np.isin(np.arange(grid.n_cells), kept)
-    with open(path, "w") as fh:
-        fh.write("ix,iy,iz,mean,kept\n")
-        for ix, iy, iz, mean, flag in zip(*index, means.tolist(), flags.tolist()):
-            fh.write(f"{ix},{iy},{iz},{mean!r},{int(flag)}\n")
+    cells = np.arange(grid.n_cells)
+    index = np.unravel_index(cells, grid.counts_per_axis)
+    write_csv(path, "ix,iy,iz,mean,kept", *index, means, np.isin(cells, kept).astype(int))

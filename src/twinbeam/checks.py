@@ -1,4 +1,4 @@
-"""The checks at the program's input boundary.
+"""The program's file boundary: checked input, one form for each output.
 
 Each config field states its range once, in its class's
 ``__post_init__``, through :func:`check_field`.  The check rejects NaN,
@@ -7,12 +7,15 @@ expected and ``10.0`` where an integer is expected, so a JSON document
 cannot slip a value past it.  Both CSV inputs, event tables and HOM
 scans, go through :func:`read_csv_rows`, which holds every row to its
 column types and every float to being finite, and names the offending
-line.
+line.  Every result leaves through :func:`write_json` (2-space indent,
+sorted keys, final newline) or :func:`write_csv` (the ``repr`` of each
+value); only the fixed-point event tables have their own writer.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import numbers
 import re
@@ -21,7 +24,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["check_field", "read_csv_rows", "csv_row_error"]
+__all__ = ["check_field", "read_csv_rows", "csv_row_error", "write_json", "write_csv"]
 
 
 def check_field(
@@ -131,3 +134,20 @@ def _loadtxt_error(path, message: str) -> ValueError:
         what, row, column = found.groups()
         return csv_row_error(path, int(row), f"{what} in column {column}")
     return ValueError(f"{path}: {message}")
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as JSON: 2-space indent, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write ``header``, then one row per entry of the equal-length ``columns``.
+
+    Each value is the ``repr`` of its Python scalar: never ``np.float64(...)``.
+    """
+    rows = zip(*(np.asarray(column).tolist() for column in columns), strict=True)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

@@ -9,6 +9,7 @@ validation error, 3 empty-result condition, 4 fit failure.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -30,7 +31,7 @@ from .analysis import (
     sum_histograms,
     write_cell_stats,
 )
-from .checks import read_csv_rows
+from .checks import read_csv_rows, write_csv, write_json
 from .config import ConfigError, config_digest, default_config, load_config, section
 from .distributions import multimode_pmf, poisson_pmf, thermal_pmf
 from .fitting import (
@@ -72,11 +73,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_manifest(out_dir: Path, doc: dict, seed: int, files, stamp: bool) -> Path:
+def _write_manifest(out_dir: Path, doc: dict, seed: int, files, stamp: bool) -> None:
     manifest = {
         "tool": "twinbeam",
         "version": __version__,
@@ -92,9 +89,7 @@ def _write_manifest(out_dir: Path, doc: dict, seed: int, files, stamp: bool) -> 
             for f in sorted(files)
         ],
     }
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest)
-    return path
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_config_or_fail(path: str) -> dict:
@@ -170,14 +165,9 @@ def cmd_simulate_source(config_path, out, seed, stamp):
 
 
 def _histogram_csv(path: Path, occurrences, err, overlays: dict) -> None:
+    header = ",".join(["n", "occurrences", "probability", "err", *overlays])
     probs = occurrences / occurrences.sum()
-    names = list(overlays)
-    with open(path, "w") as fh:
-        fh.write("n,occurrences,probability,err" + "".join(f",{n}" for n in names) + "\n")
-        for n, occ in enumerate(occurrences):
-            row = [str(n), str(int(occ)), repr(float(probs[n])), repr(float(err[n]))]
-            row += [repr(float(overlays[name][n])) for name in names]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, header, range(len(occurrences)), occurrences, probs, err, *overlays.values())
 
 
 @main.command("analyze-counts")
@@ -270,10 +260,10 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
             "multimode": multimode_pmf(pooled.mean, fit.degeneracy, pooled_width - 1).probs,
         },
     )
-    _write_json(
+    write_json(
         out_dir / "degeneracy_fit.json",
         {
-            **fit.to_dict(),
+            **dataclasses.asdict(fit),
             "kept_cells": len(kept),
             "events_dropped": int(binned.dropped.sum()),
             "average_cell_mean": mean_single,
@@ -309,10 +299,7 @@ def cmd_simulate_hom(config_path, out, seed, stamp):
     resamples = section(doc, "analysis").bootstrap_resamples
     points = correlation_scan(run, resamples=resamples)
     scan_csv = out_dir / "hom_scan.csv"
-    with open(scan_csv, "w") as fh:
-        fh.write("t2_us,corr,err\n")
-        for t2, corr, err in points:
-            fh.write(f"{float(t2)!r},{float(corr)!r},{float(err)!r}\n")
+    write_csv(scan_csv, "t2_us,corr,err", *np.array(points, dtype=float).T)
     _write_manifest(
         out_dir, doc, config.master_seed, [events_csv, events_meta, scan_csv], stamp
     )
@@ -340,7 +327,8 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
 
-    payload = {**fit.to_dict(), "input_digest": _sha256(Path(scan_csv))}
+    digest = _sha256(Path(scan_csv))
+    payload = {**dataclasses.asdict(fit), "converged": fit.converged, "input_digest": digest}
     if nu is not None:
         try:
             prediction = propagate_visibility_uncertainty(nu, nu_std)
@@ -360,18 +348,14 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
             f"{prediction.v_pred:.2f} +/- {prediction.v_std:.2f}   "
             f"{fit.visibility:.2f} +/- {fit.visibility_err:.2f}"
         )
-    _write_json(out_dir / "dip_fit.json", payload)
+    write_json(out_dir / "dip_fit.json", payload)
     ts = np.sort(points[:, 0])
     t_dense = np.linspace(ts.min(), ts.max(), 200)
-    curve = fit.model(t_dense)
     curve_csv = out_dir / "fitted_curve.csv"
-    with open(curve_csv, "w") as fh:
-        fh.write("t2_us,corr_fit\n")
-        for tt, cc in zip(t_dense, curve):
-            fh.write(f"{float(tt)!r},{float(cc)!r}\n")
+    write_csv(curve_csv, "t2_us,corr_fit", t_dense, fit.model(t_dense))
     _write_manifest(
         out_dir,
-        {"scan_digest": payload["input_digest"]},
+        {"scan_digest": digest},
         0,
         [out_dir / "dip_fit.json", curve_csv],
         stamp,
@@ -394,11 +378,11 @@ def cmd_predict_visibility(nu, nu_std, config_path, out, stamp):
     doc = {"master_seed": 0}
     if config_path is not None:
         doc = _load_config_or_fail(config_path)
-    section = doc.get("visibility", {})
+    visibility = doc.get("visibility", {})
     if nu is None:
-        nu = section.get("nu")
+        nu = visibility.get("nu")
     if nu_std is None:
-        nu_std = section.get("nu_std", 0.0)
+        nu_std = visibility.get("nu_std", 0.0)
     if nu is None:
         _fail(EXIT_INPUT_ERROR, "provide --nu or a visibility section in the config")
     out_dir = _prepare_out(out)
@@ -406,7 +390,7 @@ def cmd_predict_visibility(nu, nu_std, config_path, out, stamp):
         prediction = propagate_visibility_uncertainty(nu, nu_std)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
-    _write_json(out_dir / "visibility_prediction.json", prediction.to_dict())
+    write_json(out_dir / "visibility_prediction.json", dataclasses.asdict(prediction))
     _write_manifest(
         out_dir, doc, doc.get("master_seed", 0), [out_dir / "visibility_prediction.json"], stamp
     )

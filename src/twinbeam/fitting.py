@@ -9,7 +9,9 @@ and depth are solved in closed form with ``0 <= V <= 1``, and a refined
 grid searches the centre and ``log`` width inside bounds set by the scan.
 Visibility predictions evaluate
 ``V = 1 - (2 + 1/(2 nu))^(-1)`` and propagate the occupation uncertainty
-both to first order and by Monte Carlo.
+both to first order and by Monte Carlo.  The result dataclasses are
+written with ``dataclasses.asdict``, so their field names are the keys
+of the result JSON files.
 """
 
 from __future__ import annotations
@@ -77,17 +79,6 @@ class DegeneracyFit:
         if self.degeneracy <= 0:
             raise ValueError(f"degeneracy must be > 0, got {self.degeneracy}")
 
-    def to_dict(self) -> dict:
-        return {
-            "degeneracy": self.degeneracy,
-            "std_err": self.std_err,
-            "bootstrap_std_err": self.bootstrap_std_err,
-            "bootstrap_failed": self.bootstrap_failed,
-            "fixed_mean": self.fixed_mean,
-            "log_likelihood": self.log_likelihood,
-            "at_bound": self.at_bound,
-        }
-
 
 @dataclass(frozen=True)
 class DipFit:
@@ -116,22 +107,6 @@ class DipFit:
         if self.baseline <= 0:
             raise ValueError(f"baseline must be positive, got {self.baseline}")
 
-    def to_dict(self) -> dict:
-        return {
-            "visibility": self.visibility,
-            "visibility_err": self.visibility_err,
-            "t0": self.t0,
-            "t0_err": self.t0_err,
-            "sigma": self.sigma,
-            "sigma_err": self.sigma_err,
-            "baseline": self.baseline,
-            "baseline_err": self.baseline_err,
-            "chi2": self.chi2,
-            "n_iterations": self.n_iterations,
-            "converged": self.converged,
-            "at_bound": list(self.at_bound),
-        }
-
     @property
     def converged(self) -> bool:
         """True when no parameter sits on a bound of the fit."""
@@ -153,16 +128,6 @@ class VisibilityPrediction:
     v_std: float
     v_std_mc: float
     clipped_fraction: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "nu_std": self.nu_std,
-            "v_pred": self.v_pred,
-            "v_std": self.v_std,
-            "v_std_mc": self.v_std_mc,
-            "clipped_fraction": self.clipped_fraction,
-        }
 
 
 def fit_degeneracy(
@@ -260,11 +225,16 @@ def fit_degeneracy(
     )
 
 
+def _visibility(nu):
+    """``1 - (2 + 1/(2 nu))^(-1)`` of a float or elementwise of an array."""
+    return 1.0 - 1.0 / (2.0 + 1.0 / (2.0 * nu))
+
+
 def predict_visibility(params: TmsvParams) -> float:
     """Pair-source interference visibility ``1 - (2 + 1/(2 nu))^(-1)``."""
     if params.nu <= 0:
         raise ValueError(f"nu must be > 0, got {params.nu}")
-    return 1.0 - 1.0 / (2.0 + 1.0 / (2.0 * params.nu))
+    return _visibility(params.nu)
 
 
 def propagate_visibility_uncertainty(
@@ -288,7 +258,7 @@ def propagate_visibility_uncertainty(
     clipped = samples <= 0
     if clipped.any():
         samples = np.where(clipped, 1e-12, samples)
-    values = 1.0 - 1.0 / (2.0 + 1.0 / (2.0 * samples))
+    values = _visibility(samples)
     return VisibilityPrediction(
         nu=nu,
         nu_std=nu_std,

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analysis import AnalysisParams, bootstrap_std
-from .checks import check_field, csv_row_error, read_csv_rows
+from .checks import check_field, csv_row_error, read_csv_rows, write_json
 from .distributions import TmsvParams
 from .fock import OverlapModel, hom_joint_pmf
 
@@ -405,12 +405,6 @@ def _write_rows(fh, shot: np.ndarray, velocities, suffix: str = "") -> None:
         fh.write("".join([row % r for r in rows]))
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_event_table(table: EventTable, csv_path, meta_path) -> None:
     """CSV rows ``shot,vx,vy,vz`` plus a JSON sidecar with the metadata.
 
@@ -421,7 +415,7 @@ def write_event_table(table: EventTable, csv_path, meta_path) -> None:
     with open(csv_path, "w") as fh:
         fh.write("shot,vx,vy,vz\n")
         _write_rows(fh, table.shot, table.velocities)
-    _write_json(
+    write_json(
         meta_path,
         {
             "shots": table.n_shots,
@@ -474,7 +468,7 @@ def write_hom_events(run: HomRun, csv_path, meta_path) -> None:
                 shot = np.repeat(np.arange(len(counts)), counts)
                 velocity = np.broadcast_to(PORT_VELOCITIES[port], (len(shot), 3))
                 _write_rows(fh, shot, velocity, f",{port},{float(t2)!r}")
-    _write_json(
+    write_json(
         meta_path,
         {
             "config": run.config,

@@ -1,5 +1,6 @@
 """Tests for velocity-space binning, histograms, selection, bootstrap."""
 
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from twinbeam.analysis import (
     sum_histograms,
     write_cell_stats,
 )
+from twinbeam.checks import write_csv, write_json
 from twinbeam.distributions import thermal_pmf
 from twinbeam.simulate import EventTable, HomRun, correlation_scan
 
@@ -359,3 +361,38 @@ class TestSerialization:
         assert lines[0] == "ix,iy,iz,mean,kept"
         assert lines[1] == "0,0,0,0.5,0"
         assert lines[2] == "0,0,1,2.0,1"
+
+    def test_result_csv_values_are_plain_repr(self, tmp_path):
+        floats = [0.1, -0.0, 1e-300, 5e-324]
+        path = tmp_path / "values.csv"
+        write_csv(
+            path,
+            "a,b,c,d,e",
+            np.array([3, -1, 0, 2**62], dtype=np.int64),
+            np.array(floats),
+            [7, -2, 0, 1],
+            floats,
+            [np.float64(x) for x in floats],
+        )
+        text = path.read_text()
+        assert "np." not in text
+        assert text.splitlines() == [
+            "a,b,c,d,e",
+            "3,0.1,7,0.1,0.1",
+            "-1,-0.0,-2,-0.0,-0.0",
+            "0,1e-300,0,1e-300,1e-300",
+            f"{2**62},5e-324,1,5e-324,5e-324",
+        ]
+        read = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+        assert [math.copysign(1.0, x) for x in read] == [math.copysign(1.0, x) for x in floats]
+        assert read == floats
+
+    def test_result_csv_columns_must_align(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "ragged.csv", "a,b", [1, 2], [1.0])
+
+    def test_result_json_form(self, tmp_path):
+        payload = {"b": [1, (2.5, None)], "a": {"z": -0.0, "y": 5e-324}, "c": True}
+        path = tmp_path / "result.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -16,6 +16,13 @@ from twinbeam.config import default_config, load_config, validate_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+# The keys of dip_fit.json without --nu: the fields of DipFit, converged and
+# the scan's digest.
+DIP_FIT_KEYS = [
+    "at_bound", "baseline", "baseline_err", "chi2", "converged", "input_digest",
+    "n_iterations", "sigma", "sigma_err", "t0", "t0_err", "visibility", "visibility_err",
+]
+
 
 @pytest.fixture()
 def runner():
@@ -250,6 +257,11 @@ class TestAnalyzeCounts:
         pooled = (out / "pooled_histogram.csv").read_text().splitlines()
         assert pooled[0] == "n,occurrences,probability,err,thermal,poisson,multimode"
         fit = json.loads((out / "degeneracy_fit.json").read_text())
+        assert sorted(fit) == [
+            "at_bound", "average_cell_mean", "bootstrap_failed", "bootstrap_std_err",
+            "degeneracy", "events_dropped", "fixed_mean", "input_digest", "kept_cells",
+            "log_likelihood", "pooled_mean", "std_err",
+        ]
         assert fit["degeneracy"] > 0
         assert fit["std_err"] > 0
         assert fit["bootstrap_std_err"] is not None
@@ -415,6 +427,10 @@ class TestSimulateHomAndFitDip:
         )
         assert result.exit_code == 0, result.output
         fit = json.loads((fit_out / "dip_fit.json").read_text())
+        assert sorted(fit) == sorted(DIP_FIT_KEYS + ["comparison"])
+        assert sorted(fit["comparison"]) == [
+            "nu", "nu_std", "v_observed", "v_observed_err", "v_predicted", "v_predicted_err",
+        ]
         assert 0.3 < fit["visibility"] <= 1.0
         assert fit["converged"]
         assert "comparison" in fit
@@ -472,6 +488,7 @@ class TestSimulateHomAndFitDip:
         result = runner.invoke(main, ["fit-dip", str(hom / "hom_scan.csv"), "--out", str(out)])
         assert result.exit_code == 0, result.output
         fit = json.loads((out / "dip_fit.json").read_text())
+        assert sorted(fit) == DIP_FIT_KEYS
         assert fit["at_bound"] == ["sigma"]
         assert not fit["converged"]
         assert 0.0 <= fit["visibility"] <= 1.0
@@ -557,6 +574,9 @@ class TestPredictVisibility:
         assert result.exit_code == 0, result.output
         assert "0.72 +/- 0.03" in result.output or "0.72 +/- 0.02" in result.output
         payload = json.loads((out / "visibility_prediction.json").read_text())
+        assert sorted(payload) == [
+            "clipped_fraction", "nu", "nu_std", "v_pred", "v_std", "v_std_mc",
+        ]
         assert round(payload["v_pred"], 2) == 0.72
 
     def test_exact_value_with_zero_std(self, tmp_path, runner):

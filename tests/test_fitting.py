@@ -1,5 +1,6 @@
 """Tests for the degeneracy fit, dip fit, and visibility prediction."""
 
+import dataclasses
 import math
 import warnings
 
@@ -162,7 +163,7 @@ class TestFitDegeneracy:
             warnings.simplefilter("ignore")
             fit = fit_degeneracy(hist, 0.001, bootstrap_resamples=resamples, seed=seed)
         assert 0 < fit.bootstrap_failed == degenerate < resamples
-        assert fit.to_dict()["bootstrap_failed"] == degenerate
+        assert dataclasses.asdict(fit)["bootstrap_failed"] == degenerate
 
 
 class TestPredictVisibility:
@@ -256,7 +257,7 @@ class TestFitGaussianDip:
         assert fit.visibility == 1.0
         assert "visibility" in fit.at_bound
         assert not fit.converged
-        assert fit.to_dict()["at_bound"] == list(fit.at_bound)
+        assert list(dataclasses.asdict(fit)["at_bound"]) == list(fit.at_bound)
 
     def test_too_few_distinct_t2_rejected(self):
         t = [-100.0, -100.0, 0.0, 0.0, 100.0, 100.0]
