@@ -158,10 +158,7 @@ def cmd_simulate_source(config_path, out, seed, stamp):
     events_meta = out_dir / "events.meta.json"
     write_event_table(table, events_csv, events_meta)
     _write_manifest(out_dir, doc, config.master_seed, [events_csv, events_meta], stamp)
-    click.echo(
-        f"wrote {table.n_shots} shots, "
-        f"{int(table.counts_per_shot().sum())} detected atoms -> {events_csv}"
-    )
+    click.echo(f"wrote {table.n_shots} shots, {len(table.shot)} detected atoms -> {events_csv}")
 
 
 def _histogram_csv(path: Path, occurrences, err, overlays: dict) -> None:

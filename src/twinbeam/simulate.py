@@ -298,28 +298,30 @@ def _mode_grid(config: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
 def simulate_counting_run(config: SourceConfig) -> EventTable:
     """Generate one counting run.
 
-    Per shot and per mode the true atom number is drawn from the thermal
-    law of mean ``nu_mode``, each atom lands at the mode centre plus
-    Gaussian scatter, and survives detection with probability ``eta``.
-    Draw order within a shot is fixed (counts, then scatter, then
-    detection), which pins the byte-level output for a given seed.
-    Velocities are rounded to the event CSV's 1e-9 mm/s lattice.
+    Binomial thinning keeps a thermal count thermal, so per shot each mode's
+    detected count is drawn by inversion from the thermal law of mean
+    ``mu = eta * nu_mode``, and each detected atom lands at the mode centre
+    plus Gaussian scatter.  Draw order within a shot is fixed (one uniform
+    per mode, then the scatter), which pins the byte-level output for a
+    given seed.  Velocities are rounded to the event CSV's 1e-9 mm/s lattice.
     """
     centers, nus = _mode_grid(config)
-    p_success = 1.0 / (1.0 + nus)
+    # Count floor(log1p(-u) / log q), q = mu / (1 + mu); log q = -log1p(1/mu)
+    # stays accurate at large mu, and mu = 0 gives -inf, hence a count of 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        log_q = -np.log1p(1.0 / (config.eta * nus))
     widths = np.asarray(config.mode_widths)
     # Velocities stream into one buffer, so no per-shot array outlives its shot.
     detected = bytearray()
     per_shot = np.zeros(config.shots, dtype=np.int64)
     for shot, rng in enumerate(_shot_streams(config.master_seed, 0, config.shots)):
-        counts = rng.geometric(p_success) - 1
+        counts = (np.log1p(-rng.random(len(log_q))) / log_q).astype(np.int64)  # >= 0: cast floors
         total = int(counts.sum())
         if total:
-            positions = np.repeat(centers, counts, axis=0)
-            positions = positions + rng.standard_normal((total, 3)) * widths
-            kept = positions[rng.random(total) < config.eta]
-            detected += kept.tobytes()
-            per_shot[shot] = len(kept)
+            positions = centers.repeat(counts, axis=0)
+            positions += rng.standard_normal((total, 3)) * widths
+            detected += positions.tobytes()
+            per_shot[shot] = total
     velocities = np.frombuffer(detected)
     return EventTable(
         shot=np.repeat(np.arange(config.shots), per_shot),

@@ -6,6 +6,8 @@ thermal law, and a pooled histogram that a thermal fit cannot describe
 but the M-mode law can.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -24,26 +26,70 @@ from twinbeam.fitting import fit_degeneracy
 from twinbeam.simulate import SourceConfig, simulate_counting_run
 
 
+# Modes the size of the cells, one per cell, with a population profile wide
+# enough to spread detected means over the published 0.08-0.20.
+MATCHED_SOURCE = SourceConfig(
+    nu_per_mode=0.95,
+    eta=0.25,
+    shots=1876,
+    master_seed=20260811,
+    peak_width=6.0,
+    mode_widths=(1.1, 1.1, 0.5),
+    mode_spacing=(5.5, 5.5, 2.5),
+    modes_per_axis=(5, 5, 7),
+)
+# Bound, in standard errors, of an estimate about its exact target (bench/checks.Z_MAX).
+Z_MAX = 5.0
+
+
 @pytest.fixture(scope="module")
 def matched_chain():
-    # Modes the size of the cells, one per cell, with a population profile
-    # wide enough to spread detected means over the published 0.08-0.20.
-    config = SourceConfig(
-        nu_per_mode=0.95,
-        eta=0.25,
-        shots=1876,
-        master_seed=20260811,
-        peak_width=6.0,
-        mode_widths=(1.1, 1.1, 0.5),
-        mode_spacing=(5.5, 5.5, 2.5),
-        modes_per_axis=(5, 5, 7),
-    )
-    table = simulate_counting_run(config)
+    table = simulate_counting_run(MATCHED_SOURCE)
     binned = bin_events(table, CellGrid())
     hists = cell_histograms(binned)
     means = cell_means(hists)
     kept = filter_cells(means, min_mean=0.135)
     return hists, means, kept, binned
+
+
+def target_degeneracy(source, grid, kept) -> float:
+    """The population target M* of the fixed-mean degeneracy fit on the kept cells.
+
+    Mode m puts a thinned thermal count of mean ``mu_m = eta nu_m f_m``
+    into the kept cells, ``f_m`` being its Gaussian mass there, so the
+    pooled count is the convolution of these geometric laws.  M* maximises
+    that law's expected negative-binomial log-likelihood at the exact mean
+    ``sum mu_m``: the root of ``E[sum_{j<n} 1/(M + j)] + log(M / (M + mean))``.
+    """
+    axes, masses = [], []
+    for n, s, c, w, lower, width, cells in zip(
+        source.modes_per_axis, source.mode_spacing, source.grid_center, source.mode_widths,
+        grid.origin, grid.cell_widths, grid.counts_per_axis,
+    ):
+        centres = (np.arange(n) - (n - 1) / 2.0) * s + c
+        edges = lower + np.arange(cells + 1) * width
+        cdf = [[0.5 * math.erfc((x - e) / (w * math.sqrt(2.0))) for e in edges] for x in centres]
+        axes.append(centres - c)
+        masses.append(np.diff(cdf, axis=1))
+    r_sq = sum(np.meshgrid(*[a**2 for a in axes], indexing="ij"))
+    nus = source.nu_per_mode * np.exp(-r_sq / (2.0 * source.peak_width**2)).ravel()
+    in_kept = np.einsum("ia,jb,kc->ijkabc", *masses).reshape(len(nus), -1)[:, kept].sum(axis=1)
+    mu = source.eta * nus * in_kept
+    n = np.arange(120)
+    law = np.zeros(len(n))
+    law[0] = 1.0
+    for m in mu:
+        law = np.convolve(law, (m / (1 + m)) ** n / (1 + m))[: len(n)]
+    mean = mu.sum()
+
+    def score(M):
+        return law[1:] @ np.cumsum(1.0 / (M + n[:-1])) + math.log(M / (M + mean))
+
+    lo, hi = 1e-3, 1e6  # score > 0 below M*, < 0 above
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if score(mid) > 0 else (lo, mid)
+    return lo
 
 
 def pooled_chi2_p(occurrences, model_probs, n_fitted=0):
@@ -84,7 +130,9 @@ def test_pooled_histogram_rejects_thermal_accepts_multimode(matched_chain):
     _, _, kept, binned = matched_chain
     pooled = pooled_counts_histogram(binned.counts[:, kept])
     fit = fit_degeneracy(pooled, fixed_mean=pooled.mean)
-    assert 1.0 < fit.degeneracy < 18.0
+    target = target_degeneracy(MATCHED_SOURCE, binned.grid, kept)
+    assert 1.0 < fit.degeneracy
+    assert abs(fit.degeneracy - target) <= Z_MAX * fit.std_err
 
     p_thermal = pooled_chi2_p(pooled.occurrences, thermal_pmf(pooled.mean, 40).probs)
     from twinbeam.distributions import multimode_pmf

@@ -182,6 +182,40 @@ class TestCountingRun:
         table = simulate_counting_run(small_config(nu_per_mode=0.0))
         assert table.counts_per_shot().sum() == 0
 
+    @pytest.mark.parametrize(
+        "overrides, empty",
+        [
+            (dict(eta=0.0), True),
+            (dict(nu_per_mode=0.0), True),
+            # Only the centre mode keeps a mean; the others underflow to 0.
+            (dict(peak_width=0.01, modes_per_axis=(3, 3, 3)), False),
+            # The nearest modes keep a subnormal mean, whose 1/mu overflows.
+            (dict(peak_width=0.0659, modes_per_axis=(3, 3, 3)), False),
+        ],
+    )
+    def test_zero_mode_means_draw_no_atoms_silently(self, overrides, empty):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = simulate_counting_run(small_config(**overrides))
+        assert np.isfinite(table.velocities).all()
+        assert (len(table.shot) == 0) == empty
+
+    def test_single_mode_large_mean_is_geometric(self):
+        # mu = eta * nu = 20: the inversion's tail decides the variance.
+        config = small_config(
+            shots=20_000, nu_per_mode=80.0, eta=0.25, modes_per_axis=(1, 1, 1), master_seed=3
+        )
+        counts = simulate_counting_run(config).counts_per_shot()
+        mu, n = 20.0, config.shots
+        var = mu * (1 + mu)
+        # Excess kurtosis of the geometric law is 6 + p^2/(1 - p), p = 1/(1 + mu).
+        p = 1 / (1 + mu)
+        var_se = var * math.sqrt((8 + p**2 / (1 - p)) / n)
+        tail = (mu / (1 + mu)) ** 60  # P(N >= 60) = q^60
+        assert abs(counts.mean() - mu) < 4 * math.sqrt(var / n)
+        assert abs(counts.var(ddof=1) - var) < 4 * var_se
+        assert abs((counts >= 60).mean() - tail) < 4 * math.sqrt(tail * (1 - tail) / n)
+
     def test_bit_identical_rerun(self):
         a = simulate_counting_run(small_config())
         b = simulate_counting_run(small_config())
@@ -256,18 +290,14 @@ class TestCountingRun:
         from twinbeam.simulate import _mode_grid
 
         centers, nus = _mode_grid(config)
-        p_success = 1.0 / (1.0 + nus)
+        log_q = -np.log1p(1.0 / (config.eta * nus))
         widths = np.asarray(config.mode_widths)
         for shot_id in reversed(range(50)):
             rng = shot_rng(config.master_seed, shot_id)
-            counts = rng.geometric(p_success) - 1
+            counts = np.floor(np.log1p(-rng.random(len(nus))) / log_q).astype(int)
             total = int(counts.sum())
-            if total == 0:
-                events = np.empty((0, 3))
-            else:
-                positions = np.repeat(centers, counts, axis=0)
-                positions = positions + rng.normal(0.0, widths, size=(total, 3))
-                events = positions[rng.random(total) < config.eta]
+            events = np.repeat(centers, counts, axis=0)
+            events = events + rng.standard_normal((total, 3)) * widths
             events = np.round(events, 9)
             assert np.array_equal(events, table.velocities[table.shot == shot_id])
 
