@@ -20,9 +20,7 @@ from .distributions import (
     Pmf,
     TmsvParams,
     binomial_thin,
-    detected_mean,
     multimode_pmf,
-    pmf_moments,
     poisson_pmf,
     thermal_pmf,
 )
@@ -40,14 +38,9 @@ from .fitting import (
 from .fock import (
     JointPmf,
     OverlapModel,
-    TruncatedPureState,
     UndefinedVisibilityError,
-    beamsplitter,
-    build_tmsv,
     cross_correlation,
     hom_joint_pmf,
-    joint_counts,
-    marginal_counts,
     thermal_input_visibility,
     visibility_oracle,
 )

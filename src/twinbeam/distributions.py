@@ -25,9 +25,7 @@ __all__ = [
     "multimode_pmf",
     "multimode_log_pmf",
     "poisson_pmf",
-    "detected_mean",
     "binomial_thin",
-    "pmf_moments",
 ]
 
 # Default bound on the analytic probability mass allowed beyond n_max.
@@ -235,13 +233,6 @@ def poisson_pmf(mean: float, n_max: int = None) -> Pmf:
     )
 
 
-def detected_mean(nu: float, det: DetectorModel) -> float:
-    """Mean detected count for true mean ``nu`` and efficiency ``det.eta``."""
-    if not 0.0 <= nu < math.inf:
-        raise ValueError(f"nu must be finite and >= 0, got {nu}")
-    return det.eta * nu
-
-
 def _binomial_pmf(k, n, p: float) -> np.ndarray:
     """``P(Binomial(n, p) = k)`` from a log-factorial table, broadcast over ``k`` and ``n``."""
     if p in (0.0, 1.0):
@@ -277,11 +268,3 @@ def binomial_thin(pmf: Pmf, det: DetectorModel) -> Pmf:
         n_max=pmf.n_max,
         tail_tolerance=pmf.tail_tolerance,
     )
-
-
-def pmf_moments(pmf: Pmf) -> tuple[float, float]:
-    """Mean and variance of the truncated distribution as stored."""
-    n = np.arange(pmf.n_max + 1)
-    mean = float(n @ pmf.probs)
-    var = float(((n - mean) ** 2) @ pmf.probs)
-    return mean, var

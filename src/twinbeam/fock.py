@@ -3,13 +3,13 @@
 The one splitter primitive is :func:`_splitter_blocks`, an exact recursion
 that builds the block of total count ``T + 1`` (which the splitter
 conserves) from the block of total ``T``; each block is built once and
-freed after use.  The dense calculator (``TruncatedPureState``,
-``build_tmsv``, ``beamsplitter``, ``joint_counts``) applies those blocks to
-state vectors over truncated occupation-number grids; :func:`hom_joint_pmf`
-and the visibility oracles work block by block without any per-mode
-cutoff.  The module exists to derive independently what the closed-form
-laws in :mod:`twinbeam.distributions` and :mod:`twinbeam.fitting` assert,
-and to hand exact joint count distributions to the Monte Carlo simulator.
+freed after use.  :func:`hom_joint_pmf` and the visibility oracles work
+block by block without any per-mode cutoff.  The module exists to derive
+independently what the closed-form laws in :mod:`twinbeam.distributions`
+and :mod:`twinbeam.fitting` assert, and to hand exact joint count
+distributions to the Monte Carlo simulator.  The dense state-vector
+calculator that checks these blocks lives with the tests
+(``tests/fock_reference.py``).
 
 Splitter convention: symmetric 50:50 with the i-phase on reflection,
 ``a -> (a + i b)/sqrt(2)``.  Count distributions do not depend on this
@@ -23,63 +23,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TAIL_TOLERANCE, Pmf, TmsvParams, _binomial_pmf, _thermal_tail_n_max
+from .distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, _thermal_tail_n_max
 
 __all__ = [
     "UndefinedVisibilityError",
-    "TruncatedPureState",
     "JointPmf",
     "OverlapModel",
-    "build_tmsv",
-    "marginal_counts",
-    "beamsplitter",
-    "joint_counts",
     "hom_joint_pmf",
     "cross_correlation",
     "visibility_oracle",
     "thermal_input_visibility",
 ]
 
-# Hard cap on dense amplitude grids; 41^2 two-mode and 13^4 four-mode
-# grids (the documented working envelope) sit far below it.
-_MAX_GRID_ELEMENTS = 6_000_000
-
-
 class UndefinedVisibilityError(ValueError):
     """Raised when the distinguishable cross correlation vanishes."""
-
-
-@dataclass(frozen=True)
-class TruncatedPureState:
-    """Dense pure state on the full ``(n_max+1)^mode_count`` grid."""
-
-    mode_count: int
-    n_max: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        expected = (self.n_max + 1,) * self.mode_count
-        if amps.shape != expected:
-            raise ValueError(f"amplitude grid {amps.shape} != {expected}")
-        if amps.size > _MAX_GRID_ELEMENTS:
-            raise ValueError(
-                f"grid of {amps.size} amplitudes exceeds the dense-storage cap"
-            )
-        norm_sq = float((amps.real**2 + amps.imag**2).sum())
-        if norm_sq > 1.0 + 1e-9:
-            raise ValueError(f"state norm^2 = {norm_sq} > 1")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm_squared(self) -> float:
-        return float((self.amplitudes.real**2 + self.amplitudes.imag**2).sum())
-
-    @property
-    def truncation_loss(self) -> float:
-        return max(0.0, 1.0 - self.norm_squared)
 
 
 @dataclass(frozen=True)
@@ -152,86 +109,6 @@ def _splitter_blocks(t_max: int, theta: float):
         block[:-1, 1:] += roots[b, a] * sin_part
         block[:-1, :-1] += roots[b, b] * cos_part
         yield block
-
-
-def build_tmsv(params: TmsvParams, n_max: int) -> TruncatedPureState:
-    """Two-mode squeezed vacuum with pair numbers up to ``n_max``.
-
-    Only perfectly paired occupations carry amplitude:
-    ``amp(n, n) = sqrt(1 - alpha^2) alpha^n``.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    alpha = params.alpha_mag
-    n = np.arange(n_max + 1)
-    diag = math.sqrt(1.0 - alpha**2) * alpha**n
-    amps = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    amps[n, n] = diag
-    return TruncatedPureState(mode_count=2, n_max=n_max, amplitudes=amps)
-
-
-def marginal_counts(state: TruncatedPureState, mode: int) -> Pmf:
-    """Count distribution of one mode, tracing out all others."""
-    if not 0 <= mode < state.mode_count:
-        raise ValueError(f"mode {mode} out of range for {state.mode_count} modes")
-    weights = np.abs(state.amplitudes) ** 2
-    axes = tuple(ax for ax in range(state.mode_count) if ax != mode)
-    probs = weights.sum(axis=axes)
-    return Pmf(
-        probs=np.clip(probs, 0.0, 1.0),
-        n_max=state.n_max,
-        tail_tolerance=max(TAIL_TOLERANCE, state.truncation_loss),
-    )
-
-
-def beamsplitter(
-    state: TruncatedPureState,
-    mode_i: int,
-    mode_j: int,
-    transmittance: float = 0.5,
-) -> TruncatedPureState:
-    """Mix two modes on a splitter of the given transmittance.
-
-    Unitarity holds exactly within each total-count block; amplitude
-    scattered past the per-mode cutoff is dropped, and shows up as an
-    increase of ``truncation_loss`` on the returned state.
-    """
-    k = state.mode_count
-    if not (0 <= mode_i < k and 0 <= mode_j < k) or mode_i == mode_j:
-        raise ValueError(f"invalid mode pair ({mode_i}, {mode_j}) for {k} modes")
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValueError(f"transmittance must be in [0, 1], got {transmittance}")
-    theta = math.acos(math.sqrt(transmittance))
-    n_max = state.n_max
-    moved = np.moveaxis(state.amplitudes, (mode_i, mode_j), (-2, -1))
-    mixed = np.zeros_like(moved)
-    # Each anti-diagonal of the (mode_i, mode_j) grid is one total-count block;
-    # the phase i^(m - m') turns the real block into the complex splitter.
-    for total, block in enumerate(_splitter_blocks(2 * n_max, theta)):
-        m = np.arange(max(0, total - n_max), min(total, n_max) + 1)
-        sub = block[np.ix_(m, m)] * np.array([1, 1j, -1, -1j])[(m - m[:, None]) % 4]
-        mixed[..., m, total - m] = moved[..., m, total - m] @ sub.T
-    out = np.moveaxis(mixed, (-2, -1), (mode_i, mode_j))
-    return TruncatedPureState(mode_count=k, n_max=state.n_max, amplitudes=out)
-
-
-def joint_counts(
-    state: TruncatedPureState,
-    modes_a: tuple[int, ...],
-    modes_b: tuple[int, ...],
-) -> JointPmf:
-    """Joint distribution of the summed counts in two groups of modes."""
-    if sorted([*modes_a, *modes_b]) != list(range(state.mode_count)):
-        raise ValueError("modes_a and modes_b must partition the mode indices")
-    weights = np.abs(state.amplitudes) ** 2
-    idx = np.indices(weights.shape)
-    n_a = sum(idx[m] for m in modes_a)
-    n_b = sum(idx[m] for m in modes_b)
-    probs = np.zeros(
-        (len(modes_a) * state.n_max + 1, len(modes_b) * state.n_max + 1)
-    )
-    np.add.at(probs, (n_a.ravel(), n_b.ravel()), weights.ravel())
-    return JointPmf(probs=np.clip(probs, 0.0, 1.0))
 
 
 def hom_joint_pmf(

@@ -5,22 +5,25 @@ shot owns a private counter-based random stream (Philox, 128-bit key)
 derived from the master seed through an injective SplitMix64 mix, so
 generating shots in any order, or in parallel, reproduces the sequential
 run bit for bit.  A run derives the keys of a block of shots in one array
-pass and re-keys one Philox generator before each shot from a fresh state
-held as plain ints.  That gives the same streams as a new generator per
-shot (:func:`shot_rng`) at a fraction of the cost.
+pass.  A counting run then re-keys one Philox generator before each shot
+from a fresh state held as plain ints; that gives the same streams as a
+new generator per shot (:func:`shot_rng`) at a fraction of the cost.
 
 Two run types are provided: a counting run, where a grid of independent
 thermal emitter modes populates one velocity-space peak, and an
 interferometer scan, where joint output-port counts are drawn from the
 exact Fock-space law of :func:`twinbeam.fock.hom_joint_pmf` and thinned by
-the detector.
+the detector.  A scan shot reads at most the first 4 words of its stream,
+one Philox4x64-10 block (Salmon et al., SC'11), so the scan computes
+those blocks for all its shots at once in numpy and copies numpy's
+small-mean binomial inversion onto them; the draws are the per-shot
+stream's, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -71,6 +74,8 @@ SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
 # Rows per block: event rows formatted per write call, and shot keys
 # derived per array pass.  Bounds the memory of writers and runs.
 _CHUNK_ROWS = 1 << 10
+# Scan shots drawn per array pass; bounds the memory of the Philox kernel.
+_SCAN_BLOCK = 1 << 16
 
 _U64 = np.uint64
 
@@ -86,7 +91,7 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _shot_keys(master_seed: int, first: int, count: int) -> tuple[list, list]:
+def _key_words(master_seed: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Low and high Philox key words of shots ``first .. first + count - 1``.
 
     The low word is ``splitmix64(master XOR splitmix64(shot_id))``: both
@@ -96,7 +101,87 @@ def _shot_keys(master_seed: int, first: int, count: int) -> tuple[list, list]:
     """
     ids = np.arange(count, dtype=np.uint64) + _U64(first)
     lo = _splitmix64(_U64(master_seed & _MASK64) ^ _splitmix64(ids))
-    return lo.tolist(), _splitmix64(lo).tolist()
+    return lo, _splitmix64(lo)
+
+
+def _shot_keys(master_seed: int, first: int, count: int) -> tuple[list, list]:
+    """:func:`_key_words` as lists of ints."""
+    lo, hi = _key_words(master_seed, first, count)
+    return lo.tolist(), hi.tolist()
+
+
+# Philox4x64 round multipliers and key increments (Salmon et al., SC'11).
+_PHILOX_M = (_U64(0xD2E7470EE14C6C93), _U64(0xCA5A826395121157))
+_PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
+_LO32, _32 = _U64(0xFFFFFFFF), _U64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * b``, from 32-bit halves."""
+    a_lo, a_hi, b_lo, b_hi = a & _LO32, a >> _32, b & _LO32, b >> _32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    carry = ((a_lo * b_lo) >> _32) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    return a_hi * b_hi + (lo_hi >> _32) + (hi_lo >> _32) + (carry >> _32), a * b
+
+
+def _first_blocks(master_seed: int, first: int, count: int) -> np.ndarray:
+    """The first 4 raw words of the streams of shots ``first .. first + count - 1``.
+
+    A fresh generator's first 4 words are one Philox4x64-10 block: 10
+    rounds on counter ``(1, 0, 0, 0)`` under the shot's key, which is
+    bumped between rounds.  Returns a ``(count, 4)`` uint64 array, row ``i``
+    equal to ``shot_rng(master_seed, first + i).bit_generator.random_raw(4)``.
+    """
+    k0, k1 = _key_words(master_seed, first, count)
+    zero = np.zeros_like(k0)
+    c0, c1, c2, c3 = zero + _U64(1), zero, zero, zero
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=1)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """``rng.random()`` of each raw word: its top 53 bits times 2**-53."""
+    return (words >> _U64(11)) * 2.0**-53
+
+
+def _binomial_inversion(
+    n: np.ndarray, eta: float, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rng.binomial(n[i], eta)`` from the one word ``words[i]``, where that settles it.
+
+    A copy of numpy's ``random_binomial_inversion`` in its operation order,
+    for all entries at once: with ``p = min(eta, 1 - eta)`` (as ``1 - eta``
+    when ``eta > 0.5``, which returns ``n - X``), ``q = 1 - p``,
+    ``qn = exp(n log1p(-p))`` and ``bound`` per distinct ``n`` from
+    :mod:`math`.  Nothing is drawn where ``n = 0`` or ``eta = 0``.  Returns
+    the counts and the mask of settled entries; an entry is unsettled where
+    numpy leaves inversion: ``n p > 30`` (BTPE) or a restart (``X > bound``),
+    which takes a further word.
+    """
+    counts = np.zeros_like(n)
+    settled = (n == 0) | (eta == 0.0)
+    p = 1.0 - eta if eta > 0.5 else eta
+    q = 1.0 - p
+    shots = np.flatnonzero(~settled & (n * p <= 30.0))
+    m, u = n[shots], _doubles(words[shots])
+    support = range(int(m.max(initial=0)) + 1)
+    px = np.array([math.exp(k * math.log1p(-p)) for k in support])[m]
+    bound = np.array([int(min(k, k * p + 10.0 * math.sqrt(k * p * q + 1))) for k in support])[m]
+    x = 0
+    while shots.size:
+        done = u <= px
+        counts[shots[done]] = x
+        settled[shots[done]] = True
+        x += 1
+        go = ~done & (x <= bound)
+        shots, m, u, px, bound = shots[go], m[go], u[go] - px[go], px[go], bound[go]
+        px = (m - x + 1) * p * px / (x * q)
+    return (n - counts if eta > 0.5 else counts), settled
 
 
 def derive_shot_seed(master_seed: int, shot_id: int) -> int:
@@ -337,6 +422,29 @@ def overlap_amplitude(config: HomScanConfig, t2: float) -> float:
     return math.exp(-((t2 - config.t0) ** 2) / (2.0 * config.sigma_m**2))
 
 
+def _thinned_pairs(cdf: np.ndarray, n_cols: int, eta: float, master_seed: int, first: int,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Detected ``(k_a, k_b)`` of shots ``first .. first + count - 1``, as their streams draw them.
+
+    Word 0 of a shot's stream draws the pair ``(n_a, n_b)`` from ``cdf`` (the
+    law flattened row by row, ``n_cols`` columns); port a is thinned by
+    word 1 and port b by the next unused word: 2 if port a drew one
+    (``n_a > 0``; at ``eta = 0`` neither port draws), else 1.
+    Shots whose thinning needs more than their first block replay their
+    own stream through :func:`shot_rng`.
+    """
+    words = _first_blocks(master_seed, first, count)
+    n_a, n_b = np.divmod(np.searchsorted(cdf, _doubles(words[:, 0]), side="right"), n_cols)
+    k_a, settled_a = _binomial_inversion(n_a, eta, words[:, 1])
+    k_b, settled_b = _binomial_inversion(n_b, eta, np.where(n_a > 0, words[:, 2], words[:, 1]))
+    for shot in np.flatnonzero(~(settled_a & settled_b)).tolist():
+        rng = shot_rng(master_seed, first + shot)
+        rng.random()  # word 0, which drew the pair
+        k_a[shot] = rng.binomial(n_a[shot], eta) if n_a[shot] else 0
+        k_b[shot] = rng.binomial(n_b[shot], eta) if n_b[shot] else 0
+    return k_a, k_b
+
+
 def simulate_hom_run(config: HomScanConfig) -> HomRun:
     """Scan the splitter time and record the detected port counts per shot.
 
@@ -345,6 +453,15 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     per shot, and both counts are independently binomially thinned by the
     detector.  Shot ids are globally unique across the scan so every shot
     keeps a private stream.
+
+    The draws are those of a fresh ``shot_rng`` per shot taking
+    ``rng.random()``, then ``rng.binomial(n_a, eta)`` if ``n_a``, then
+    ``rng.binomial(n_b, eta)`` if ``n_b``, but they are computed in blocks
+    of shots: one Philox block per shot (:func:`_first_blocks`), a
+    ``searchsorted`` for the pairs and numpy's binomial inversion copied
+    onto the words (:func:`_binomial_inversion`).  The rare shot that numpy
+    would thin by BTPE (``n min(eta, 1 - eta) > 30``) or by a restarted
+    inversion falls back to its own ``shot_rng``.
     """
     params = TmsvParams(nu=config.nu)
     shape = (len(config.t2_values), config.shots_per_point)
@@ -362,16 +479,12 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
         cdf = np.cumsum(flat / kept)
         # The sum may end a few ulps below 1; no uniform may fall past the support.
         cdf[np.flatnonzero(flat)[-1] :] = 1.0
-        cdf = cdf.tolist()
-        n_cols = joint.probs.shape[1]
         first = t2_index * config.shots_per_point
-        streams = _shot_streams(config.master_seed, first, config.shots_per_point)
-        for shot, rng in enumerate(streams):
-            n_a, n_b = divmod(bisect_right(cdf, rng.random()), n_cols)
-            if n_a:
-                counts_a[t2_index, shot] = rng.binomial(n_a, config.eta)
-            if n_b:
-                counts_b[t2_index, shot] = rng.binomial(n_b, config.eta)
+        for lo in range(0, config.shots_per_point, _SCAN_BLOCK):
+            hi = min(lo + _SCAN_BLOCK, config.shots_per_point)
+            counts_a[t2_index, lo:hi], counts_b[t2_index, lo:hi] = _thinned_pairs(
+                cdf, joint.probs.shape[1], config.eta, config.master_seed, first + lo, hi - lo
+            )
     return HomRun(
         _config_dict(config), config.t2_values, counts_a, counts_b, tuple(tail_mass)
     )

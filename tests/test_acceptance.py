@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 from scipy import stats as sps
 
+from fock_reference import build_tmsv, marginal_counts
 from twinbeam.analysis import (
     CellGrid,
     bin_events,
@@ -35,12 +36,7 @@ from twinbeam.distributions import (
     thermal_pmf,
 )
 from twinbeam.fitting import fit_degeneracy, fit_gaussian_dip
-from twinbeam.fock import (
-    build_tmsv,
-    marginal_counts,
-    thermal_input_visibility,
-    visibility_oracle,
-)
+from twinbeam.fock import thermal_input_visibility, visibility_oracle
 from twinbeam.simulate import (
     HomScanConfig,
     SourceConfig,

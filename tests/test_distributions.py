@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from fock_reference import detected_mean, pmf_moments
 from twinbeam.distributions import (
     DetectorModel,
     _binomial_pmf,
@@ -15,10 +16,8 @@ from twinbeam.distributions import (
     Pmf,
     TmsvParams,
     binomial_thin,
-    detected_mean,
     multimode_log_pmf,
     multimode_pmf,
-    pmf_moments,
     poisson_pmf,
     thermal_pmf,
 )

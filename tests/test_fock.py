@@ -8,22 +8,24 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
+from fock_reference import (
+    TruncatedPureState,
+    beamsplitter,
+    build_tmsv,
+    joint_counts,
+    marginal_counts,
+)
 from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
 from twinbeam.fock import (
     JointPmf,
     OverlapModel,
-    TruncatedPureState,
     UndefinedVisibilityError,
     _central_binomials,
     _half_binomial_pmf,
     _paired_split_pmf,
     _splitter_blocks,
-    beamsplitter,
-    build_tmsv,
     cross_correlation,
     hom_joint_pmf,
-    joint_counts,
-    marginal_counts,
     thermal_input_visibility,
     visibility_oracle,
 )

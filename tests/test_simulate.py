@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from twinbeam import simulate
-from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, thermal_pmf
+from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
 from twinbeam.fock import OverlapModel, hom_joint_pmf
 from twinbeam.simulate import (
+    DEFAULT_MASTER_SEED,
     MAX_SEED,
     PORT_VELOCITIES,
     SHOT_ID_LIMIT,
@@ -118,6 +119,63 @@ class TestReusedShotStream:
                          [0x72931F7E10BE98B1, 0x4958DFE10D5C985F])
         assert last == ([0xF7FDE76B2AB8BF17], [0xD3590BAFC98B4A12])
         assert first == ([0x2DD82C88FA32B270], [0x7985575AA0F03783])
+
+
+def _numpy_binomial(bit_generator, n: int, eta: float, word: int) -> tuple[int, int]:
+    """numpy's ``binomial(n, eta)`` with ``word`` as the next raw word, and the words it took."""
+    state = bit_generator.state
+    state["state"]["counter"][:] = 0
+    state["buffer"] = np.array([word, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bit_generator.state = state
+    count = np.random.Generator(bit_generator).binomial(n, eta)
+    after = bit_generator.state
+    return count, after["buffer_pos"] + 4 * int(after["state"]["counter"][0])
+
+
+class TestScanBlockKernel:
+    @pytest.mark.parametrize(
+        "master, first, count",
+        [
+            (0, 0, 5),
+            (MAX_SEED, 0, 3),
+            (MAX_SEED, SHOT_ID_LIMIT - 4, 4),
+            (0, SHOT_ID_LIMIT - 2, 2),
+            (12345, 2**32 - 2, 4),  # a block that crosses 2**32
+            (DEFAULT_MASTER_SEED, 2**32 + 17, 3),
+        ],
+    )
+    def test_first_block_equals_stream(self, master, first, count):
+        words = simulate._first_blocks(master, first, count)
+        assert words.shape == (count, 4) and words.dtype == np.uint64
+        for offset in range(count):
+            want = shot_rng(master, first + offset).bit_generator.random_raw(4)
+            assert np.array_equal(words[offset], want)
+            want = shot_rng(master, first + offset).random(4)
+            assert np.array_equal(simulate._doubles(words[offset]), want)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 1.0])
+    def test_inversion_equals_numpy_where_settled(self, eta):
+        # Words at both ends of [0, 1) as well as random ones; the top words
+        # push the inversion past its bound, where numpy restarts.
+        top = [2**64 - d * 2**11 for d in (1, 2, 3, 4)]
+        random_words = np.random.default_rng(11).integers(0, 2**64, 40, dtype=np.uint64)
+        words = np.array([0, 1 << 63, *top, *random_words.tolist()], dtype=np.uint64)
+        bit_generator = np.random.Philox(key=0)
+        left = 0
+        for n in range(121):
+            counts, settled = simulate._binomial_inversion(
+                np.full(len(words), n, dtype=np.int64), eta, words
+            )
+            for word, count, ok in zip(words.tolist(), counts.tolist(), settled.tolist()):
+                want, taken = _numpy_binomial(bit_generator, n, eta, word)
+                assert ok == (taken <= 1), (n, eta, word, taken)
+                if ok:
+                    assert count == want, (n, eta, word)
+                left += not ok
+        # The mask is not vacuous: at these eta the top words restart the
+        # inversion, and n p > 30 (n > 60 at eta = 0.5, n > 75 at 0.6) takes BTPE.
+        assert (left > 0) == (eta in (0.1, 0.5, 0.6, 0.9))
 
 
 def _admitted(make) -> bool:
@@ -322,6 +380,28 @@ def _hom_law(config, t2) -> np.ndarray:
     return hom_joint_pmf(TmsvParams(nu=config.nu), OverlapModel(lam=lam)).probs
 
 
+def _assert_equals_per_shot_reference(config):
+    # Shots own their streams, so a reverse pass, one fresh generator
+    # and one searchsorted per shot, draws the same counts.
+    run = simulate_hom_run(config)
+    for point in reversed(range(len(config.t2_values))):
+        probs = _hom_law(config, config.t2_values[point])
+        cdf = np.cumsum(probs.ravel() / probs.sum())
+        for shot in reversed(range(config.shots_per_point)):
+            rng = shot_rng(config.master_seed, point * config.shots_per_point + shot)
+            index = int(np.searchsorted(cdf, rng.random(), side="right"))
+            n_a, n_b = divmod(index, probs.shape[1])
+            want_a = rng.binomial(n_a, config.eta) if n_a else 0
+            want_b = rng.binomial(n_b, config.eta) if n_b else 0
+            assert (run.counts_a[point, shot], run.counts_b[point, shot]) == (want_a, want_b)
+
+
+def _chi2_quantile_999(df: int) -> float:
+    """Wilson-Hilferty approximation to the 99.9 % quantile of chi-squared with ``df`` degrees."""
+    z = 3.090232306167813  # the standard normal 99.9 % quantile
+    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
 class TestHomRun:
     def test_structure(self):
         run = simulate_hom_run(small_hom_config())
@@ -359,41 +439,67 @@ class TestHomRun:
         assert center < 0.5 * flank
 
     def test_equals_per_shot_reference(self):
-        # Shots own their streams, so a reverse pass, one fresh generator
-        # and one searchsorted per shot, draws the same counts.
-        config = small_hom_config()
-        run = simulate_hom_run(config)
-        for point in reversed(range(len(config.t2_values))):
-            probs = _hom_law(config, config.t2_values[point])
-            cdf = np.cumsum(probs.ravel() / probs.sum())
-            for shot in reversed(range(config.shots_per_point)):
-                rng = shot_rng(config.master_seed, point * config.shots_per_point + shot)
-                index = int(np.searchsorted(cdf, rng.random(), side="right"))
-                n_a, n_b = divmod(index, probs.shape[1])
-                want_a = rng.binomial(n_a, config.eta) if n_a else 0
-                want_b = rng.binomial(n_b, config.eta) if n_b else 0
-                assert (run.counts_a[point, shot], run.counts_b[point, shot]) == (want_a, want_b)
+        _assert_equals_per_shot_reference(small_hom_config())
+
+    @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+    def test_equals_per_shot_reference_at_eta(self, eta):
+        # eta = 0 draws no thinning word, eta = 1 draws one that keeps every
+        # atom, and eta = 0.6 thins by n - Bin(n, 0.4).
+        _assert_equals_per_shot_reference(small_hom_config(eta=eta))
+
+    def test_replayed_shots_equal_per_shot_reference(self, monkeypatch):
+        # With no thinning settled from the block, every shot replays its stream.
+        monkeypatch.setattr(
+            simulate,
+            "_binomial_inversion",
+            lambda n, eta, words: (np.zeros_like(n), np.zeros(len(n), dtype=bool)),
+        )
+        _assert_equals_per_shot_reference(small_hom_config())
 
     def test_top_uniform_stays_in_support(self, monkeypatch):
-        # The normalized CDF can end a few ulps below 1; the largest double
-        # below 1 must still draw a pair the law can produce.
-        class TopUniform:
-            def random(self):
-                return np.nextafter(1.0, 0.0)
+        # The normalized CDF can end a few ulps below 1.  An all-ones word 0
+        # is the largest double below 1, and it must still draw a pair the law
+        # can produce; at eta = 1 every atom is kept, so the pair is recorded as is.
+        def all_ones(master, first, count):
+            return np.full((count, 4), MAX_SEED, dtype=np.uint64)
 
-            def binomial(self, n, p):
-                return n  # no thinning: the drawn pair is recorded as is
+        def no_replay(master, shot):
+            raise AssertionError("at eta = 1 every shot is settled from its block")
 
-        monkeypatch.setattr(
-            simulate, "_shot_streams", lambda master, first, count: [TopUniform()] * count
-        )
-        config = small_hom_config(shots_per_point=1)
+        assert simulate._doubles(all_ones(0, 0, 1))[0, 0] == np.nextafter(1.0, 0.0)
+        monkeypatch.setattr(simulate, "_first_blocks", all_ones)
+        monkeypatch.setattr(simulate, "shot_rng", no_replay)
+        config = small_hom_config(shots_per_point=1, eta=1.0)
         run = simulate_hom_run(config)
         for point, t2 in enumerate(config.t2_values):
             probs = _hom_law(config, t2)
             n_a, n_b = run.counts_a[point, 0], run.counts_b[point, 0]
             assert n_a < probs.shape[0] and n_b < probs.shape[1]
             assert probs[n_a, n_b] > 0.0
+
+    @pytest.mark.parametrize("nu, eta", [(0.33, 0.25), (1.0, 0.6)])
+    def test_detected_pairs_follow_thinned_law(self, nu, eta):
+        # Thinning each port is linear in the joint law, so the detected law
+        # is D = T^T P T with T[n, k] = Bin(k; n, eta); this checks the draws
+        # against it without going through numpy's binomial.
+        config = small_hom_config(
+            nu=nu, eta=eta, t2_values=(0.0, 60.0, 3000.0), shots_per_point=20_000, master_seed=21
+        )
+        run = simulate_hom_run(config)
+        for point, t2 in enumerate(config.t2_values):
+            probs = _hom_law(config, t2)
+            n = np.arange(len(probs))
+            thin = _binomial_pmf(n[None, :], n[:, None], eta)
+            expected = config.shots_per_point * (thin.T @ (probs / probs.sum()) @ thin)
+            observed = np.zeros_like(expected)
+            np.add.at(observed, (run.counts_a[point], run.counts_b[point]), 1.0)
+            # Cells expecting fewer than 5 shots are pooled into one.
+            rare = expected < 5.0
+            assert expected[rare].sum() >= 5.0
+            want = np.append(expected[~rare], expected[rare].sum())
+            got = np.append(observed[~rare], observed[rare].sum())
+            chi2 = float(((got - want) ** 2 / want).sum())
+            assert chi2 < _chi2_quantile_999(len(want) - 1), (t2, chi2, len(want) - 1)
 
     def test_port_counts_rejects_repeated_t2(self):
         run = simulate_hom_run(small_hom_config(t2_values=(0.0, 100.0, 0.0), shots_per_point=20))
