@@ -125,6 +125,13 @@ def _thermal_tail_n_max(nu: float, tol: float) -> int:
     return max(0, math.ceil(math.log(tol / 2.0) / math.log(x)) - 1)
 
 
+def _check_n_max(n_max) -> int:
+    """``n_max`` as an int, if it is an integer count ``>= 0``."""
+    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
+    return int(n_max)
+
+
 def _law(log_pmf, n_max: int, size: int) -> Pmf:
     """The law on ``0 .. n_max``, or on its default support if ``n_max`` is None.
 
@@ -144,8 +151,7 @@ def _law(log_pmf, n_max: int, size: int) -> Pmf:
         beyond = np.cumsum(probs[:0:-1])[::-1]  # beyond[n] = probs[n + 1:].sum()
         n_max = int(np.argmax(beyond <= TAIL_TOLERANCE)) + 2
         return Pmf(probs=probs[: n_max + 1], n_max=n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_n_max(n_max)
     return Pmf(probs=np.exp(log_pmf(np.arange(n_max + 1))), n_max=n_max)
 
 
@@ -164,10 +170,7 @@ def thermal_pmf(nu: float, n_max: int = None) -> Pmf:
     """
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
-    if n_max is None:
-        n_max = _thermal_tail_n_max(nu, TAIL_TOLERANCE)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _thermal_tail_n_max(nu, TAIL_TOLERANCE) if n_max is None else _check_n_max(n_max)
     n = np.arange(n_max + 1)
     if nu == 0.0:
         probs = np.zeros(n_max + 1)

@@ -2,9 +2,12 @@
 
 The one splitter primitive is :func:`_splitter_blocks`, an exact recursion
 that builds the block of total count ``T + 1`` (which the splitter
-conserves) from the block of total ``T``; each block is built once and
-freed after use.  :func:`hom_joint_pmf` and the visibility oracles work
-block by block without any per-mode cutoff.  The module exists to derive
+conserves) from the block of total ``T``.  The visibility oracles use each
+block once and free it.  :func:`hom_basis` takes from the blocks, in one
+pass, the overlap-free port-a laws of every pair number; a HOM scan builds
+that basis once and :func:`hom_joint_pmf` contracts it with the overlap's
+binomial weights at each point.  Nothing works with a per-mode cutoff, and
+nothing is cached between calls.  The module exists to derive
 independently what the closed-form laws in :mod:`twinbeam.distributions`
 and :mod:`twinbeam.fitting` assert, and to hand exact joint count
 distributions to the Monte Carlo simulator.  The dense state-vector
@@ -23,13 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, _thermal_tail_n_max
+from .distributions import (
+    TAIL_TOLERANCE,
+    TmsvParams,
+    _binomial_pmf,
+    _check_n_max,
+    _thermal_tail_n_max,
+)
 
 __all__ = [
     "UndefinedVisibilityError",
     "JointPmf",
     "OverlapModel",
+    "hom_basis",
     "hom_joint_pmf",
+    "hom_n_max",
     "cross_correlation",
     "visibility_oracle",
     "thermal_input_visibility",
@@ -111,8 +122,33 @@ def _splitter_blocks(t_max: int, theta: float):
         yield block
 
 
+def hom_n_max(params: TmsvParams) -> int:
+    """Default pair support of :func:`hom_joint_pmf`: thermal tail below ``TAIL_TOLERANCE``."""
+    return _thermal_tail_n_max(params.nu, TAIL_TOLERANCE)
+
+
+def hom_basis(n_max: int) -> tuple[np.ndarray, ...]:
+    """The port-a laws of :func:`hom_joint_pmf` that depend on neither ``nu`` nor the overlap.
+
+    Entry ``n`` is ``(n + 1, 2n + 1)``: row ``k`` is the port-a law of ``n``
+    pairs with ``k`` matched atoms, the matched input ``|n, k>`` through block
+    ``n + k`` convolved with the ``n - k`` orthogonal atoms' ``Bin(n - k, 1/2)``.
+    """
+    n_max = _check_n_max(n_max)
+    vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
+    basis = tuple(np.empty((n + 1, 2 * n + 1)) for n in range(n_max + 1))
+    # Block T serves every matched input |n, k> with n + k = T.
+    for total, block in enumerate(_splitter_blocks(2 * n_max, math.pi / 4.0)):
+        for n in range((total + 1) // 2, min(total, n_max) + 1):
+            basis[n][total - n] = np.convolve(block[:, n] ** 2, vacuum[2 * n - total])
+    return basis
+
+
 def hom_joint_pmf(
-    params: TmsvParams, overlap: OverlapModel, n_max: int = None
+    params: TmsvParams,
+    overlap: OverlapModel,
+    n_max: int = None,
+    basis: tuple[np.ndarray, ...] = None,
 ) -> JointPmf:
     """Joint output-port count law of the two-input interferometer.
 
@@ -123,29 +159,29 @@ def hom_joint_pmf(
     exact splitter block; the ``n - k`` orthogonal atoms split against
     vacuum.  Port a collects both, and port b holds the rest of the ``2n``
     atoms.  Different ``k`` never interfere because their matched totals
-    differ, so the law is a mixture of exact blocks.
+    differ, so the law is a mixture of exact blocks: the rows of
+    :func:`hom_basis`, weighted by ``Bin(k; n, lam^2)`` and added in
+    ascending ``k``.  A scan passes one ``basis`` to all its points; without
+    one, the call builds its own.
 
-    Only the pair tail beyond ``n_max`` is lost; it defaults to the
-    smallest support whose thermal tail is below ``TAIL_TOLERANCE``.
+    Only the pair tail beyond ``n_max`` is lost; it defaults to
+    :func:`hom_n_max`, and a ``basis`` must hold ``n_max + 1`` entries.
     """
-    if n_max is None:
-        n_max = _thermal_tail_n_max(params.nu, TAIL_TOLERANCE)
+    n_max = hom_n_max(params) if n_max is None else _check_n_max(n_max)
+    if basis is None:
+        basis = hom_basis(n_max)
+    elif len(basis) != n_max + 1:
+        raise ValueError(f"basis holds {len(basis)} pair numbers, not n_max + 1 = {n_max + 1}")
     x = params.alpha_mag**2
-    vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
+    pairs = np.arange(n_max + 1)
     # k of the second beam's n atoms fall in the matched mode.
-    splits = [_binomial_pmf(np.arange(n + 1), n, overlap.lam**2) for n in range(n_max + 1)]
-    port_a = [np.zeros(2 * n + 1) for n in range(n_max + 1)]
-    # Block T serves every matched input |n, k> with n + k = T.  For each n,
-    # k still ascends with T, so each port-a law sums in the order of k.
-    for total, block in enumerate(_splitter_blocks(2 * n_max, math.pi / 4.0)):
-        for n in range((total + 1) // 2, min(total, n_max) + 1):
-            w_k = splits[n][total - n]
-            if w_k != 0.0:
-                port_a[n] += w_k * np.convolve(block[:, n] ** 2, vacuum[2 * n - total])
+    splits = _binomial_pmf(pairs, pairs[:, None], overlap.lam**2)
     probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
-    for n, law in enumerate(port_a):
+    for n, laws in enumerate(basis):
         n_a = np.arange(2 * n + 1)
-        probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * law
+        # A sum over the outer axis adds row after row, in ascending k.
+        port_a = (splits[n, : n + 1, None] * laws).sum(axis=0)
+        probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * port_a
     return JointPmf(probs=np.clip(probs, 0.0, 1.0))
 
 
@@ -193,6 +229,7 @@ def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
     """
     if n_max is None:
         n_max = max(1, _thermal_tail_n_max(params.nu, TAIL_TOLERANCE))
+    n_max = _check_n_max(n_max)
     x = params.alpha_mag**2
     pair_weights = (1.0 - x) * x ** np.arange(n_max + 1)
     central = _central_binomials(n_max)
@@ -224,6 +261,7 @@ def thermal_input_visibility(nu: float, n_max: int = None) -> float:
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
     if n_max is None:
         n_max = max(1, _thermal_tail_n_max(nu, TAIL_TOLERANCE))
+    n_max = _check_n_max(n_max)
     x = nu / (1.0 + nu)
     weights = (1.0 - x) * x ** np.arange(n_max + 1)
 

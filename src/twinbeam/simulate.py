@@ -31,7 +31,7 @@ import numpy as np
 from .analysis import AnalysisParams, bootstrap_std
 from .checks import check_field, csv_row_error, read_csv_rows, write_json
 from .distributions import TmsvParams
-from .fock import OverlapModel, hom_joint_pmf
+from .fock import OverlapModel, hom_basis, hom_joint_pmf, hom_n_max
 
 __all__ = [
     "GENERATOR_ID",
@@ -448,8 +448,10 @@ def _thinned_pairs(cdf: np.ndarray, n_cols: int, eta: float, master_seed: int, f
 def simulate_hom_run(config: HomScanConfig) -> HomRun:
     """Scan the splitter time and record the detected port counts per shot.
 
-    For each ``t2`` the joint output-count law is taken from the Fock
-    calculator at the modelled overlap, one ``(n_a, n_b)`` pair is drawn
+    The scan builds one overlap-free Fock basis (:func:`hom_basis`) at the
+    default pair support and frees it on return.  For each ``t2`` the joint
+    output-count law contracts that basis at the modelled overlap
+    (:func:`hom_joint_pmf`), one ``(n_a, n_b)`` pair is drawn
     per shot, and both counts are independently binomially thinned by the
     detector.  Shot ids are globally unique across the scan so every shot
     keeps a private stream.
@@ -468,9 +470,10 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     counts_a = np.zeros(shape, dtype=np.int64)
     counts_b = np.zeros(shape, dtype=np.int64)
     tail_mass = []
+    basis = hom_basis(hom_n_max(params))
     for t2_index, t2 in enumerate(config.t2_values):
         lam = overlap_amplitude(config, t2)
-        joint = hom_joint_pmf(params, OverlapModel(lam=lam))
+        joint = hom_joint_pmf(params, OverlapModel(lam=lam), basis=basis)
         flat = joint.probs.ravel()
         # The law lacks only the pair tail, at most TAIL_TOLERANCE of its
         # mass; record it, then renormalize for sampling.

@@ -6,7 +6,10 @@ occupation grid; ``build_tmsv``, ``beamsplitter``, ``marginal_counts`` and
 (:func:`twinbeam.fock._splitter_blocks`) to such states, so the block-wise
 laws of :mod:`twinbeam.fock` can be checked against whole state vectors.
 ``detected_mean`` and ``pmf_moments`` are the small closed forms the
-distribution tests compare against.
+distribution tests compare against.  ``hom_joint_pmf_reference`` is the
+per-point HOM law as it was computed before :func:`twinbeam.fock.hom_basis`
+existed, block by block with the overlap weights folded in; the production
+law must equal it byte for byte.
 """
 
 from __future__ import annotations
@@ -16,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from twinbeam.distributions import TAIL_TOLERANCE, DetectorModel, Pmf, TmsvParams
-from twinbeam.fock import JointPmf, _splitter_blocks
+from twinbeam.distributions import (
+    TAIL_TOLERANCE,
+    DetectorModel,
+    Pmf,
+    TmsvParams,
+    _binomial_pmf,
+    _thermal_tail_n_max,
+)
+from twinbeam.fock import JointPmf, OverlapModel, _splitter_blocks
 
 # Hard cap on dense amplitude grids; 41^2 two-mode and 13^4 four-mode
 # grids (the documented working envelope) sit far below it.
@@ -150,3 +160,28 @@ def pmf_moments(pmf: Pmf) -> tuple[float, float]:
     mean = float(n @ pmf.probs)
     var = float(((n - mean) ** 2) @ pmf.probs)
     return mean, var
+
+
+def hom_joint_pmf_reference(
+    params: TmsvParams, overlap: OverlapModel, n_max: int = None
+) -> JointPmf:
+    """The HOM joint port law, one point at a time, adding each port-a law in ascending ``k``."""
+    if n_max is None:
+        n_max = _thermal_tail_n_max(params.nu, TAIL_TOLERANCE)
+    x = params.alpha_mag**2
+    vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
+    # k of the second beam's n atoms fall in the matched mode.
+    splits = [_binomial_pmf(np.arange(n + 1), n, overlap.lam**2) for n in range(n_max + 1)]
+    port_a = [np.zeros(2 * n + 1) for n in range(n_max + 1)]
+    # Block T serves every matched input |n, k> with n + k = T.  For each n,
+    # k still ascends with T, so each port-a law sums in the order of k.
+    for total, block in enumerate(_splitter_blocks(2 * n_max, math.pi / 4.0)):
+        for n in range((total + 1) // 2, min(total, n_max) + 1):
+            w_k = splits[n][total - n]
+            if w_k != 0.0:
+                port_a[n] += w_k * np.convolve(block[:, n] ** 2, vacuum[2 * n - total])
+    probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
+    for n, law in enumerate(port_a):
+        n_a = np.arange(2 * n + 1)
+        probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * law
+    return JointPmf(probs=np.clip(probs, 0.0, 1.0))

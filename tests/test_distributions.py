@@ -324,6 +324,18 @@ class TestPmfValue:
             pmf.probs[0] = 0.0
 
 
+@pytest.mark.parametrize("n_max", [-1, 2.5, 3.0, "4"])
+@pytest.mark.parametrize(
+    "law,args",
+    [(thermal_pmf, (0.33,)), (thermal_pmf, (0.0,)), (poisson_pmf, (1.0,)), (poisson_pmf, (0.0,)),
+     (multimode_pmf, (1.0, 2.0))],
+)
+def test_bad_n_max_rejected(law, args, n_max):
+    # A float support used to pass as a length (3.0) or fail inside numpy.
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 0, got "):
+        law(*args, n_max)
+
+
 class TestNonFiniteParameters:
     """Each law rejects a NaN or infinite parameter and names it."""
 

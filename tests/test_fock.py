@@ -12,6 +12,7 @@ from fock_reference import (
     TruncatedPureState,
     beamsplitter,
     build_tmsv,
+    hom_joint_pmf_reference,
     joint_counts,
     marginal_counts,
 )
@@ -25,7 +26,9 @@ from twinbeam.fock import (
     _paired_split_pmf,
     _splitter_blocks,
     cross_correlation,
+    hom_basis,
     hom_joint_pmf,
+    hom_n_max,
     thermal_input_visibility,
     visibility_oracle,
 )
@@ -383,6 +386,61 @@ class TestHomJointPmf:
     def test_overlap_domain(self):
         with pytest.raises(ValueError):
             OverlapModel(lam=1.5)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.05, 0.33, 1.0, 3.0, 4.5])
+    @pytest.mark.parametrize("n_max", [None, 0, 1, 5, 17])
+    def test_bytes_equal_per_point_reference(self, nu, n_max):
+        # The contraction adds each port-a law in the reference's order of k,
+        # so no probability may move by even an ulp, with or without a basis
+        # passed in; lam = 0 and 1 put all the weight on one k.
+        params = TmsvParams(nu=nu)
+        basis = hom_basis(hom_n_max(params) if n_max is None else n_max)
+        lams = [0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-12, *np.random.default_rng(22).random(5).tolist()]
+        for lam in lams:
+            want = hom_joint_pmf_reference(params, OverlapModel(lam), n_max).probs.tobytes()
+            assert hom_joint_pmf(params, OverlapModel(lam), n_max).probs.tobytes() == want
+            assert hom_joint_pmf(params, OverlapModel(lam), n_max, basis).probs.tobytes() == want
+
+    def test_basis_rows_are_port_a_laws(self):
+        basis = hom_basis(6)
+        assert [laws.shape for laws in basis] == [(n + 1, 2 * n + 1) for n in range(7)]
+        for laws in basis:
+            assert np.all(laws >= 0.0)
+            assert np.max(np.abs(laws.sum(axis=1) - 1.0)) < 1e-14
+
+    def test_basis_size_must_match_n_max(self):
+        params = TmsvParams(nu=0.33)
+        with pytest.raises(ValueError, match=r"basis holds 6 pair numbers, not n_max \+ 1 = 5"):
+            hom_joint_pmf(params, OverlapModel(0.5), 4, hom_basis(5))
+        with pytest.raises(ValueError, match=rf"not n_max \+ 1 = {hom_n_max(params) + 1}$"):
+            hom_joint_pmf(params, OverlapModel(0.5), basis=hom_basis(5))
+
+    def test_retains_no_basis(self):
+        # The basis at nu = 3 (82 pairs) takes about 3 MB; a call keeps
+        # none of it once it returns, so nothing is cached between calls.
+        tracemalloc.start()
+        try:
+            hom_joint_pmf(TmsvParams(nu=3.0), OverlapModel(0.5))
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1e6
+
+
+@pytest.mark.parametrize("n_max", [-1, -17, 2.5, 3.0, "4"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n_max: hom_joint_pmf(TmsvParams(nu=0.33), OverlapModel(0.5), n_max),
+        hom_basis,
+        lambda n_max: visibility_oracle(TmsvParams(nu=0.33), n_max),
+        lambda n_max: thermal_input_visibility(0.33, n_max),
+    ],
+    ids=["hom_joint_pmf", "hom_basis", "visibility_oracle", "thermal_input_visibility"],
+)
+def test_bad_n_max_rejected(call, n_max):
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 0, got "):
+        call(n_max)
 
 
 class TestJointPmfValue:

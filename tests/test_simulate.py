@@ -11,9 +11,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from fock_reference import hom_joint_pmf_reference
 from twinbeam import simulate
 from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
-from twinbeam.fock import OverlapModel, hom_joint_pmf
+from twinbeam.fock import OverlapModel
 from twinbeam.simulate import (
     DEFAULT_MASTER_SEED,
     MAX_SEED,
@@ -375,9 +376,12 @@ def small_hom_config(**overrides):
 
 
 def _hom_law(config, t2) -> np.ndarray:
-    """Joint port-count law of one scan point under the declared Gaussian overlap."""
+    """Joint port-count law of one scan point under the declared Gaussian overlap.
+
+    It comes from the per-point reference, which builds no basis.
+    """
     lam = math.exp(-((t2 - config.t0) ** 2) / (2 * config.sigma_m**2))
-    return hom_joint_pmf(TmsvParams(nu=config.nu), OverlapModel(lam=lam)).probs
+    return hom_joint_pmf_reference(TmsvParams(nu=config.nu), OverlapModel(lam=lam)).probs
 
 
 def _assert_equals_per_shot_reference(config):
@@ -386,6 +390,7 @@ def _assert_equals_per_shot_reference(config):
     run = simulate_hom_run(config)
     for point in reversed(range(len(config.t2_values))):
         probs = _hom_law(config, config.t2_values[point])
+        assert run.tail_mass[point] == float(1.0 - probs.sum())
         cdf = np.cumsum(probs.ravel() / probs.sum())
         for shot in reversed(range(config.shots_per_point)):
             rng = shot_rng(config.master_seed, point * config.shots_per_point + shot)
@@ -446,6 +451,14 @@ class TestHomRun:
         # eta = 0 draws no thinning word, eta = 1 draws one that keeps every
         # atom, and eta = 0.6 thins by n - Bin(n, 0.4).
         _assert_equals_per_shot_reference(small_hom_config(eta=eta))
+
+    def test_scan_through_no_and_full_overlap_equals_per_shot_reference(self):
+        # Far out the overlap underflows to lam = 0, and at t2 = t0 it is
+        # exactly 1: both ends of the basis contraction, where the weights
+        # Bin(k; n, lam^2) sit on one k, lie on the scan.
+        config = small_hom_config(t2_values=(-1e6, -150.0, 0.0, 40.0, 1e6), shots_per_point=200)
+        assert [simulate.overlap_amplitude(config, t2) for t2 in (-1e6, 0.0, 1e6)] == [0, 1, 0]
+        _assert_equals_per_shot_reference(config)
 
     def test_replayed_shots_equal_per_shot_reference(self, monkeypatch):
         # With no thinning settled from the block, every shot replays its stream.
