@@ -36,7 +36,6 @@ from .fitting import (
     propagate_visibility_uncertainty,
 )
 from .fock import (
-    JointPmf,
     OverlapModel,
     UndefinedVisibilityError,
     cross_correlation,

@@ -10,7 +10,6 @@ validation error, 3 empty-result condition, 4 fit failure.
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import hashlib
 import json
 import sys
@@ -73,17 +72,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, doc: dict, seed: int, files, stamp: bool) -> None:
+def _write_manifest(out_dir: Path, doc: dict, seed: int, files) -> None:
     manifest = {
         "tool": "twinbeam",
         "version": __version__,
         "seed": seed,
         "config_digest": config_digest(doc),
         "generator": GENERATOR_ID,
-        # A wall-clock stamp breaks byte-identical reruns; opt in with --stamp.
-        "timestamp": (
-            datetime.datetime.now(datetime.timezone.utc).isoformat() if stamp else None
-        ),
         "files": [
             {"name": f.name, "sha256": _sha256(f), "bytes": f.stat().st_size}
             for f in sorted(files)
@@ -120,11 +115,6 @@ _COMMON_OPTIONS = [
         default=None,
         help="Master seed override (else from config).",
     ),
-    click.option(
-        "--stamp/--no-stamp",
-        default=False,
-        help="Record wall-clock time in the manifest (breaks byte reproducibility).",
-    ),
 ]
 
 
@@ -148,7 +138,7 @@ def print_config():
 
 @main.command("simulate-source")
 @_with_common_options
-def cmd_simulate_source(config_path, out, seed, stamp):
+def cmd_simulate_source(config_path, out, seed):
     """Generate a counting run and write its event table."""
     doc = _load_config_or_fail(config_path)
     out_dir = _prepare_out(out)
@@ -157,7 +147,7 @@ def cmd_simulate_source(config_path, out, seed, stamp):
     events_csv = out_dir / "events.csv"
     events_meta = out_dir / "events.meta.json"
     write_event_table(table, events_csv, events_meta)
-    _write_manifest(out_dir, doc, config.master_seed, [events_csv, events_meta], stamp)
+    _write_manifest(out_dir, doc, config.master_seed, [events_csv, events_meta])
     click.echo(f"wrote {table.n_shots} shots, {len(table.shot)} detected atoms -> {events_csv}")
 
 
@@ -176,7 +166,7 @@ def _histogram_csv(path: Path, occurrences, err, overlays: dict) -> None:
     help="Event-table sidecar JSON (default: <events>.meta.json next to the CSV).",
 )
 @_with_common_options
-def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
+def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
     """Bin, histogram, filter and fit a counting run."""
     doc = _load_config_or_fail(config_path)
     out_dir = _prepare_out(out)
@@ -201,7 +191,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
     kept = filter_cells(means, params.min_mean)
     write_cell_stats(out_dir / "cell_stats.csv", grid, means, kept)
     if len(kept) == 0:
-        _write_manifest(out_dir, doc, master, [out_dir / "cell_stats.csv"], stamp)
+        _write_manifest(out_dir, doc, master, [out_dir / "cell_stats.csv"])
         _fail(
             EXIT_EMPTY_RESULT,
             f"no cells reach the mean threshold {params.min_mean}",
@@ -274,7 +264,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
         out_dir / "pooled_histogram.csv",
         out_dir / "degeneracy_fit.json",
     ]
-    _write_manifest(out_dir, doc, master, files, stamp)
+    _write_manifest(out_dir, doc, master, files)
     click.echo(
         f"kept {len(kept)}/{grid.n_cells} cells, average mean "
         f"{mean_single:.4f}, pooled mean {pooled.mean:.3f}, "
@@ -284,7 +274,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed, stamp):
 
 @main.command("simulate-hom")
 @_with_common_options
-def cmd_simulate_hom(config_path, out, seed, stamp):
+def cmd_simulate_hom(config_path, out, seed):
     """Scan the splitter time and write the cross-correlation curve."""
     doc = _load_config_or_fail(config_path)
     out_dir = _prepare_out(out)
@@ -297,9 +287,7 @@ def cmd_simulate_hom(config_path, out, seed, stamp):
     points = correlation_scan(run, resamples=resamples)
     scan_csv = out_dir / "hom_scan.csv"
     write_csv(scan_csv, "t2_us,corr,err", *np.array(points, dtype=float).T)
-    _write_manifest(
-        out_dir, doc, config.master_seed, [events_csv, events_meta, scan_csv], stamp
-    )
+    _write_manifest(out_dir, doc, config.master_seed, [events_csv, events_meta, scan_csv])
     click.echo(f"wrote {len(points)} scan points -> {scan_csv}")
 
 
@@ -308,8 +296,7 @@ def cmd_simulate_hom(config_path, out, seed, stamp):
 @click.option("--nu", type=float, default=None, help="Mean occupation for a predicted-visibility comparison row.")
 @click.option("--nu-std", type=float, default=0.0, help="Uncertainty on --nu.")
 @click.option("--out", required=True, help="Output directory.")
-@click.option("--stamp/--no-stamp", default=False)
-def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
+def cmd_fit_dip(scan_csv, nu, nu_std, out):
     """Fit the Gaussian dip in a correlation scan."""
     out_dir = _prepare_out(out)
     try:
@@ -350,13 +337,7 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
     t_dense = np.linspace(ts.min(), ts.max(), 200)
     curve_csv = out_dir / "fitted_curve.csv"
     write_csv(curve_csv, "t2_us,corr_fit", t_dense, fit.model(t_dense))
-    _write_manifest(
-        out_dir,
-        {"scan_digest": digest},
-        0,
-        [out_dir / "dip_fit.json", curve_csv],
-        stamp,
-    )
+    _write_manifest(out_dir, {"scan_digest": digest}, 0, [out_dir / "dip_fit.json", curve_csv])
     click.echo(
         f"V = {fit.visibility:.4f} +/- {fit.visibility_err:.4f}, "
         f"t0 = {fit.t0:.2f} us, sigma = {fit.sigma:.2f} us, "
@@ -369,8 +350,7 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out, stamp):
 @click.option("--nu-std", type=float, default=None, help="Uncertainty on nu (overrides config).")
 @click.option("--config", "config_path", default=None, help="Run configuration (JSON).")
 @click.option("--out", required=True, help="Output directory.")
-@click.option("--stamp/--no-stamp", default=False)
-def cmd_predict_visibility(nu, nu_std, config_path, out, stamp):
+def cmd_predict_visibility(nu, nu_std, config_path, out):
     """Evaluate the predicted visibility with propagated uncertainty."""
     doc = {"master_seed": 0}
     if config_path is not None:
@@ -389,7 +369,7 @@ def cmd_predict_visibility(nu, nu_std, config_path, out, stamp):
         _fail(EXIT_INPUT_ERROR, str(exc))
     write_json(out_dir / "visibility_prediction.json", dataclasses.asdict(prediction))
     _write_manifest(
-        out_dir, doc, doc.get("master_seed", 0), [out_dir / "visibility_prediction.json"], stamp
+        out_dir, doc, doc.get("master_seed", 0), [out_dir / "visibility_prediction.json"]
     )
     click.echo("nu            V_pred")
     click.echo(

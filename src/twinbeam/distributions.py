@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_field
+
 __all__ = [
     "TAIL_TOLERANCE",
     "TmsvParams",
@@ -34,40 +36,17 @@ TAIL_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class TmsvParams:
-    """Source parameters of a two-mode squeezed vacuum.
+    """Two-mode squeezed vacuum, set by its mean occupation per mode ``nu``."""
 
-    Either the mean occupation per mode ``nu`` or the pair amplitude
-    magnitude ``alpha_mag`` may be given; the other is derived from
-    ``nu = alpha_mag**2 / (1 - alpha_mag**2)``.
-    """
-
-    nu: float = None
-    alpha_mag: float = None
+    nu: float
 
     def __post_init__(self):
-        nu, alpha = self.nu, self.alpha_mag
-        if nu is None and alpha is None:
-            raise ValueError("provide nu or alpha_mag")
-        for name, value in (("nu", nu), ("alpha_mag", alpha)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if alpha is None:
-            if nu < 0:
-                raise ValueError(f"nu must be >= 0, got {nu}")
-            alpha = math.sqrt(nu / (1.0 + nu))
-            object.__setattr__(self, "alpha_mag", alpha)
-        elif nu is None:
-            if not 0.0 <= alpha < 1.0:
-                raise ValueError(f"alpha_mag must be in [0, 1), got {alpha}")
-            object.__setattr__(self, "nu", alpha**2 / (1.0 - alpha**2))
-        else:
-            if not 0.0 <= alpha < 1.0:
-                raise ValueError(f"alpha_mag must be in [0, 1), got {alpha}")
-            expected = alpha**2 / (1.0 - alpha**2)
-            if abs(nu - expected) > 1e-12 * max(1.0, abs(nu)):
-                raise ValueError(
-                    f"inconsistent parameters: nu={nu} but alpha_mag implies {expected}"
-                )
+        check_field(self, "nu", 0)
+
+    @property
+    def alpha_mag(self) -> float:
+        """Pair amplitude magnitude: ``nu = alpha_mag**2 / (1 - alpha_mag**2)``."""
+        return math.sqrt(self.nu / (1.0 + self.nu))
 
 
 @dataclass(frozen=True)
@@ -77,52 +56,41 @@ class DetectorModel:
     eta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        check_field(self, "eta", 0, 1)
 
 
 @dataclass(frozen=True)
 class Pmf:
-    """Probability mass function over counts ``n = 0 .. n_max``.
+    """A count law: ``probs[n]`` for ``n = 0 .. n_max``, or a joint table ``probs[n_a, n_b]``.
 
-    ``tail_tolerance`` records the analytic tail-mass bound used when the
-    support was truncated, so normalization stays testable: the entries sum
-    to at least ``1 - tail_tolerance`` whenever the distribution was built
-    by one of the generators in this module.
+    A law cut to a finite support lacks the mass beyond it, and
+    ``truncation_loss`` reports that mass.
     """
 
     probs: np.ndarray
-    n_max: int
-    tail_tolerance: float = TAIL_TOLERANCE
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1:
-            raise ValueError("probs must be one-dimensional")
-        if len(probs) != self.n_max + 1:
-            raise ValueError(
-                f"probs has {len(probs)} entries but n_max={self.n_max}"
-            )
+        probs = np.array(self.probs, dtype=float)
+        if probs.ndim not in (1, 2):
+            raise ValueError("probs must be a 1-D law or a 2-D joint table")
         if not (0.0 <= probs.min() and probs.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if probs.sum() > 1.0 + 1e-9:
             raise ValueError(f"probabilities sum to {probs.sum()} > 1")
-        probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.probs) - 1
 
     @property
     def total(self) -> float:
         return float(self.probs.sum())
 
-
-def _thermal_tail_n_max(nu: float, tol: float) -> int:
-    # Thermal tail mass beyond n is (nu/(1+nu))**(n+1).  Solving for tol/2
-    # leaves the other half of the allowance to rounding in the summed terms.
-    if nu <= 0.0:
-        return 0
-    x = nu / (1.0 + nu)
-    return max(0, math.ceil(math.log(tol / 2.0) / math.log(x)) - 1)
+    @property
+    def truncation_loss(self) -> float:
+        return max(0.0, 1.0 - self.total)
 
 
 def _check_n_max(n_max) -> int:
@@ -130,6 +98,22 @@ def _check_n_max(n_max) -> int:
     if not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise ValueError(f"n_max must be an integer >= 0, got {n_max!r}")
     return int(n_max)
+
+
+def _thermal_support(nu: float, n_max=None, floor: int = 0) -> int:
+    """``n_max`` if given, else the default support of a thermal law of mean ``nu``.
+
+    The thermal tail mass beyond n is ``x**(n + 1)``, ``x = nu / (1 + nu)``.
+    The default is the smallest n, and at least ``floor``, that leaves at
+    most ``TAIL_TOLERANCE / 2`` there; the other half of the allowance is
+    left to rounding in the summed terms.
+    """
+    if n_max is not None:
+        return _check_n_max(n_max)
+    if nu <= 0.0:
+        return floor
+    x = nu / (1.0 + nu)
+    return max(floor, math.ceil(math.log(TAIL_TOLERANCE / 2.0) / math.log(x)) - 1)
 
 
 def _law(log_pmf, n_max: int, size: int) -> Pmf:
@@ -150,9 +134,8 @@ def _law(log_pmf, n_max: int, size: int) -> Pmf:
         probs = np.exp(log_p)
         beyond = np.cumsum(probs[:0:-1])[::-1]  # beyond[n] = probs[n + 1:].sum()
         n_max = int(np.argmax(beyond <= TAIL_TOLERANCE)) + 2
-        return Pmf(probs=probs[: n_max + 1], n_max=n_max)
-    n_max = _check_n_max(n_max)
-    return Pmf(probs=np.exp(log_pmf(np.arange(n_max + 1))), n_max=n_max)
+        return Pmf(probs=probs[: n_max + 1])
+    return Pmf(probs=np.exp(log_pmf(np.arange(_check_n_max(n_max) + 1))))
 
 
 def _log_products(ratios: np.ndarray) -> np.ndarray:
@@ -170,7 +153,7 @@ def thermal_pmf(nu: float, n_max: int = None) -> Pmf:
     """
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
-    n_max = _thermal_tail_n_max(nu, TAIL_TOLERANCE) if n_max is None else _check_n_max(n_max)
+    n_max = _thermal_support(nu, n_max)
     n = np.arange(n_max + 1)
     if nu == 0.0:
         probs = np.zeros(n_max + 1)
@@ -178,7 +161,7 @@ def thermal_pmf(nu: float, n_max: int = None) -> Pmf:
     else:
         log_p = n * math.log(nu) - (n + 1) * math.log1p(nu)
         probs = np.exp(log_p)
-    return Pmf(probs=probs, n_max=n_max)
+    return Pmf(probs=probs)
 
 
 def multimode_log_pmf(nu: float, big_m: float, ns: np.ndarray) -> np.ndarray:
@@ -259,15 +242,11 @@ def binomial_thin(pmf: Pmf, det: DetectorModel) -> Pmf:
     """Count law after each atom survives detection with probability eta.
 
     ``P'(k) = sum_n P(n) C(n, k) eta^k (1-eta)^(n-k)``.  Thinning cannot
-    move mass upward, so the support and the truncation tail bound carry
-    over unchanged.
+    move mass upward, so the support and the truncation loss carry over
+    unchanged.
     """
     eta = det.eta
     n = np.arange(pmf.n_max + 1)
     # loss_matrix[k, m] = P(Binomial(m, eta) = k)
     loss_matrix = _binomial_pmf(n[:, None], n[None, :], eta)
-    return Pmf(
-        probs=np.clip(loss_matrix @ pmf.probs, 0.0, 1.0),
-        n_max=pmf.n_max,
-        tail_tolerance=pmf.tail_tolerance,
-    )
+    return Pmf(probs=np.clip(loss_matrix @ pmf.probs, 0.0, 1.0))

@@ -6,8 +6,12 @@ conserves) from the block of total ``T``.  The visibility oracles use each
 block once and free it.  :func:`hom_basis` takes from the blocks, in one
 pass, the overlap-free port-a laws of every pair number; a HOM scan builds
 that basis once and :func:`hom_joint_pmf` contracts it with the overlap's
-binomial weights at each point.  Nothing works with a per-mode cutoff, and
-nothing is cached between calls.  The module exists to derive
+binomial weights at each point.  The basis grows as ``n_max**3``, so
+:func:`check_basis_size` refuses one past ``MAX_BASIS_FLOATS`` before
+anything is allocated.  The joint law is a 2-D
+:class:`~twinbeam.distributions.Pmf`, whose ``truncation_loss`` is the
+pair tail it lacks.  Nothing works with a per-mode cutoff, and nothing is
+cached between calls.  The module exists to derive
 independently what the closed-form laws in :mod:`twinbeam.distributions`
 and :mod:`twinbeam.fitting` assert, and to hand exact joint count
 distributions to the Monte Carlo simulator.  The dense state-vector
@@ -26,18 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    TAIL_TOLERANCE,
-    TmsvParams,
-    _binomial_pmf,
-    _check_n_max,
-    _thermal_tail_n_max,
-)
+from .checks import check_field
+from .distributions import Pmf, TmsvParams, _binomial_pmf, _check_n_max, _thermal_support
 
 __all__ = [
     "UndefinedVisibilityError",
-    "JointPmf",
+    "MAX_BASIS_FLOATS",
     "OverlapModel",
+    "check_basis_size",
     "hom_basis",
     "hom_joint_pmf",
     "hom_n_max",
@@ -46,35 +46,16 @@ __all__ = [
     "thermal_input_visibility",
 ]
 
+# hom_basis keeps sum_n (n + 1)(2n + 1), about (2/3) n_max**3, floats: 9 MB
+# at nu = 4.5, 83 MB at nu = 10, but 0.62 GB at nu = 20 and 9.2 GB at
+# nu = 50.  A larger basis is refused before anything is allocated, so a
+# large nu fails at the boundary instead of exhausting memory.  This bound
+# (128 MiB) admits nu up to about 11.8.
+MAX_BASIS_FLOATS = 2**24
+
+
 class UndefinedVisibilityError(ValueError):
     """Raised when the distinguishable cross correlation vanishes."""
-
-
-@dataclass(frozen=True)
-class JointPmf:
-    """Joint count probabilities for two detection ports."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 2:
-            raise ValueError("joint probabilities must be a 2-D table")
-        if not (0.0 <= probs.min() and probs.max() <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if probs.sum() > 1.0 + 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()} > 1")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def total(self) -> float:
-        return float(self.probs.sum())
-
-    @property
-    def truncation_loss(self) -> float:
-        return max(0.0, 1.0 - self.total)
 
 
 @dataclass(frozen=True)
@@ -88,8 +69,7 @@ class OverlapModel:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"overlap amplitude must be in [0, 1], got {self.lam}")
+        check_field(self, "lam", 0, 1)
 
 
 def _splitter_blocks(t_max: int, theta: float):
@@ -124,7 +104,17 @@ def _splitter_blocks(t_max: int, theta: float):
 
 def hom_n_max(params: TmsvParams) -> int:
     """Default pair support of :func:`hom_joint_pmf`: thermal tail below ``TAIL_TOLERANCE``."""
-    return _thermal_tail_n_max(params.nu, TAIL_TOLERANCE)
+    return _thermal_support(params.nu)
+
+
+def check_basis_size(n_max: int) -> None:
+    """Raise ``ValueError`` if ``hom_basis(n_max)`` would hold more than ``MAX_BASIS_FLOATS``."""
+    floats = (n_max + 1) * (n_max + 2) * (4 * n_max + 3) // 6  # sum of (n + 1)(2n + 1)
+    if floats > MAX_BASIS_FLOATS:
+        raise ValueError(
+            f"a HOM Fock basis of {n_max} pairs would hold {floats:,} floats "
+            f"({floats * 8 / 1e9:.2g} GB), more than the {MAX_BASIS_FLOATS:,} allowed"
+        )
 
 
 def hom_basis(n_max: int) -> tuple[np.ndarray, ...]:
@@ -135,6 +125,7 @@ def hom_basis(n_max: int) -> tuple[np.ndarray, ...]:
     ``n + k`` convolved with the ``n - k`` orthogonal atoms' ``Bin(n - k, 1/2)``.
     """
     n_max = _check_n_max(n_max)
+    check_basis_size(n_max)
     vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
     basis = tuple(np.empty((n + 1, 2 * n + 1)) for n in range(n_max + 1))
     # Block T serves every matched input |n, k> with n + k = T.
@@ -149,7 +140,7 @@ def hom_joint_pmf(
     overlap: OverlapModel,
     n_max: int = None,
     basis: tuple[np.ndarray, ...] = None,
-) -> JointPmf:
+) -> Pmf:
     """Joint output-port count law of the two-input interferometer.
 
     The first beam defines the matched spatio-temporal mode; the second
@@ -164,10 +155,12 @@ def hom_joint_pmf(
     ascending ``k``.  A scan passes one ``basis`` to all its points; without
     one, the call builds its own.
 
-    Only the pair tail beyond ``n_max`` is lost; it defaults to
-    :func:`hom_n_max`, and a ``basis`` must hold ``n_max + 1`` entries.
+    Returns a 2-D :class:`~twinbeam.distributions.Pmf` over ``(n_a, n_b)``.
+    Only the pair tail beyond ``n_max`` is lost, and its ``truncation_loss``
+    reports it.  ``n_max`` defaults to :func:`hom_n_max`, and a ``basis``
+    must hold ``n_max + 1`` entries.
     """
-    n_max = hom_n_max(params) if n_max is None else _check_n_max(n_max)
+    n_max = _thermal_support(params.nu, n_max)
     if basis is None:
         basis = hom_basis(n_max)
     elif len(basis) != n_max + 1:
@@ -182,10 +175,10 @@ def hom_joint_pmf(
         # A sum over the outer axis adds row after row, in ascending k.
         port_a = (splits[n, : n + 1, None] * laws).sum(axis=0)
         probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * port_a
-    return JointPmf(probs=np.clip(probs, 0.0, 1.0))
+    return Pmf(probs=np.clip(probs, 0.0, 1.0))
 
 
-def cross_correlation(joint: JointPmf) -> float:
+def cross_correlation(joint: Pmf) -> float:
     """Expectation of the port-count product ``<n_a n_b>``."""
     n_a = np.arange(joint.probs.shape[0])
     n_b = np.arange(joint.probs.shape[1])
@@ -227,9 +220,7 @@ def visibility_oracle(params: TmsvParams, n_max: int = None) -> float:
     which keeps every splitter output exactly (blocks conserve the total
     count) and scales to mean occupations of order 100.
     """
-    if n_max is None:
-        n_max = max(1, _thermal_tail_n_max(params.nu, TAIL_TOLERANCE))
-    n_max = _check_n_max(n_max)
+    n_max = _thermal_support(params.nu, n_max, floor=1)
     x = params.alpha_mag**2
     pair_weights = (1.0 - x) * x ** np.arange(n_max + 1)
     central = _central_binomials(n_max)
@@ -259,9 +250,7 @@ def thermal_input_visibility(nu: float, n_max: int = None) -> float:
     """
     if not 0.0 <= nu < math.inf:
         raise ValueError(f"nu must be finite and >= 0, got {nu}")
-    if n_max is None:
-        n_max = max(1, _thermal_tail_n_max(nu, TAIL_TOLERANCE))
-    n_max = _check_n_max(n_max)
+    n_max = _thermal_support(nu, n_max, floor=1)
     x = nu / (1.0 + nu)
     weights = (1.0 - x) * x ** np.arange(n_max + 1)
 

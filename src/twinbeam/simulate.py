@@ -31,7 +31,7 @@ import numpy as np
 from .analysis import AnalysisParams, bootstrap_std
 from .checks import check_field, csv_row_error, read_csv_rows, write_json
 from .distributions import TmsvParams
-from .fock import OverlapModel, hom_basis, hom_joint_pmf, hom_n_max
+from .fock import OverlapModel, check_basis_size, hom_basis, hom_joint_pmf, hom_n_max
 
 __all__ = [
     "GENERATOR_ID",
@@ -279,7 +279,8 @@ class HomScanConfig:
     ``lam(t2) = exp(-(t2 - t0)^2 / (2 sigma_m^2))``; the resulting dip in
     the cross correlation is then Gaussian with RMS ``sigma_m/sqrt(2)``.
     Shot ids run across the whole scan, so the scan holds at most
-    ``SHOT_ID_LIMIT`` shots.
+    ``SHOT_ID_LIMIT`` shots, and ``nu`` is held to the Fock basis the scan
+    builds (:func:`twinbeam.fock.check_basis_size`).
     """
 
     t2_values: tuple[float, ...] = tuple(round(-260.0 + i * 520.0 / 12.0, 6) for i in range(13))
@@ -295,6 +296,7 @@ class HomScanConfig:
         check_field(self, "t0")
         check_field(self, "sigma_m", 0, positive=True)
         check_field(self, "nu", 0)
+        check_basis_size(hom_n_max(TmsvParams(nu=self.nu)))
         check_field(self, "eta", 0, 1)
         check_field(
             self, "shots_per_point", 1, SHOT_ID_LIMIT // len(self.t2_values), integer=True

@@ -19,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from twinbeam.distributions import (
-    TAIL_TOLERANCE,
-    DetectorModel,
-    Pmf,
-    TmsvParams,
-    _binomial_pmf,
-    _thermal_tail_n_max,
-)
-from twinbeam.fock import JointPmf, OverlapModel, _splitter_blocks
+from twinbeam.distributions import DetectorModel, Pmf, TmsvParams, _binomial_pmf
+from twinbeam.fock import OverlapModel, _splitter_blocks, hom_n_max
 
 # Hard cap on dense amplitude grids; 41^2 two-mode and 13^4 four-mode
 # grids (the documented working envelope) sit far below it.
@@ -90,11 +83,7 @@ def marginal_counts(state: TruncatedPureState, mode: int) -> Pmf:
     weights = np.abs(state.amplitudes) ** 2
     axes = tuple(ax for ax in range(state.mode_count) if ax != mode)
     probs = weights.sum(axis=axes)
-    return Pmf(
-        probs=np.clip(probs, 0.0, 1.0),
-        n_max=state.n_max,
-        tail_tolerance=max(TAIL_TOLERANCE, state.truncation_loss),
-    )
+    return Pmf(probs=np.clip(probs, 0.0, 1.0))
 
 
 def beamsplitter(
@@ -132,7 +121,7 @@ def joint_counts(
     state: TruncatedPureState,
     modes_a: tuple[int, ...],
     modes_b: tuple[int, ...],
-) -> JointPmf:
+) -> Pmf:
     """Joint distribution of the summed counts in two groups of modes."""
     if sorted([*modes_a, *modes_b]) != list(range(state.mode_count)):
         raise ValueError("modes_a and modes_b must partition the mode indices")
@@ -144,7 +133,7 @@ def joint_counts(
         (len(modes_a) * state.n_max + 1, len(modes_b) * state.n_max + 1)
     )
     np.add.at(probs, (n_a.ravel(), n_b.ravel()), weights.ravel())
-    return JointPmf(probs=np.clip(probs, 0.0, 1.0))
+    return Pmf(probs=np.clip(probs, 0.0, 1.0))
 
 
 def detected_mean(nu: float, det: DetectorModel) -> float:
@@ -164,10 +153,10 @@ def pmf_moments(pmf: Pmf) -> tuple[float, float]:
 
 def hom_joint_pmf_reference(
     params: TmsvParams, overlap: OverlapModel, n_max: int = None
-) -> JointPmf:
+) -> Pmf:
     """The HOM joint port law, one point at a time, adding each port-a law in ascending ``k``."""
     if n_max is None:
-        n_max = _thermal_tail_n_max(params.nu, TAIL_TOLERANCE)
+        n_max = hom_n_max(params)
     x = params.alpha_mag**2
     vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
     # k of the second beam's n atoms fall in the matched mode.
@@ -184,4 +173,4 @@ def hom_joint_pmf_reference(
     for n, law in enumerate(port_a):
         n_a = np.arange(2 * n + 1)
         probs[n_a, 2 * n - n_a] = (1.0 - x) * x**n * law
-    return JointPmf(probs=np.clip(probs, 0.0, 1.0))
+    return Pmf(probs=np.clip(probs, 0.0, 1.0))

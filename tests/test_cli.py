@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from twinbeam import fock
 from twinbeam.cli import main
-from twinbeam.config import default_config, load_config, validate_config
+from twinbeam.config import ConfigError, default_config, load_config, validate_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -162,6 +163,27 @@ class TestConfigValidation:
         assert "seed" in result.output
         assert not (out / "events.csv").exists()
 
+    def test_hom_nu_past_the_fock_basis_bound_is_invalid(self):
+        # nu = 50 would need a 9.2 GB basis; validation only computes its size.
+        doc = small_doc()
+        doc["hom"]["nu"] = 50.0
+        with pytest.raises(ConfigError, match=r"^config invalid at hom: a HOM Fock basis of 1197 "):
+            validate_config(doc)
+
+    def test_simulate_hom_past_the_fock_basis_bound_exits_2(self, tmp_path, runner, monkeypatch):
+        # The bound is lowered below the 34-pair basis of nu = 1, so the scan
+        # that a missing check would run stays small.
+        monkeypatch.setattr(fock, "MAX_BASIS_FLOATS", 1000)
+        doc = small_doc()
+        doc["hom"]["nu"] = 1.0
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["simulate-hom", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "config invalid at hom: a HOM Fock basis of 34 pairs" in result.output
+        assert not out.exists()
+
     def test_shipped_config_is_the_default(self):
         assert load_config(REPO_ROOT / "configs" / "default.json") == default_config()
 
@@ -196,7 +218,8 @@ class TestSimulateSource:
         assert result.exit_code == 0, result.output
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 4242
-        assert manifest["timestamp"] is None
+        # Wall-clock time stays out of the manifest, so reruns are byte-identical.
+        assert "timestamp" not in manifest
         listed = {f["name"] for f in manifest["files"]}
         assert listed == {"events.csv", "events.meta.json"}
         for entry in manifest["files"]:

@@ -21,6 +21,7 @@ from twinbeam.distributions import (
     poisson_pmf,
     thermal_pmf,
 )
+from twinbeam.fock import OverlapModel, hom_joint_pmf
 
 # Values frozen from independent high-precision evaluation (mpmath, 40 digits).
 THERMAL_P0_0158 = 0.863557858377
@@ -35,32 +36,29 @@ class TestTmsvParams:
         p = TmsvParams(nu=0.5)
         assert math.isclose(p.alpha_mag**2 / (1 - p.alpha_mag**2), 0.5, rel_tol=1e-12)
 
-    def test_alpha_to_nu(self):
-        p = TmsvParams(alpha_mag=0.5)
-        assert math.isclose(p.nu, 0.25 / 0.75, rel_tol=1e-12)
-
-    def test_consistent_pair_accepted(self):
-        alpha = math.sqrt(0.33 / 1.33)
-        TmsvParams(nu=0.33, alpha_mag=alpha)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            TmsvParams(nu=0.33, alpha_mag=0.9)
-
-    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.1])
-    def test_alpha_domain(self, bad):
-        with pytest.raises(ValueError):
-            TmsvParams(alpha_mag=bad)
-
     def test_negative_nu_rejected(self):
         with pytest.raises(ValueError):
             TmsvParams(nu=-0.1)
 
-    @pytest.mark.parametrize("field", ["nu", "alpha_mag"])
+    @pytest.mark.parametrize("field", ["nu"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, bad):
         with pytest.raises(ValueError, match="finite"):
             TmsvParams(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "cls,field,bad",
+    [
+        *((TmsvParams, "nu", bad) for bad in (True, math.nan, math.inf, -0.1)),
+        *((DetectorModel, "eta", bad) for bad in (True, math.nan, math.inf, -0.1, 1.1)),
+        *((OverlapModel, "lam", bad) for bad in (True, math.nan, math.inf, -0.1, 1.1)),
+    ],
+)
+def test_value_type_rejects_bad_field(cls, field, bad):
+    # A bool used to pass as 1 in all three.
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite number"):
+        cls(**{field: bad})
 
 
 class TestThermalPmf:
@@ -225,7 +223,7 @@ class TestBinomialThin:
         assert not thinned.probs[1:].any()
 
     def test_point_mass_splits_binomially(self):
-        point = Pmf(probs=np.array([0.0, 0.0, 1.0, 0.0]), n_max=3)
+        point = Pmf(probs=np.array([0.0, 0.0, 1.0, 0.0]))
         thinned = binomial_thin(point, DetectorModel(eta=0.5))
         assert np.allclose(thinned.probs, [0.25, 0.5, 0.25, 0.0], atol=1e-15)
 
@@ -304,19 +302,41 @@ class TestMoments:
 class TestPmfValue:
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError):
-            Pmf(probs=np.array([0.5, -0.1]), n_max=1)
+            Pmf(probs=np.array([0.5, -0.1]))
 
     def test_rejects_super_unit_total(self):
         with pytest.raises(ValueError):
-            Pmf(probs=np.array([0.9, 0.9]), n_max=1)
+            Pmf(probs=np.array([0.9, 0.9]))
 
     def test_rejects_nan_probability(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            Pmf(probs=np.array([math.nan, 0.5]), n_max=1)
+            Pmf(probs=np.array([math.nan, 0.5]))
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            Pmf(probs=np.array([1.0]), n_max=3)
+    def test_holds_a_joint_table(self):
+        joint = Pmf(probs=np.full((3, 2), 0.1))
+        assert joint.probs.shape == (3, 2)
+        assert joint.n_max == 2 == len(joint.probs) - 1
+        assert joint.truncation_loss == pytest.approx(0.4, abs=1e-15)
+
+    @pytest.mark.parametrize("probs", [0.5, np.full((2, 2, 2), 0.1)], ids=["0-d", "3-d"])
+    def test_rejects_other_shapes(self, probs):
+        with pytest.raises(ValueError, match="1-D law or a 2-D joint table"):
+            Pmf(probs=probs)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: thermal_pmf(3.0, 5),
+            lambda: binomial_thin(thermal_pmf(3.0, 5), DetectorModel(eta=0.4)),
+            lambda: hom_joint_pmf(TmsvParams(nu=3.0), OverlapModel(0.5), n_max=5),
+        ],
+        ids=["thermal_pmf", "binomial_thin", "hom_joint_pmf"],
+    )
+    def test_truncation_loss_is_the_mass_beyond_an_explicit_support(self, make):
+        # Each law keeps 0 .. 5 quanta (pairs) of nu = 3; x**6 = 0.75**6 is beyond.
+        pmf = make()
+        assert pmf.truncation_loss == 1.0 - pmf.total
+        assert pmf.truncation_loss == pytest.approx(0.75**6, rel=1e-12)
 
     def test_probs_are_read_only(self):
         pmf = thermal_pmf(0.5, 10)

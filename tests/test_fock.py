@@ -16,15 +16,16 @@ from fock_reference import (
     joint_counts,
     marginal_counts,
 )
-from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
+from twinbeam import fock
+from twinbeam.distributions import TAIL_TOLERANCE, Pmf, TmsvParams, _binomial_pmf, thermal_pmf
 from twinbeam.fock import (
-    JointPmf,
     OverlapModel,
     UndefinedVisibilityError,
     _central_binomials,
     _half_binomial_pmf,
     _paired_split_pmf,
     _splitter_blocks,
+    check_basis_size,
     cross_correlation,
     hom_basis,
     hom_joint_pmf,
@@ -415,6 +416,31 @@ class TestHomJointPmf:
         with pytest.raises(ValueError, match=rf"not n_max \+ 1 = {hom_n_max(params) + 1}$"):
             hom_joint_pmf(params, OverlapModel(0.5), basis=hom_basis(5))
 
+    def test_basis_size_is_counted_exactly(self):
+        assert sum(laws.size for laws in hom_basis(9)) == 715
+        check_basis_size(9)
+
+    def test_basis_past_the_bound_is_refused_before_it_is_built(self, monkeypatch):
+        # The bound is read at call time; lowered, it refuses a 9-pair basis
+        # of 715 floats, so no large basis is ever built here.
+        monkeypatch.setattr(fock, "MAX_BASIS_FLOATS", 714)
+        with pytest.raises(ValueError, match=r"^a HOM Fock basis of 9 pairs would hold 715 "):
+            hom_basis(9)
+        with pytest.raises(ValueError, match="more than the 714 allowed"):
+            hom_joint_pmf(TmsvParams(nu=0.33), OverlapModel(0.5), n_max=9)
+        hom_basis(8)
+
+    @pytest.mark.parametrize("nu,admitted", [(4.5, True), (11.8, True), (12.0, False), (50.0, False)])
+    def test_bound_admits_every_nu_the_checks_use(self, nu, admitted):
+        # nu = 4.5 is the largest HOM occupation the tests and benchmark use;
+        # nu = 50 would need a 9.2 GB basis.  Only the size is computed.
+        n_max = hom_n_max(TmsvParams(nu=nu))
+        if admitted:
+            check_basis_size(n_max)
+        else:
+            with pytest.raises(ValueError, match=rf"^a HOM Fock basis of {n_max} pairs"):
+                check_basis_size(n_max)
+
     def test_retains_no_basis(self):
         # The basis at nu = 3 (82 pairs) takes about 3 MB; a call keeps
         # none of it once it returns, so nothing is cached between calls.
@@ -446,19 +472,19 @@ def test_bad_n_max_rejected(call, n_max):
 class TestJointPmfValue:
     def test_rejects_nan_probability(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            JointPmf(probs=np.array([[math.nan, 0.5]]))
+            Pmf(probs=np.array([[math.nan, 0.5]]))
 
 
 class TestCrossCorrelation:
     def test_point_mass_coincidence(self):
         probs = np.zeros((3, 3))
         probs[1, 1] = 1.0
-        assert cross_correlation(JointPmf(probs=probs)) == 1.0
+        assert cross_correlation(Pmf(probs=probs)) == 1.0
 
     def test_point_mass_bunched(self):
         probs = np.zeros((3, 3))
         probs[2, 0] = 1.0
-        assert cross_correlation(JointPmf(probs=probs)) == 0.0
+        assert cross_correlation(Pmf(probs=probs)) == 0.0
 
 
 class TestVisibilityOracle:

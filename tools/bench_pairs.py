@@ -19,7 +19,8 @@ The first seed fills ``end_to_end``, ``runs`` and ``outputs_sha256``; every
 further seed is a holdout with the same three keys under
 ``holdout_seeds``.  Medians and quartiles are numpy's linear percentiles
 over each side's runs; ``change_wins`` counts the pairs where the change
-read better.
+read better, and ``verdict`` holds the change to the metric's ``bound``
+(see :func:`summarise`).
 """
 
 from __future__ import annotations
@@ -41,8 +42,16 @@ SHARED = ("bench", "configs")  # the working tree's copies run on both sides
 SIDES = ("parent", "change")
 
 
-def summarise(parent: list[float], change: list[float], better: str = "lower") -> dict:
-    """Median, quartiles and IQR of each side, and the pairs the change won."""
+def summarise(parent: list[float], change: list[float], bound: float,
+              better: str = "lower") -> dict:
+    """Median, quartiles and IQR of each side, the pairs the change won, and a verdict.
+
+    ``bound`` is the metric's relative bound from ``BENCHMARK.json``.  The
+    verdict reads ``regressed`` when the change median is worse than the
+    parent median by more than ``bound`` of it; ``unresolved`` when the
+    parent's IQR exceeds ``bound`` of its median, unless every change run
+    beats every parent run; and ``held`` otherwise.
+    """
 
     def spread(values):
         q1, median, q3 = np.percentile(values, [25, 50, 75])
@@ -51,8 +60,16 @@ def summarise(parent: list[float], change: list[float], better: str = "lower") -
 
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change, strict=True))
-    return {"parent": spread(parent), "change": spread(change),
-            "change_wins": f"{wins}/{len(parent)}"}
+    sides = {"parent": spread(parent), "change": spread(change)}
+    allowed = bound * abs(sides["parent"]["median"])
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if sign * (sides["change"]["median"] - sides["parent"]["median"]) > allowed:
+        verdict = "regressed"
+    elif sides["parent"]["iqr"] > allowed and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "held"
+    return {**sides, "change_wins": f"{wins}/{len(parent)}", "verdict": verdict}
 
 
 def outputs_summary(parent: list[dict], change: list[dict]) -> dict:
@@ -117,7 +134,7 @@ def summarise_workloads(all_runs: dict, metrics: list[dict]) -> dict:
                               for side in SIDES} for m in metrics}
         doc["end_to_end"][workload] = {
             m["name"]: summarise(values[m["name"]]["parent"], values[m["name"]]["change"],
-                                 m["better"]) for m in metrics
+                                 m["bound"], m["better"]) for m in metrics
         }
         doc["end_to_end"][workload]["correct"] = all(
             r["correct"] for side in SIDES for r in runs[side])
@@ -153,7 +170,10 @@ def main(argv=None) -> int:
                   f"archive of {parent_commit}, the change a copy of the working tree's src/, "
                   "both with the working tree's bench/ and configs/; median and quartiles "
                   "(numpy linear percentiles) over each side's runs; change_wins counts pairs "
-                  "where the change read better",
+                  "where the change read better; verdict is regressed if the change median is "
+                  "worse than the parent's by more than the metric's relative bound, unresolved "
+                  "if the parent's IQR exceeds that bound of its median (unless every change run "
+                  "beats every parent run), else held",
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
         trees = prepare(args.parent, Path(work))
