@@ -6,7 +6,6 @@ from .analysis import (
     AnalysisParams,
     BinnedCounts,
     CellGrid,
-    CountHistogram,
     bin_events,
     bootstrap_std,
     cell_histograms,

@@ -4,8 +4,10 @@ The chain mirrors how the detector data is reduced: events are binned
 into a grid of contiguous velocity-space cells, each cell gets a
 count-occurrence histogram over shots, low-occupancy cells are dropped,
 and the survivors are either summed histogram-wise (single-mode view) or
-pooled shot-wise (multimode view).  The per-cell histograms are one
-``(cells, width)`` matrix and the kept cells one array of flat indices.
+pooled shot-wise (multimode view).  An occurrence histogram is a 1-D
+integer array whose entry ``n`` counts the samples holding ``n`` atoms;
+the per-cell histograms are the rows of one ``(cells, width)`` matrix and
+the kept cells one array of flat indices.
 Uncertainties come from resampling whole shots with replacement, shots
 being the independent unit of the experiment.  Every bootstrapped
 statistic is a shot mean of a per-shot row that takes few distinct
@@ -24,7 +26,6 @@ __all__ = [
     "AnalysisParams",
     "CellGrid",
     "BinnedCounts",
-    "CountHistogram",
     "bin_events",
     "cell_histograms",
     "cell_means",
@@ -79,56 +80,10 @@ class AnalysisParams:
 
 @dataclass(frozen=True)
 class BinnedCounts:
-    """Per-shot, per-cell integer counts plus per-shot dropped events."""
+    """Per-shot, per-cell counts and per-shot dropped events, as :func:`bin_events` gives them."""
 
-    grid: CellGrid
     counts: np.ndarray  # (shots, n_cells)
     dropped: np.ndarray  # (shots,)
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
-        dropped = np.asarray(self.dropped, dtype=int)
-        if counts.ndim != 2 or counts.shape[1] != self.grid.n_cells:
-            raise ValueError("counts must be (shots, n_cells)")
-        if dropped.shape != (counts.shape[0],):
-            raise ValueError("dropped must have one entry per shot")
-        counts.flags.writeable = False
-        dropped.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "dropped", dropped)
-
-    @property
-    def n_shots(self) -> int:
-        return self.counts.shape[0]
-
-
-@dataclass(frozen=True)
-class CountHistogram:
-    """Occurrences of each count value over ``total_shots`` shots."""
-
-    occurrences: np.ndarray
-    total_shots: int
-
-    def __post_init__(self):
-        occurrences = np.asarray(self.occurrences, dtype=int)
-        if occurrences.ndim != 1 or len(occurrences) == 0:
-            raise ValueError("occurrences must be a non-empty 1-D array")
-        if occurrences.sum() != self.total_shots:
-            raise ValueError(
-                f"occurrences sum to {occurrences.sum()}, expected {self.total_shots}"
-            )
-        occurrences.flags.writeable = False
-        object.__setattr__(self, "occurrences", occurrences)
-
-    @property
-    def mean(self) -> float:
-        n = np.arange(len(self.occurrences))
-        return float(n @ self.occurrences) / self.total_shots
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "CountHistogram":
-        counts = np.asarray(counts, dtype=int)
-        return cls(np.bincount(counts), total_shots=len(counts))
 
 
 def bin_events(events, grid: CellGrid) -> BinnedCounts:
@@ -144,7 +99,7 @@ def bin_events(events, grid: CellGrid) -> BinnedCounts:
     cell = events.shot[inside] * n_cells + np.ravel_multi_index(idx[inside].T, shape)
     counts = np.bincount(cell, minlength=n_shots * n_cells).reshape(n_shots, n_cells)
     dropped = np.bincount(events.shot[~inside], minlength=n_shots)
-    return BinnedCounts(grid=grid, counts=counts, dropped=dropped)
+    return BinnedCounts(counts, dropped)
 
 
 def cell_histograms(binned: BinnedCounts) -> np.ndarray:
@@ -157,8 +112,8 @@ def cell_histograms(binned: BinnedCounts) -> np.ndarray:
 
 
 def cell_means(hists: np.ndarray) -> np.ndarray:
-    """Per-shot mean count of each cell, from its histogram row."""
-    return hists @ np.arange(hists.shape[1]) / hists.sum(axis=1)
+    """Mean count of each histogram row of ``hists``; a scalar for one 1-D histogram."""
+    return hists @ np.arange(hists.shape[-1]) / hists.sum(axis=-1)
 
 
 def filter_cells(means: np.ndarray, min_mean: float) -> np.ndarray:
@@ -166,24 +121,23 @@ def filter_cells(means: np.ndarray, min_mean: float) -> np.ndarray:
     return np.flatnonzero(means >= min_mean)
 
 
-def sum_histograms(hists: np.ndarray) -> CountHistogram:
+def sum_histograms(hists: np.ndarray) -> np.ndarray:
     """Sum of the histogram rows ``hists``, e.g. ``cell_histograms(b)[kept]``.
 
-    The result treats every (cell, shot) pair as one sample, so
-    ``total_shots`` is the shot count times the number of cells, and its
-    width is the largest count present plus one.
+    The result treats every (cell, shot) pair as one sample, so it sums to
+    the shot count times the number of cells, and its width is the largest
+    count present plus one.
     """
     if len(hists) == 0:
         raise ValueError("cannot sum an empty cell selection")
-    occurrences = np.trim_zeros(hists.sum(axis=0), "b")
-    return CountHistogram(occurrences=occurrences, total_shots=int(occurrences.sum()))
+    return np.trim_zeros(hists.sum(axis=0), "b")
 
 
-def pooled_counts_histogram(counts: np.ndarray) -> CountHistogram:
+def pooled_counts_histogram(counts: np.ndarray) -> np.ndarray:
     """Histogram of the per-shot total of ``counts``, e.g. ``binned.counts[:, kept]``."""
     if counts.shape[1] == 0:
         raise ValueError("cannot pool an empty cell selection")
-    return CountHistogram.from_counts(counts.sum(axis=1))
+    return np.bincount(counts.sum(axis=1))
 
 
 def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:

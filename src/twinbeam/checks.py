@@ -40,13 +40,14 @@ def check_field(
 ) -> None:
     """Raise ``ValueError`` unless field ``name`` of ``obj`` is finite and in range.
 
-    ``obj`` is a dataclass, or a dict whose key ``name`` is checked.  The
-    range is ``[lo, hi]``, or ``lo < value`` when ``positive``.  With
-    ``integer`` the value must be an integer (not a bool, not ``10.0``).
-    With ``length`` it must be a list or tuple of that many such values
-    (``...``: one or more).  ``optional`` also admits ``None``.
+    ``obj`` is a dataclass, or a dict whose key ``name`` is checked (a
+    missing key reads as ``None``).  The range is ``[lo, hi]``, or
+    ``lo < value`` when ``positive``.  With ``integer`` the value must be an
+    integer (not a bool, not ``10.0``).  With ``length`` it must be a list or
+    tuple of that many such values (``...``: one or more).  ``optional``
+    also admits ``None``.
     """
-    value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
+    value = obj.get(name) if isinstance(obj, dict) else getattr(obj, name)
     if optional and value is None:
         return
     kind = numbers.Integral if integer else numbers.Real

@@ -174,7 +174,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
         meta_path = str(Path(events_path).with_suffix("")) + ".meta.json"
     try:
         table = read_event_table(events_path, meta_path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     params = section(doc, "analysis")
     master = doc["master_seed"] if seed is None else seed
@@ -202,7 +202,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
     # Per-cell histograms summed over the kept cells, with overlays at the
     # measured average mean.
     summed = sum_histograms(hists[kept])
-    width = len(summed.occurrences)
+    width = len(summed)
     summed_err = bootstrap_std(
         *np.unique(shot_histograms(kept_counts, width), axis=0, return_counts=True),
         resamples=resamples,
@@ -210,7 +210,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
     ) / len(kept)
     _histogram_csv(
         out_dir / "summed_histogram.csv",
-        summed.occurrences,
+        summed,
         summed_err,
         {
             "thermal": thermal_pmf(mean_single, width - 1).probs,
@@ -220,7 +220,8 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
 
     # Shot-wise pooled counts over the same cells, fit for the mode count.
     pooled = pooled_counts_histogram(kept_counts)
-    pooled_width = len(pooled.occurrences) + 5
+    pooled_mean = float(cell_means(pooled))
+    pooled_width = len(pooled) + 5
     sums, shots = np.unique(kept_counts.sum(axis=1), return_counts=True)
     pooled_err = bootstrap_std(
         np.eye(pooled_width)[sums],
@@ -231,7 +232,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
     try:
         fit = fit_degeneracy(
             pooled,
-            fixed_mean=pooled.mean,
+            fixed_mean=pooled_mean,
             bootstrap_resamples=min(200, resamples),
             seed=derive_shot_seed(master, STREAM_DEGENERACY_FIT) % 2**63,
         )
@@ -239,12 +240,12 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
         _fail(EXIT_FIT_FAILURE, f"degeneracy fit failed: {exc}")
     _histogram_csv(
         out_dir / "pooled_histogram.csv",
-        np.pad(pooled.occurrences, (0, 5)),
+        np.pad(pooled, (0, 5)),
         pooled_err,
         {
-            "thermal": thermal_pmf(pooled.mean, pooled_width - 1).probs,
-            "poisson": poisson_pmf(pooled.mean, pooled_width - 1).probs,
-            "multimode": multimode_pmf(pooled.mean, fit.degeneracy, pooled_width - 1).probs,
+            "thermal": thermal_pmf(pooled_mean, pooled_width - 1).probs,
+            "poisson": poisson_pmf(pooled_mean, pooled_width - 1).probs,
+            "multimode": multimode_pmf(pooled_mean, fit.degeneracy, pooled_width - 1).probs,
         },
     )
     write_json(
@@ -254,7 +255,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
             "kept_cells": len(kept),
             "events_dropped": int(binned.dropped.sum()),
             "average_cell_mean": mean_single,
-            "pooled_mean": pooled.mean,
+            "pooled_mean": pooled_mean,
             "input_digest": _sha256(Path(events_path)),
         },
     )
@@ -267,7 +268,7 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
     _write_manifest(out_dir, doc, master, files)
     click.echo(
         f"kept {len(kept)}/{grid.n_cells} cells, average mean "
-        f"{mean_single:.4f}, pooled mean {pooled.mean:.3f}, "
+        f"{mean_single:.4f}, pooled mean {pooled_mean:.3f}, "
         f"fitted mode count {fit.degeneracy:.2f} +/- {fit.std_err:.2f}"
     )
 
@@ -294,10 +295,13 @@ def cmd_simulate_hom(config_path, out, seed):
 @main.command("fit-dip")
 @click.argument("scan_csv", type=click.Path(exists=False))
 @click.option("--nu", type=float, default=None, help="Mean occupation for a predicted-visibility comparison row.")
-@click.option("--nu-std", type=float, default=0.0, help="Uncertainty on --nu.")
+@click.option("--nu-std", type=float, default=None, help="Uncertainty on --nu (default 0).")
 @click.option("--out", required=True, help="Output directory.")
 def cmd_fit_dip(scan_csv, nu, nu_std, out):
     """Fit the Gaussian dip in a correlation scan."""
+    if nu is None and nu_std is not None:
+        _fail(EXIT_INPUT_ERROR, "--nu-std needs --nu")
+    nu_std = 0.0 if nu_std is None else nu_std
     out_dir = _prepare_out(out)
     try:
         # One (t2, corr, err) row per scan point.

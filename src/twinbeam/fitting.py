@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CountHistogram
 from .checks import check_field
 from .distributions import TmsvParams, multimode_log_pmf
 
@@ -131,35 +130,38 @@ class VisibilityPrediction:
 
 
 def fit_degeneracy(
-    hist: CountHistogram,
+    occurrences: np.ndarray,
     fixed_mean: float,
     bootstrap_resamples: int = 0,
     seed: int = 0,
-    strict: bool = False,
 ) -> DegeneracyFit:
-    """Fit the mode count of the M-mode thermal law to a count histogram.
+    """Fit the mode count of the M-mode thermal law to an occurrence histogram.
 
-    The mean is held at ``fixed_mean`` (the separately measured value) and
-    the maximum-likelihood ``M`` is the root of the score in ``M`` inside
+    ``occurrences[n]`` counts the shots holding ``n`` atoms.  The mean is
+    held at ``fixed_mean`` (the separately measured value) and the
+    maximum-likelihood ``M`` is the root of the score in ``M`` inside
     ``DEGENERACY_BRACKET``, found by Newton steps in ``log M`` that bisect
     whenever a step would leave the bracket.  A score without a sign change
-    on the bracket puts the fit at that edge, flagged via ``at_bound``, or
-    raises ``FitFailureError`` when ``strict``.  With ``fixed_mean`` the
-    sample mean, that edge is the upper one exactly when the sample variance
-    is at most the mean (Levin & Reeds, Ann. Statist. 5, 79, 1977).
-    ``std_err`` is ``1/sqrt(-dscore/dM)``, the observed information.
-    ``bootstrap_resamples > 0`` adds a multinomial-resampling error from
-    refits at the same ``fixed_mean``, strict when the fit found a root;
-    refits that raise count in ``bootstrap_failed``.
+    on the bracket puts the fit at that edge, flagged via ``at_bound``.
+    With ``fixed_mean`` the sample mean, that edge is the upper one exactly
+    when the sample variance is at most the mean (Levin & Reeds, Ann.
+    Statist. 5, 79, 1977).  ``std_err`` is ``1/sqrt(-dscore/dM)``, the
+    observed information.  ``bootstrap_resamples > 0`` adds a
+    multinomial-resampling error from refits at the same ``fixed_mean``;
+    a refit that raises, or that lands at a bound when this fit found a
+    root, counts in ``bootstrap_failed`` and is left out of the spread.
     """
+    occ = np.asarray(occurrences)
+    if occ.ndim != 1 or len(occ) == 0 or occ.dtype.kind not in "iu" or np.any(occ < 0):
+        raise ValueError("occurrences must be a non-empty 1-D array of integer counts >= 0")
     if fixed_mean <= 0:
         raise ValueError(f"fixed_mean must be > 0, got {fixed_mean}")
-    if np.count_nonzero(hist.occurrences) < 2:
+    if np.count_nonzero(occ) < 2:
         raise FitFailureError(
             "histogram is degenerate: fewer than two distinct counts observed",
-            {"occurrences": hist.occurrences.tolist()},
+            {"occurrences": occ.tolist()},
         )
-    occ, shots, mean = hist.occurrences, hist.total_shots, fixed_mean
+    shots, mean = int(occ.sum()), fixed_mean
     tail = (shots - np.cumsum(occ)[:-1]).astype(float)  # shots counting more than j
     excess = shots * mean - float(np.arange(len(occ)) @ occ)
 
@@ -173,11 +175,6 @@ def fit_degeneracy(
 
     m_lo, m_hi = DEGENERACY_BRACKET
     edge = m_hi if score(m_hi)[0] >= 0 else m_lo if score(m_lo)[0] <= 0 else None
-    if edge is not None and strict:
-        raise FitFailureError(
-            "degeneracy score does not change sign on the bracket",
-            {"bracket": DEGENERACY_BRACKET, "edge": edge},
-        )
     lo, hi = math.log(m_lo), math.log(m_hi)
     t = 0.5 * (lo + hi)
     for _ in range(100 if edge is None else 0):
@@ -204,10 +201,11 @@ def fit_degeneracy(
         )
         estimates = []
         for draw in draws:
-            resampled = CountHistogram(draw, total_shots=shots)
             try:
-                refit = fit_degeneracy(resampled, fixed_mean, strict=edge is None)
+                refit = fit_degeneracy(draw, fixed_mean)
             except FitFailureError:
+                refit = None
+            if refit is None or (refit.at_bound and edge is None):
                 bootstrap_failed += 1
                 continue
             estimates.append(refit.degeneracy)

@@ -103,7 +103,7 @@ def _splitter_blocks(t_max: int, theta: float):
 
 
 def hom_n_max(params: TmsvParams) -> int:
-    """Default pair support of :func:`hom_joint_pmf`: thermal tail below ``TAIL_TOLERANCE``."""
+    """Default pair support of :func:`hom_joint_pmf`: tail mass at most ``TAIL_TOLERANCE / 2``."""
     return _thermal_support(params.nu)
 
 

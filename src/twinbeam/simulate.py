@@ -319,8 +319,6 @@ class EventTable:
     velocities: np.ndarray  # (n_events, 3)
     n_shots: int
     config: dict
-    master_seed: int
-    generator: str = GENERATOR_ID
 
     def __post_init__(self):
         shot = np.asarray(self.shot, dtype=np.int64)
@@ -342,26 +340,15 @@ class EventTable:
         object.__setattr__(self, "shot", shot)
         object.__setattr__(self, "velocities", velocities)
 
-    def counts_per_shot(self) -> np.ndarray:
-        return np.bincount(self.shot, minlength=self.n_shots)
-
 
 @dataclass(frozen=True)
 class HomRun:
     """Detected port-a/port-b counts, one row per splitter time, one column per shot."""
 
-    config: dict
-    t2_values: tuple[float, ...]
-    counts_a: np.ndarray  # (points, shots_per_point)
+    config: HomScanConfig
+    counts_a: np.ndarray  # (points, shots_per_point), row i at config.t2_values[i]
     counts_b: np.ndarray
     tail_mass: tuple[float, ...]  # per point, the mass the sampled law lacked
-
-    def port_counts(self, t2: float) -> tuple[np.ndarray, np.ndarray]:
-        """The counts at ``t2``; ``ValueError`` unless the scan holds it exactly once."""
-        if self.t2_values.count(t2) > 1:
-            raise ValueError(f"t2 = {t2!r} occurs more than once in the scan")
-        point = self.t2_values.index(t2)
-        return self.counts_a[point], self.counts_b[point]
 
 
 def _mode_grid(config: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +402,6 @@ def simulate_counting_run(config: SourceConfig) -> EventTable:
         velocities=np.round(velocities, 9, out=velocities),  # in place: no copy
         n_shots=config.shots,
         config=_config_dict(config),
-        master_seed=config.master_seed,
     )
 
 
@@ -490,9 +476,7 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
             counts_a[t2_index, lo:hi], counts_b[t2_index, lo:hi] = _thinned_pairs(
                 cdf, joint.probs.shape[1], config.eta, config.master_seed, first + lo, hi - lo
             )
-    return HomRun(
-        _config_dict(config), config.t2_values, counts_a, counts_b, tuple(tail_mass)
-    )
+    return HomRun(config, counts_a, counts_b, tuple(tail_mass))
 
 
 def correlation_scan(
@@ -505,11 +489,10 @@ def correlation_scan(
     to zero; the error is then floored at ``1/shots`` (the resolution of
     a single coincidence) so weighted fits stay well posed.
     """
-    master = run.config.get("master_seed", 0)
     points = []
-    for index, t2 in enumerate(run.t2_values):
+    for index, t2 in enumerate(run.config.t2_values):
         products = run.counts_a[index] * run.counts_b[index]
-        boot_seed = derive_shot_seed(master, STREAM_SCAN_POINT + index)
+        boot_seed = derive_shot_seed(run.config.master_seed, STREAM_SCAN_POINT + index)
         err = bootstrap_std(*np.unique(products, return_counts=True), resamples, boot_seed)
         err = max(float(err), 1.0 / len(products))
         points.append((t2, float(products.mean()), err))
@@ -526,7 +509,7 @@ def _write_rows(fh, shot: np.ndarray, velocities, suffix: str = "") -> None:
 
 
 def write_event_table(table: EventTable, csv_path, meta_path) -> None:
-    """CSV rows ``shot,vx,vy,vz`` plus a JSON sidecar with the metadata.
+    """CSV rows ``shot,vx,vy,vz`` plus a JSON sidecar: shots, config, its master_seed, generator.
 
     Velocities are fixed point at 1e-9 mm/s, so generated tables read back exactly.
     Empty shots produce no CSV rows; the sidecar's shot count is what
@@ -540,8 +523,8 @@ def write_event_table(table: EventTable, csv_path, meta_path) -> None:
         {
             "shots": table.n_shots,
             "config": table.config,
-            "master_seed": table.master_seed,
-            "generator": table.generator,
+            "master_seed": table.config["master_seed"],
+            "generator": GENERATOR_ID,
         },
     )
 
@@ -550,13 +533,16 @@ def read_event_table(csv_path, meta_path) -> EventTable:
     """Inverse of :func:`write_event_table`; rows may come in any shot order.
 
     Rows are stably sorted by shot, so each shot keeps its row order.
-    Raises ``ValueError`` unless the sidecar's ``shots`` is an integer in
+    Raises ``ValueError`` unless the sidecar is a JSON object whose
+    ``config`` is an object and whose ``shots`` is an integer in
     ``[1, SHOT_ID_LIMIT]``, and names the offending line on malformed
     rows, non-finite velocities and shots outside ``0..shots - 1``
-    included.
+    included.  The sidecar's ``master_seed`` and ``generator`` are not read.
     """
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise ValueError(f"{meta_path}: sidecar must be a JSON object whose config is an object")
     check_field(meta, "shots", 1, SHOT_ID_LIMIT, integer=True)
     shots = meta["shots"]
     rows = read_csv_rows(csv_path, "shot,vx,vy,vz", [("shot", "i8"), ("v", "f8", 3)])
@@ -570,8 +556,6 @@ def read_event_table(csv_path, meta_path) -> EventTable:
         velocities=rows["v"],
         n_shots=shots,
         config=meta["config"],
-        master_seed=int(meta["master_seed"]),
-        generator=meta.get("generator", GENERATOR_ID),
     )
 
 
@@ -583,19 +567,20 @@ def write_hom_events(run: HomRun, csv_path, meta_path) -> None:
     """
     with open(csv_path, "w") as fh:
         fh.write("shot,vx,vy,vz,port,t2_us\n")
-        for t2, row_a, row_b in zip(run.t2_values, run.counts_a, run.counts_b):
+        for t2, row_a, row_b in zip(run.config.t2_values, run.counts_a, run.counts_b):
             for port, counts in (("a", row_a), ("b", row_b)):
                 shot = np.repeat(np.arange(len(counts)), counts)
                 velocity = np.broadcast_to(PORT_VELOCITIES[port], (len(shot), 3))
                 _write_rows(fh, shot, velocity, f",{port},{float(t2)!r}")
+    config = _config_dict(run.config)
     write_json(
         meta_path,
         {
-            "config": run.config,
-            "t2_values": list(run.t2_values),
+            "config": config,
+            "t2_values": config["t2_values"],
             "tail_mass": list(run.tail_mass),
-            "shots_per_point": run.config.get("shots_per_point"),
-            "master_seed": run.config.get("master_seed"),
+            "shots_per_point": config["shots_per_point"],
+            "master_seed": config["master_seed"],
             "generator": GENERATOR_ID,
         },
     )

@@ -24,7 +24,7 @@ from twinbeam.analysis import (
 )
 from twinbeam.checks import write_csv, write_json
 from twinbeam.distributions import thermal_pmf
-from twinbeam.simulate import EventTable, HomRun, correlation_scan
+from twinbeam.simulate import EventTable, HomRun, HomScanConfig, correlation_scan
 
 
 def table_from_events(event_rows):
@@ -35,7 +35,6 @@ def table_from_events(event_rows):
         velocities=np.concatenate([np.empty((0, 3)), *per_shot]),
         n_shots=len(per_shot),
         config={"shots": len(per_shot)},
-        master_seed=0,
     )
 
 
@@ -173,7 +172,7 @@ class TestCellHistograms:
         rng = np.random.default_rng(9)
         counts = rng.geometric(1 / 1.16, size=(1876, 45)) - 1
         counts[:, 7] = 0
-        binned = BinnedCounts(grid=CellGrid(), counts=counts, dropped=np.zeros(1876))
+        binned = BinnedCounts(counts=counts, dropped=np.zeros(1876))
         hists = cell_histograms(binned)
         means = cell_means(hists)
         assert hists.shape == (45, counts.max() + 1)
@@ -204,32 +203,32 @@ class TestSumHistograms:
     def test_single_cell_identity(self):
         hists = histograms([0, 1, 0, 2])
         summed = sum_histograms(hists)
-        assert np.array_equal(summed.occurrences, hists[0])
-        assert summed.total_shots == 4
+        assert np.array_equal(summed, hists[0])
+        assert summed.sum() == 4
 
     def test_order_invariance(self):
         hists = histograms(*([i, 1, 0, 2] for i in range(3)))
         a = sum_histograms(hists)
         b = sum_histograms(hists[::-1])
-        assert np.array_equal(a.occurrences, b.occurrences)
+        assert np.array_equal(a, b)
 
     def test_width_is_largest_kept_count_plus_one(self):
         hists = histograms([0, 5, 0], [1, 1, 0], [2, 0, 0])
         assert hists.shape[1] == 6
         summed = sum_histograms(hists[[1, 2]])
-        assert summed.occurrences.tolist() == [3, 2, 1]
-        assert summed.total_shots == 6
+        assert summed.tolist() == [3, 2, 1]
+        assert summed.sum() == 6
 
     def test_simulated_thermal_cells_match_thermal_law(self):
         # 18 independent synthetic thermal cells at the measured mean.
         rng = np.random.default_rng(3)
         cells = [rng.geometric(1 / 1.158, size=1876) - 1 for i in range(18)]
         summed = sum_histograms(histograms(*cells))
-        model = thermal_pmf(0.158, 20).probs * summed.total_shots
+        model = thermal_pmf(0.158, 20).probs * summed.sum()
         k = 5
         obs = np.zeros(k)
-        obs[: len(summed.occurrences[: k - 1])] = summed.occurrences[: k - 1]
-        obs[k - 1] = summed.occurrences[k - 1 :].sum()
+        obs[: len(summed[: k - 1])] = summed[: k - 1]
+        obs[k - 1] = summed[k - 1 :].sum()
         exp = np.concatenate([model[: k - 1], [model[k - 1 :].sum()]])
         exp *= obs.sum() / exp.sum()
         _, p = sps.chisquare(obs, exp)
@@ -248,7 +247,7 @@ class TestPooledCounts:
         hists = cell_histograms(binned)
         target = int(np.argmax(cell_means(hists)))
         pooled = pooled_counts_histogram(binned.counts[:, [target]])
-        assert np.array_equal(pooled.occurrences, np.trim_zeros(hists[target], "b"))
+        assert np.array_equal(pooled, np.trim_zeros(hists[target], "b"))
 
     def test_pooled_mean_adds_cell_means(self):
         rng = np.random.default_rng(5)
@@ -257,7 +256,7 @@ class TestPooledCounts:
         means = cell_means(cell_histograms(binned))
         kept = filter_cells(means, min_mean=0.0)
         pooled = pooled_counts_histogram(binned.counts[:, kept])
-        assert pooled.mean == pytest.approx(means.sum(), rel=1e-12)
+        assert cell_means(pooled) == pytest.approx(means.sum(), rel=1e-12)
 
     def test_empty_selection_rejected(self):
         rows = [[(0.0, 0.0, 0.0)]]
@@ -330,7 +329,8 @@ class TestBootstrapStd:
     def test_scan_point_without_coincidences_gets_floor(self):
         counts_a = np.array([[0, 2, 0, 1], [1, 1, 2, 0]])
         counts_b = np.array([[3, 0, 0, 0], [1, 2, 1, 1]])
-        run = HomRun({"master_seed": 5}, (0.0, 1.0), counts_a, counts_b, (0.0, 0.0))
+        config = HomScanConfig(t2_values=(0.0, 1.0), master_seed=5)
+        run = HomRun(config, counts_a, counts_b, (0.0, 0.0))
         (_, corr_0, err_0), (_, corr_1, err_1) = correlation_scan(run, resamples=50)
         assert (corr_0, err_0) == (0.0, 0.25)
         assert corr_1 == 1.25 and err_1 > 0.25

@@ -76,3 +76,13 @@ def test_outputs_summary_names_each_file_that_differs():
     # A file that only one side wrote differs too.
     extra = {**run, "fit-dip": {"x": "cc", "y": "dd"}}
     assert bench_pairs.outputs_summary([run], [extra])["changed"] == ["fit-dip/y"]
+
+
+def test_src_lines_counts_python_files_under_src_only(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "sub" / "b.py").write_text("y = 2\nz = 3")  # no final newline, as wc -l
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "setup.py").write_text("outside src\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

@@ -353,7 +353,7 @@ class TestAnalyzeCounts:
         assert ":6:" in result.output
         assert "non-finite" in result.output
 
-    @pytest.mark.parametrize("shots", [10**15, 10**11, 1.5, 0, -3, True])
+    @pytest.mark.parametrize("shots", [10**15, 10**11, 1.5, 0, -3, True, None])
     def test_bad_sidecar_shots_exits_2_naming_key(self, tmp_path, runner, events_dir, shots):
         config_path, events_out = events_dir
         meta = json.loads((events_out / "events.meta.json").read_text())
@@ -387,6 +387,38 @@ class TestAnalyzeCounts:
         assert exit_code == 2, output
         assert "shots" in output
         assert "Traceback" not in output
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda meta: [], "object"),
+            (lambda meta: "x", "object"),
+            (lambda meta: {**meta, "config": 5}, "config"),
+            (lambda meta: {**meta, "config": [meta["config"]]}, "config"),
+            (lambda meta: {k: v for k, v in meta.items() if k != "config"}, "config"),
+        ],
+        ids=["list", "string", "config-number", "config-list", "no-config"],
+    )
+    def test_malformed_sidecar_exits_2_naming_file_and_key(
+        self, tmp_path, runner, events_dir, edit, key
+    ):
+        config_path, events_out = events_dir
+        meta = json.loads((events_out / "events.meta.json").read_text())
+        meta_path = tmp_path / "bad.meta.json"
+        meta_path.write_text(json.dumps(edit(meta)))
+        result = runner.invoke(
+            main,
+            [
+                "analyze-counts",
+                "--events", str(events_out / "events.csv"),
+                "--meta", str(meta_path),
+                "--config", str(config_path),
+                "--out", str(tmp_path / "x"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert str(meta_path) in result.output
+        assert key in result.output
 
     def test_rerun_is_byte_identical(self, tmp_path, runner, events_dir):
         config_path, events_out = events_dir
@@ -535,6 +567,20 @@ class TestSimulateHomAndFitDip:
         out = tmp_path / "f"
         result = runner.invoke(main, ["fit-dip", str(path), "--nu", "nan", "--out", str(out)])
         assert result.exit_code == 2
+        assert not (out / "dip_fit.json").exists()
+
+    @pytest.mark.parametrize("nu_std", ["nan", "-1", "0.07"])
+    def test_fit_dip_nu_std_without_nu_exits_2(self, tmp_path, runner, nu_std):
+        t = np.linspace(-240.0, 240.0, 9)
+        corr = 0.4 * (1 - 0.7 * np.exp(-(t**2) / (2 * 86.0**2)))
+        path = tmp_path / "scan.csv"
+        path.write_text(
+            "t2_us,corr,err\n" + "".join(f"{a},{b},0.01\n" for a, b in zip(t, corr))
+        )
+        out = tmp_path / "f"
+        result = runner.invoke(main, ["fit-dip", str(path), "--nu-std", nu_std, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "needs --nu" in result.output
         assert not (out / "dip_fit.json").exists()
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from twinbeam.analysis import CountHistogram
+from twinbeam.analysis import cell_means
 from twinbeam.config import default_config, section
 from twinbeam.distributions import TmsvParams
 from twinbeam.fitting import (
@@ -32,7 +32,7 @@ def lgamma_log_likelihood(hist, mean, m):
     return math.fsum(
         int(occ) * (math.lgamma(n + m) - math.lgamma(m) - math.lgamma(n + 1.0)
                     - n * math.log1p(m / mean) - m * math.log1p(mean / m))
-        for n, occ in enumerate(hist.occurrences) if occ
+        for n, occ in enumerate(hist) if occ
     )
 
 
@@ -40,7 +40,7 @@ def nbinom_histogram(nu, m, n_samples, seed):
     """Count histogram sampled from the M-mode thermal law via scipy."""
     rng = np.random.default_rng(seed)
     samples = sps.nbinom.rvs(m, m / (m + nu), size=n_samples, random_state=rng)
-    return CountHistogram.from_counts(samples)
+    return np.bincount(samples)
 
 
 class TestFitDegeneracy:
@@ -59,7 +59,7 @@ class TestFitDegeneracy:
     def test_single_thermal_mode_gives_unit_mode_count(self):
         rng = np.random.default_rng(11)
         samples = rng.geometric(1 / (1 + 2.8), size=20000) - 1
-        fit = fit_degeneracy(CountHistogram.from_counts(samples), fixed_mean=2.8)
+        fit = fit_degeneracy(np.bincount(samples), fixed_mean=2.8)
         assert abs(fit.degeneracy - 1.0) < 2 * fit.std_err
 
     def test_poisson_data_flagged_at_bound(self):
@@ -67,7 +67,7 @@ class TestFitDegeneracy:
         # large-M (Poisson) limit, so the fit pins at the expanded edge.
         rng = np.random.default_rng(7)
         samples = rng.poisson(2.8, size=20000)
-        hist = CountHistogram.from_counts(samples)
+        hist = np.bincount(samples)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_degeneracy(hist, fixed_mean=2.8)
@@ -87,12 +87,12 @@ class TestFitDegeneracy:
         assert medians[0] > medians[1] > medians[2]
 
     def test_degenerate_histogram_rejected(self):
-        hist = CountHistogram(occurrences=np.array([100]), total_shots=100)
+        hist = np.array([100])
         with pytest.raises(FitFailureError):
             fit_degeneracy(hist, fixed_mean=1.0)
 
     def test_nonpositive_mean_rejected(self):
-        hist = CountHistogram(occurrences=np.array([5, 5]), total_shots=10)
+        hist = np.array([5, 5])
         with pytest.raises(ValueError):
             fit_degeneracy(hist, fixed_mean=0.0)
 
@@ -106,15 +106,15 @@ class TestFitDegeneracy:
         # Variance above the mean, and the likelihood peaks near M = 330: a
         # maximum this flat was once taken for the Poisson-limit plateau.
         rng = np.random.default_rng(112)
-        hist = CountHistogram.from_counts(rng.negative_binomial(300.0, 300.0 / 301.0, 2000))
-        counts = np.repeat(np.arange(len(hist.occurrences)), hist.occurrences)
+        hist = np.bincount(rng.negative_binomial(300.0, 300.0 / 301.0, 2000))
+        counts = np.repeat(np.arange(len(hist)), hist)
         assert counts.var() > counts.mean()
-        fit = fit_degeneracy(hist, fixed_mean=hist.mean)
+        fit = fit_degeneracy(hist, fixed_mean=cell_means(hist))
         assert not fit.at_bound
         assert 100 < fit.degeneracy < 1000
-        ll_hat = lgamma_log_likelihood(hist, hist.mean, fit.degeneracy)
+        ll_hat = lgamma_log_likelihood(hist, cell_means(hist), fit.degeneracy)
         for step in (0.99, 1.01):
-            assert lgamma_log_likelihood(hist, hist.mean, fit.degeneracy * step) < ll_hat
+            assert lgamma_log_likelihood(hist, cell_means(hist), fit.degeneracy * step) < ll_hat
 
     def test_std_err_is_the_likelihood_curvature(self):
         hist = nbinom_histogram(2.8, 5.6, 1876 * 18, seed=42)
@@ -134,18 +134,16 @@ class TestFitDegeneracy:
         # Seeds 1, 6, 8 and 11 draw a variance above the mean, the rest not.
         rng = np.random.default_rng(seed)
         counts = rng.negative_binomial(400.0, 400.0 / 401.0, 300)
-        hist = CountHistogram.from_counts(counts)
-        fit = fit_degeneracy(hist, fixed_mean=hist.mean)
+        hist = np.bincount(counts)
+        fit = fit_degeneracy(hist, fixed_mean=cell_means(hist))
         assert fit.at_bound == (counts.var() <= counts.mean())
 
     def test_strict_fit_raises_without_a_root(self):
-        hist = CountHistogram.from_counts(np.random.default_rng(7).poisson(2.8, 20000))
-        assert fit_degeneracy(hist, fixed_mean=hist.mean).at_bound
-        with pytest.raises(FitFailureError):
-            fit_degeneracy(hist, fixed_mean=hist.mean, strict=True)
+        hist = np.bincount(np.random.default_rng(7).poisson(2.8, 20000))
+        assert fit_degeneracy(hist, fixed_mean=cell_means(hist)).at_bound
 
     def test_emits_no_warning(self):
-        poisson = CountHistogram.from_counts(np.random.default_rng(7).poisson(2.8, 20000))
+        poisson = np.bincount(np.random.default_rng(7).poisson(2.8, 20000))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit_degeneracy(poisson, fixed_mean=2.8, bootstrap_resamples=20)
@@ -154,16 +152,43 @@ class TestFitDegeneracy:
     def test_bootstrap_counts_failed_refits(self):
         # About 0.999**1000 = 37 % of the resamples lose the rare count, and
         # a histogram with one distinct count cannot be refitted.
-        hist = CountHistogram(occurrences=np.array([999, 1]), total_shots=1000)
+        hist = np.array([999, 1])
         resamples, seed = 60, 3
         rng = np.random.default_rng(seed)
-        draws = [rng.multinomial(1000, hist.occurrences / 1000) for _ in range(resamples)]
+        draws = [rng.multinomial(1000, hist / 1000) for _ in range(resamples)]
         degenerate = sum(np.count_nonzero(d) < 2 for d in draws)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_degeneracy(hist, 0.001, bootstrap_resamples=resamples, seed=seed)
         assert 0 < fit.bootstrap_failed == degenerate < resamples
         assert dataclasses.asdict(fit)["bootstrap_failed"] == degenerate
+
+    def test_bootstrap_leaves_out_at_bound_refits(self):
+        # The fit has a root (seed 1 draws a variance above the mean), but 5
+        # of the 40 resamples do not: their refits sit on the bound.
+        hist = np.bincount(np.random.default_rng(1).negative_binomial(400.0, 400.0 / 401.0, 300))
+        mean = float(np.arange(len(hist)) @ hist) / hist.sum()
+        resamples, seed = 40, 2
+        fit = fit_degeneracy(hist, mean, bootstrap_resamples=resamples, seed=seed)
+        assert not fit.at_bound
+        draws = np.random.default_rng(seed).multinomial(300, hist / 300, size=resamples)
+        kept = []
+        for draw in draws:
+            try:
+                refit = fit_degeneracy(draw, mean)
+            except FitFailureError:
+                continue
+            if not refit.at_bound:
+                kept.append(refit.degeneracy)
+        assert fit.bootstrap_failed == resamples - len(kept) == 5
+        assert fit.bootstrap_std_err == np.std(kept, ddof=1)
+
+    @pytest.mark.parametrize(
+        "occurrences", [[], [[3, 2], [1, 0]], [3.0, 2.0], [3, -1, 2], [True, False]]
+    )
+    def test_malformed_occurrences_rejected(self, occurrences):
+        with pytest.raises(ValueError, match="occurrences"):
+            fit_degeneracy(np.array(occurrences), fixed_mean=1.0)
 
 
 class TestPredictVisibility:

@@ -122,24 +122,24 @@ def test_cell_means_span_published_range(matched_chain):
 def test_summed_histogram_is_thermal(matched_chain):
     hists, means, kept, _ = matched_chain
     summed = sum_histograms(hists[kept])
-    p = pooled_chi2_p(summed.occurrences, thermal_pmf(means[kept].mean(), 30).probs)
+    p = pooled_chi2_p(summed, thermal_pmf(means[kept].mean(), 30).probs)
     assert p > 0.01
 
 
 def test_pooled_histogram_rejects_thermal_accepts_multimode(matched_chain):
     _, _, kept, binned = matched_chain
     pooled = pooled_counts_histogram(binned.counts[:, kept])
-    fit = fit_degeneracy(pooled, fixed_mean=pooled.mean)
-    target = target_degeneracy(MATCHED_SOURCE, binned.grid, kept)
+    fit = fit_degeneracy(pooled, fixed_mean=cell_means(pooled))
+    target = target_degeneracy(MATCHED_SOURCE, CellGrid(), kept)
     assert 1.0 < fit.degeneracy
     assert abs(fit.degeneracy - target) <= Z_MAX * fit.std_err
 
-    p_thermal = pooled_chi2_p(pooled.occurrences, thermal_pmf(pooled.mean, 40).probs)
+    p_thermal = pooled_chi2_p(pooled, thermal_pmf(cell_means(pooled), 40).probs)
     from twinbeam.distributions import multimode_pmf
 
     p_multi = pooled_chi2_p(
-        pooled.occurrences,
-        multimode_pmf(pooled.mean, fit.degeneracy, 40).probs,
+        pooled,
+        multimode_pmf(cell_means(pooled), fit.degeneracy, 40).probs,
         n_fitted=1,
     )
     assert p_thermal < 0.01
@@ -149,14 +149,14 @@ def test_pooled_histogram_rejects_thermal_accepts_multimode(matched_chain):
 def test_pooled_counts_prefer_multimode_by_likelihood(matched_chain):
     _, _, kept, binned = matched_chain
     pooled = pooled_counts_histogram(binned.counts[:, kept])
-    fit = fit_degeneracy(pooled, fixed_mean=pooled.mean)
-    ns = np.flatnonzero(pooled.occurrences)
-    occ = pooled.occurrences[ns]
+    fit = fit_degeneracy(pooled, fixed_mean=cell_means(pooled))
+    ns = np.flatnonzero(pooled)
+    occ = pooled[ns]
 
     ll_multi = fit.log_likelihood
-    ll_thermal = float(occ @ multimode_log_pmf(pooled.mean, 1.0, ns))
+    ll_thermal = float(occ @ multimode_log_pmf(cell_means(pooled), 1.0, ns))
     with np.errstate(divide="ignore"):
-        log_poisson = np.log(poisson_pmf(pooled.mean, int(ns.max())).probs[ns])
+        log_poisson = np.log(poisson_pmf(cell_means(pooled), int(ns.max())).probs[ns])
     ll_poisson = float(occ @ log_poisson)
     assert ll_multi > ll_thermal
     assert ll_multi > ll_poisson

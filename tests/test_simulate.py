@@ -236,10 +236,15 @@ def small_config(**overrides):
     return SourceConfig(**defaults)
 
 
+def counts_per_shot(table):
+    """Detected atoms in each shot of an event table."""
+    return np.bincount(table.shot, minlength=table.n_shots)
+
+
 class TestCountingRun:
     def test_empty_source(self):
         table = simulate_counting_run(small_config(nu_per_mode=0.0))
-        assert table.counts_per_shot().sum() == 0
+        assert counts_per_shot(table).sum() == 0
 
     @pytest.mark.parametrize(
         "overrides, empty",
@@ -264,7 +269,7 @@ class TestCountingRun:
         config = small_config(
             shots=20_000, nu_per_mode=80.0, eta=0.25, modes_per_axis=(1, 1, 1), master_seed=3
         )
-        counts = simulate_counting_run(config).counts_per_shot()
+        counts = counts_per_shot(simulate_counting_run(config))
         mu, n = 20.0, config.shots
         var = mu * (1 + mu)
         # Excess kurtosis of the geometric law is 6 + p^2/(1 - p), p = 1/(1 + mu).
@@ -294,7 +299,7 @@ class TestCountingRun:
         per_shot_var = config.eta * config.nu_per_mode * (
             1 + config.eta * config.nu_per_mode
         ) * n_modes
-        counts = table.counts_per_shot()
+        counts = counts_per_shot(table)
         standard_error = np.sqrt(per_shot_var / config.shots)
         assert abs(counts.mean() - expected) < 3 * standard_error
 
@@ -312,7 +317,7 @@ class TestCountingRun:
             modes_per_axis=(1, 1, 1),
         )
         table = simulate_counting_run(config)
-        counts = table.counts_per_shot()
+        counts = counts_per_shot(table)
         model = thermal_pmf(0.158, 30).probs * config.shots
         observed = np.bincount(counts, minlength=31)[:31]
         k = 6
@@ -325,12 +330,12 @@ class TestCountingRun:
     def test_thinning_commutes_with_counting(self):
         # Detect at eta, versus detect everything then thin the counts.
         shots = 100_000
-        detected = simulate_counting_run(
+        detected = counts_per_shot(simulate_counting_run(
             small_config(shots=shots, modes_per_axis=(1, 1, 1), eta=0.25, master_seed=8)
-        ).counts_per_shot()
-        full = simulate_counting_run(
+        ))
+        full = counts_per_shot(simulate_counting_run(
             small_config(shots=shots, modes_per_axis=(1, 1, 1), eta=1.0, master_seed=9)
-        ).counts_per_shot()
+        ))
         rng = np.random.default_rng(10)
         thinned = rng.binomial(full, 0.25)
         width = max(detected.max(), thinned.max()) + 1
@@ -410,17 +415,14 @@ def _chi2_quantile_999(df: int) -> float:
 class TestHomRun:
     def test_structure(self):
         run = simulate_hom_run(small_hom_config())
-        assert len(run.t2_values) == 5
-        for t2 in run.t2_values:
-            n_a, n_b = run.port_counts(t2)
-            assert len(n_a) == len(n_b) == 300
+        assert run.counts_a.shape == run.counts_b.shape == (5, 300)
 
     def test_bit_identical_rerun(self):
         a = simulate_hom_run(small_hom_config())
         b = simulate_hom_run(small_hom_config())
-        for t2 in a.t2_values:
-            assert np.array_equal(a.port_counts(t2)[0], b.port_counts(t2)[0])
-            assert np.array_equal(a.port_counts(t2)[1], b.port_counts(t2)[1])
+        for i in range(len(a.config.t2_values)):
+            assert np.array_equal(a.counts_a[i], b.counts_a[i])
+            assert np.array_equal(a.counts_b[i], b.counts_b[i])
 
     def test_far_detuned_matches_distinguishable_baseline(self):
         nu, eta = 0.33, 0.25
@@ -428,7 +430,7 @@ class TestHomRun:
             t2_values=(3000.0,), shots_per_point=40_000, master_seed=13
         )
         run = simulate_hom_run(config)
-        n_a, n_b = run.port_counts(3000.0)
+        n_a, n_b = run.counts_a[0], run.counts_b[0]
         products = n_a.astype(float) * n_b
         expected = eta**2 * (2 * nu**2 + nu / 2)
         standard_error = products.std(ddof=1) / np.sqrt(len(products))
@@ -437,8 +439,8 @@ class TestHomRun:
     def test_dip_at_center(self):
         config = small_hom_config(shots_per_point=20_000, master_seed=15)
         run = simulate_hom_run(config)
-        n_a0, n_b0 = run.port_counts(0.0)
-        n_af, n_bf = run.port_counts(-200.0)
+        n_a0, n_b0 = run.counts_a[2], run.counts_b[2]  # t2 = 0
+        n_af, n_bf = run.counts_a[0], run.counts_b[0]  # t2 = -200
         center = (n_a0.astype(float) * n_b0).mean()
         flank = (n_af.astype(float) * n_bf).mean()
         assert center < 0.5 * flank
@@ -514,12 +516,6 @@ class TestHomRun:
             chi2 = float(((got - want) ** 2 / want).sum())
             assert chi2 < _chi2_quantile_999(len(want) - 1), (t2, chi2, len(want) - 1)
 
-    def test_port_counts_rejects_repeated_t2(self):
-        run = simulate_hom_run(small_hom_config(t2_values=(0.0, 100.0, 0.0), shots_per_point=20))
-        assert len(run.port_counts(100.0)[0]) == 20
-        with pytest.raises(ValueError, match="more than once"):
-            run.port_counts(0.0)
-
     def test_tail_mass_reported_on_default_scan(self, tmp_path):
         run = simulate_hom_run(HomScanConfig(shots_per_point=1))
         assert len(run.tail_mass) == len(HomScanConfig.t2_values)
@@ -549,8 +545,8 @@ def per_shot_event_csv(table) -> str:
 def per_shot_hom_csv(run) -> str:
     """Reference scan CSV, written one shot and one atom at a time."""
     lines = ["shot,vx,vy,vz,port,t2_us\n"]
-    for t2 in run.t2_values:
-        for port, counts in zip("ab", run.port_counts(t2)):
+    for t2, row_a, row_b in zip(run.config.t2_values, run.counts_a, run.counts_b):
+        for port, counts in zip("ab", (row_a, row_b)):
             vx, vy, vz = PORT_VELOCITIES[port]
             for shot, count in enumerate(counts):
                 for _ in range(count):
@@ -577,7 +573,7 @@ class TestEventTableIO:
 
     def test_writer_matches_per_shot_reference(self, tmp_path):
         table = simulate_counting_run(small_config())
-        assert (table.counts_per_shot() == 0).any()
+        assert (counts_per_shot(table) == 0).any()
         assert (table.velocities < 0).any()
         write_event_table(table, tmp_path / "ev.csv", tmp_path / "ev.meta.json")
         assert (tmp_path / "ev.csv").read_text() == per_shot_event_csv(table)
@@ -612,7 +608,7 @@ class TestEventTableIO:
         write_event_table(table, csv_path, meta_path)
         back = read_event_table(csv_path, meta_path)
         assert back.n_shots == table.n_shots
-        assert back.master_seed == table.master_seed
+        assert back.config == table.config
         assert np.array_equal(back.shot, table.shot)
         assert np.array_equal(back.velocities, table.velocities)
 
@@ -626,7 +622,7 @@ class TestEventTableIO:
         assert caught == []
         assert back.n_shots == 10
         assert len(back.shot) == len(back.velocities) == 0
-        assert np.array_equal(back.counts_per_shot(), np.zeros(10))
+        assert np.array_equal(counts_per_shot(back), np.zeros(10))
 
     def test_malformed_row_names_line(self, tmp_path):
         table = simulate_counting_run(small_config(shots=5, master_seed=3))
@@ -667,7 +663,7 @@ class TestEventTableIO:
         run = simulate_hom_run(small_hom_config(t2_values=t2_values, shots_per_point=200))
         write_hom_events(run, tmp_path / "hom.csv", tmp_path / "hom.meta.json")
         rows = (tmp_path / "hom.csv").read_text().splitlines()[1:]
-        assert {float(row.rsplit(",", 1)[1]) for row in rows} == set(run.t2_values)
+        assert {float(row.rsplit(",", 1)[1]) for row in rows} == set(run.config.t2_values)
 
     def test_hom_events_csv(self, tmp_path):
         run = simulate_hom_run(small_hom_config(shots_per_point=50))

@@ -17,7 +17,8 @@ directory (under ``$TMPDIR``), removed at the end.
 
 The first seed fills ``end_to_end``, ``runs`` and ``outputs_sha256``; every
 further seed is a holdout with the same three keys under
-``holdout_seeds``.  Medians and quartiles are numpy's linear percentiles
+``holdout_seeds``.  ``src_lines`` holds each side's line count of
+``src/**/*.py``.  Medians and quartiles are numpy's linear percentiles
 over each side's runs; ``change_wins`` counts the pairs where the change
 read better, and ``verdict`` holds the change to the metric's ``bound``
 (see :func:`summarise`).
@@ -82,6 +83,11 @@ def outputs_summary(parent: list[dict], change: list[dict]) -> dict:
     paths = set().union(*flat)
     changed = sorted(p for p in paths if len({run.get(p) for run in flat}) > 1)
     return {"identical": not changed, "changed": changed, "sha256": change[0]}
+
+
+def src_lines(tree: Path) -> int:
+    """Total line count (newlines, as ``wc -l``) of the ``src/**/*.py`` files under ``tree``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def prepare(parent_ref: str, work: Path) -> dict:
@@ -177,6 +183,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
         trees = prepare(args.parent, Path(work))
+        doc["src_lines"] = {side: src_lines(trees[side]) for side in SIDES}
         for index, seed in enumerate(args.seeds):
             all_runs = {w: run_pairs(trees, w, seed, args.pairs, seconds) for w in workloads}
             summary = summarise_workloads(all_runs, spec["end_to_end"])
