@@ -37,6 +37,9 @@ __all__ = [
     "write_cell_stats",
 ]
 
+# Rows binned at a time by bin_events: a block's temporaries stay under 1 MB.
+_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class CellGrid:
@@ -90,15 +93,22 @@ def bin_events(events, grid: CellGrid) -> BinnedCounts:
     """Assign every event to at most one cell; out-of-grid events counted.
 
     ``events`` is an ``EventTable``; binning uses its ``shot`` and
-    ``velocities`` columns.
+    ``velocities`` columns.  Rows are binned ``_BLOCK_ROWS`` at a time into
+    one preallocated count matrix, so the memory beyond that matrix does
+    not grow with the number of events.
     """
     shape = grid.counts_per_axis
-    n_shots, n_cells = events.n_shots, grid.n_cells
-    idx = np.floor((events.velocities - np.asarray(grid.origin)) / grid.cell_widths).astype(int)
-    inside = np.all((idx >= 0) & (idx < shape), axis=1)
-    cell = events.shot[inside] * n_cells + np.ravel_multi_index(idx[inside].T, shape)
-    counts = np.bincount(cell, minlength=n_shots * n_cells).reshape(n_shots, n_cells)
-    dropped = np.bincount(events.shot[~inside], minlength=n_shots)
+    origin, widths = np.asarray(grid.origin), np.asarray(grid.cell_widths)
+    counts = np.zeros((events.n_shots, grid.n_cells), dtype=np.intp)
+    dropped = np.zeros(events.n_shots, dtype=np.intp)
+    for start in range(0, len(events.shot), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        shot = events.shot[rows]
+        idx = np.floor((events.velocities[rows] - origin) / widths).astype(int)
+        inside = np.all((idx >= 0) & (idx < shape), axis=1)
+        cell = shot[inside] * grid.n_cells + np.ravel_multi_index(idx[inside].T, shape)
+        np.add.at(counts.reshape(-1), cell, 1)
+        np.add.at(dropped, shot[~inside], 1)
     return BinnedCounts(counts, dropped)
 
 
@@ -108,7 +118,10 @@ def cell_histograms(binned: BinnedCounts) -> np.ndarray:
     Row ``c`` counts the shots in which cell ``c`` holds each count;
     ``width`` is the largest count of any cell plus one.
     """
-    return shot_histograms(binned.counts.T, binned.counts.max(initial=0) + 1)
+    counts = binned.counts
+    n_cells, width = counts.shape[1], counts.max(initial=0) + 1
+    cell = counts + np.arange(n_cells) * width
+    return np.bincount(cell.ravel(), minlength=n_cells * width).reshape(n_cells, width)
 
 
 def cell_means(hists: np.ndarray) -> np.ndarray:

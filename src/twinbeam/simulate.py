@@ -513,8 +513,11 @@ def write_event_table(table: EventTable, csv_path, meta_path) -> None:
 
     Velocities are fixed point at 1e-9 mm/s, so generated tables read back exactly.
     Empty shots produce no CSV rows; the sidecar's shot count is what
-    makes them reconstructible.
+    makes them reconstructible.  Raises ``ValueError``, and writes nothing,
+    when ``table.config`` lacks ``master_seed``.
     """
+    if "master_seed" not in table.config:
+        raise ValueError("table config lacks master_seed, which the sidecar records")
     with open(csv_path, "w") as fh:
         fh.write("shot,vx,vy,vz\n")
         _write_rows(fh, table.shot, table.velocities)
@@ -532,7 +535,8 @@ def write_event_table(table: EventTable, csv_path, meta_path) -> None:
 def read_event_table(csv_path, meta_path) -> EventTable:
     """Inverse of :func:`write_event_table`; rows may come in any shot order.
 
-    Rows are stably sorted by shot, so each shot keeps its row order.
+    Rows out of shot order are stably sorted by shot, so each shot keeps
+    its row order; rows already in order are kept as read, with no copy.
     Raises ``ValueError`` unless the sidecar is a JSON object whose
     ``config`` is an object and whose ``shots`` is an integer in
     ``[1, SHOT_ID_LIMIT]``, and names the offending line on malformed
@@ -543,14 +547,18 @@ def read_event_table(csv_path, meta_path) -> EventTable:
         meta = json.load(fh)
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise ValueError(f"{meta_path}: sidecar must be a JSON object whose config is an object")
-    check_field(meta, "shots", 1, SHOT_ID_LIMIT, integer=True)
+    try:
+        check_field(meta, "shots", 1, SHOT_ID_LIMIT, integer=True)
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     shots = meta["shots"]
     rows = read_csv_rows(csv_path, "shot,vx,vy,vz", [("shot", "i8"), ("v", "f8", 3)])
     outside = (rows["shot"] < 0) | (rows["shot"] >= shots)
     if outside.any():
         row = int(np.argmax(outside))
         raise csv_row_error(csv_path, row, f"shot {rows['shot'][row]} outside 0..{shots - 1}")
-    rows = rows[np.argsort(rows["shot"], kind="stable")]
+    if np.any(rows["shot"][1:] < rows["shot"][:-1]):
+        rows = rows[np.argsort(rows["shot"], kind="stable")]
     return EventTable(
         shot=rows["shot"],
         velocities=rows["v"],

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from memory_peak import traced_peak
+from twinbeam import analysis
 from twinbeam.analysis import (
     BinnedCounts,
     CellGrid,
@@ -130,10 +133,29 @@ class TestBinEvents:
     @given(st.lists(st.lists(_VELOCITY, max_size=8), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_equals_per_event_reference(self, event_rows):
-        binned = bin_events(table_from_events(event_rows), _GRID)
-        counts, dropped = bin_per_event(event_rows, _GRID)
-        assert np.array_equal(binned.counts, counts)
-        assert np.array_equal(binned.dropped, dropped)
+        assert_bins_like_per_event_reference(event_rows)
+
+    @given(st.lists(st.lists(_VELOCITY, max_size=8), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_event_reference_in_blocks_of_three_rows(self, event_rows):
+        # Shots straddle blocks, whole blocks fall outside the grid and
+        # empty shots sit at block ends.
+        with mock.patch.object(analysis, "_BLOCK_ROWS", 3):
+            assert_bins_like_per_event_reference(event_rows)
+
+    def test_memory_beyond_its_results_stays_under_2_mb(self):
+        rng = np.random.default_rng(3)
+        table = table_from_events([rng.normal(0.0, 8.0, size=(20, 3)) for _ in range(10_000)])
+        binned, peak = traced_peak(bin_events, table, CellGrid())
+        assert binned.counts.sum() + binned.dropped.sum() == 200_000
+        assert peak <= binned.counts.nbytes + binned.dropped.nbytes + (2 << 20)
+
+
+def assert_bins_like_per_event_reference(event_rows):
+    binned = bin_events(table_from_events(event_rows), _GRID)
+    counts, dropped = bin_per_event(event_rows, _GRID)
+    assert np.array_equal(binned.counts, counts)
+    assert np.array_equal(binned.dropped, dropped)
 
 
 def histograms(*cells):
@@ -180,6 +202,13 @@ class TestCellHistograms:
             occ = np.bincount(counts[:, cell])
             assert np.array_equal(np.trim_zeros(hists[cell], "b"), occ)
             assert means[cell] == float(np.arange(len(occ)) @ occ) / 1876
+
+    def test_memory_stays_within_a_quarter_over_one_count_matrix(self):
+        rng = np.random.default_rng(5)
+        counts = rng.geometric(1 / 1.16, size=(20_000, 45)) - 1
+        hists, peak = traced_peak(cell_histograms, BinnedCounts(counts, np.zeros(20_000)))
+        assert np.all(hists.sum(axis=1) == 20_000)
+        assert peak <= 1.25 * counts.nbytes
 
 
 class TestFilterCells:

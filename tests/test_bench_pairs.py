@@ -47,11 +47,16 @@ def test_summarise_rejects_unpaired_runs():
         ([0.98, 0.99, 1.0, 1.01, 1.02], [1.28, 1.29, 1.3, 1.31, 1.32], "lower", "regressed"),
         # Higher is better: a drop from 1.0 to 0.7 is worse by 30 %.
         ([0.98, 0.99, 1.0, 1.01, 1.02], [0.68, 0.69, 0.7, 0.71, 0.72], "higher", "regressed"),
-        ([0.98, 0.99, 1.0, 1.01, 1.02], [1.28, 1.29, 1.3, 1.31, 1.32], "higher", "held"),
+        ([0.98, 0.99, 1.0, 1.01, 1.02], [1.18, 1.19, 1.2, 1.21, 1.22], "higher", "held"),
         # Parent IQR 0.6 about a median of 1.0 is wider than the bound.
         ([0.5, 0.7, 1.0, 1.3, 1.5], [0.6, 0.8, 0.9, 1.2, 1.4], "lower", "unresolved"),
-        # ... unless every change run beats every parent run.
-        ([0.5, 0.7, 1.0, 1.3, 1.5], [0.3, 0.35, 0.4, 0.45, 0.49], "lower", "held"),
+        # ... unless every change run beats every parent run (parent IQR 0.38).
+        ([0.9, 0.92, 1.0, 1.3, 1.5], [0.8, 0.82, 0.85, 0.87, 0.89], "lower", "held"),
+        # Better by more than 25 % is an improvement in either direction.
+        ([0.98, 0.99, 1.0, 1.01, 1.02], [0.68, 0.69, 0.7, 0.71, 0.72], "lower", "improved"),
+        ([0.98, 0.99, 1.0, 1.01, 1.02], [1.28, 1.29, 1.3, 1.31, 1.32], "higher", "improved"),
+        # A median 19.5 % lower than the parent's holds against a 25 % bound.
+        ([1.16, 1.17, 1.18, 1.19, 1.2], [0.93, 0.94, 0.95, 0.96, 0.97], "lower", "held"),
     ],
 )
 def test_summarise_verdict_holds_the_change_to_the_bound(parent, change, better, verdict):

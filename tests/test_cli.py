@@ -384,6 +384,7 @@ class TestAnalyzeCounts:
         else:
             result = runner.invoke(main, argv)
             exit_code, output = result.exit_code, result.output
+            assert str(meta_path) in output
         assert exit_code == 2, output
         assert "shots" in output
         assert "Traceback" not in output

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from fock_reference import hom_joint_pmf_reference
+from memory_peak import traced_peak
 from twinbeam import simulate
 from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
 from twinbeam.fock import OverlapModel
@@ -24,6 +25,7 @@ from twinbeam.simulate import (
     STREAM_POOLED_HISTOGRAM,
     STREAM_SCAN_POINT,
     STREAM_SUMMED_HISTOGRAM,
+    EventTable,
     HomScanConfig,
     SourceConfig,
     correlation_scan,
@@ -601,6 +603,31 @@ class TestEventTableIO:
         assert back.n_shots == table.n_shots
         assert np.array_equal(back.shot, table.shot)
         assert np.array_equal(back.velocities, table.velocities)
+
+    def test_sorted_rows_read_back_without_a_second_copy(self, tmp_path):
+        rng = np.random.default_rng(6)
+        table = EventTable(
+            shot=np.repeat(np.arange(5_000), 20),
+            velocities=np.round(rng.normal(0.0, 8.0, size=(100_000, 3)), 9),
+            n_shots=5_000,
+            config={"shots": 5_000, "master_seed": 6},
+        )
+        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
+        write_event_table(table, csv_path, meta_path)
+        back, peak = traced_peak(read_event_table, csv_path, meta_path)
+        assert np.array_equal(back.shot, table.shot)
+        assert np.array_equal(back.velocities, table.velocities)
+        assert peak <= 1.5 * (table.shot.nbytes + table.velocities.nbytes)
+
+    def test_config_without_master_seed_writes_nothing(self, tmp_path):
+        table = EventTable(
+            shot=np.array([0, 1]), velocities=np.zeros((2, 3)), n_shots=2, config={"shots": 2}
+        )
+        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
+        with pytest.raises(ValueError, match="master_seed"):
+            write_event_table(table, csv_path, meta_path)
+        assert not csv_path.exists()
+        assert not meta_path.exists()
 
     def test_roundtrip(self, tmp_path):
         table = simulate_counting_run(small_config(shots=30))

@@ -49,9 +49,10 @@ def summarise(parent: list[float], change: list[float], bound: float,
 
     ``bound`` is the metric's relative bound from ``BENCHMARK.json``.  The
     verdict reads ``regressed`` when the change median is worse than the
-    parent median by more than ``bound`` of it; ``unresolved`` when the
-    parent's IQR exceeds ``bound`` of its median, unless every change run
-    beats every parent run; and ``held`` otherwise.
+    parent median by more than ``bound`` of it, and ``improved`` when it is
+    better by more than that; ``unresolved`` when the parent's IQR exceeds
+    ``bound`` of its median, unless every change run beats every parent
+    run; and ``held`` otherwise.
     """
 
     def spread(values):
@@ -64,8 +65,11 @@ def summarise(parent: list[float], change: list[float], bound: float,
     sides = {"parent": spread(parent), "change": spread(change)}
     allowed = bound * abs(sides["parent"]["median"])
     beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
-    if sign * (sides["change"]["median"] - sides["parent"]["median"]) > allowed:
+    worse_by = sign * (sides["change"]["median"] - sides["parent"]["median"])
+    if worse_by > allowed:
         verdict = "regressed"
+    elif -worse_by > allowed:
+        verdict = "improved"
     elif sides["parent"]["iqr"] > allowed and not beats_all:
         verdict = "unresolved"
     else:
@@ -177,7 +181,8 @@ def main(argv=None) -> int:
                   "both with the working tree's bench/ and configs/; median and quartiles "
                   "(numpy linear percentiles) over each side's runs; change_wins counts pairs "
                   "where the change read better; verdict is regressed if the change median is "
-                  "worse than the parent's by more than the metric's relative bound, unresolved "
+                  "worse than the parent's by more than the metric's relative bound, improved "
+                  "if it is better by more than that bound, unresolved "
                   "if the parent's IQR exceeds that bound of its median (unless every change run "
                   "beats every parent run), else held",
     }
