@@ -3,13 +3,15 @@
 Every command is a pure function of (input files, configuration, seed):
 rerunning with the same inputs writes byte-identical files.  Each output
 directory receives a ``manifest.json`` listing the produced files with
-SHA-256 checksums.  Exit codes are stable: 0 success, 2 input or
-validation error, 3 empty-result condition, 4 fit failure.
+SHA-256 checksums.  Exit codes are stable: 0 success, 2 unusable input
+(config, input file, ``--out``, or a run too large for memory), 3
+empty-result condition, 4 fit failure.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -31,7 +33,7 @@ from .analysis import (
     write_cell_stats,
 )
 from .checks import read_csv_rows, write_csv, write_json
-from .config import ConfigError, config_digest, default_config, load_config, section
+from .config import config_digest, default_config, load_config, section
 from .distributions import multimode_pmf, poisson_pmf, thermal_pmf
 from .fitting import (
     FitFailureError,
@@ -87,11 +89,19 @@ def _write_manifest(out_dir: Path, doc: dict, seed: int, files) -> None:
     write_json(out_dir / "manifest.json", manifest)
 
 
-def _load_config_or_fail(path: str) -> dict:
-    try:
-        return load_config(path)
-    except (ConfigError, OSError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+def _input_errors_exit_2(command):
+    """Run ``command``; unusable input (``OSError``, ``ValueError``, ``MemoryError``) exits 2."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (OSError, ValueError) as exc:
+            _fail(EXIT_INPUT_ERROR, str(exc))
+        except MemoryError as exc:
+            _fail(EXIT_INPUT_ERROR, f"out of memory ({exc}): reduce the shots or bootstrap_resamples")
+
+    return run
 
 
 def _prepare_out(out: str) -> Path:
@@ -137,17 +147,16 @@ def print_config():
 
 
 @main.command("simulate-source")
+@_input_errors_exit_2
 @_with_common_options
 def cmd_simulate_source(config_path, out, seed):
     """Generate a counting run and write its event table."""
-    doc = _load_config_or_fail(config_path)
+    doc = load_config(config_path)
     out_dir = _prepare_out(out)
     config = section(doc, "source", seed)
     table = simulate_counting_run(config)
     events_csv = out_dir / "events.csv"
-    events_meta = out_dir / "events.meta.json"
-    write_event_table(table, events_csv, events_meta)
-    _write_manifest(out_dir, doc, config.master_seed, [events_csv, events_meta])
+    _write_manifest(out_dir, doc, config.master_seed, write_event_table(table, events_csv))
     click.echo(f"wrote {table.n_shots} shots, {len(table.shot)} detected atoms -> {events_csv}")
 
 
@@ -158,33 +167,20 @@ def _histogram_csv(path: Path, occurrences, err, overlays: dict) -> None:
 
 
 @main.command("analyze-counts")
-@click.option("--events", "events_path", required=True, help="Event-table CSV.")
-@click.option(
-    "--meta",
-    "meta_path",
-    default=None,
-    help="Event-table sidecar JSON (default: <events>.meta.json next to the CSV).",
-)
+@_input_errors_exit_2
+@click.option("--events", "events_path", required=True, help="Event-table CSV; sidecar <name>.meta.json.")
 @_with_common_options
-def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
+def cmd_analyze_counts(events_path, config_path, out, seed):
     """Bin, histogram, filter and fit a counting run."""
-    doc = _load_config_or_fail(config_path)
+    doc = load_config(config_path)
     out_dir = _prepare_out(out)
-    if meta_path is None:
-        meta_path = str(Path(events_path).with_suffix("")) + ".meta.json"
-    try:
-        table = read_event_table(events_path, meta_path)
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    table = read_event_table(events_path)
     params = section(doc, "analysis")
     master = doc["master_seed"] if seed is None else seed
     resamples = params.bootstrap_resamples
 
     grid = section(doc, "grid")
-    try:
-        binned = bin_events(table, grid)
-    except MemoryError:
-        _fail(EXIT_INPUT_ERROR, f"shots = {table.n_shots}: count matrix too large")
+    binned = bin_events(table, grid)
     del table  # the event columns are not needed past binning
     hists = cell_histograms(binned)
     means = cell_means(hists)
@@ -222,10 +218,10 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
     pooled = pooled_counts_histogram(kept_counts)
     pooled_mean = float(cell_means(pooled))
     pooled_width = len(pooled) + 5
-    sums, shots = np.unique(kept_counts.sum(axis=1), return_counts=True)
+    sums = np.flatnonzero(pooled)
     pooled_err = bootstrap_std(
         np.eye(pooled_width)[sums],
-        shots,
+        pooled[sums],
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_POOLED_HISTOGRAM),
     )
@@ -274,25 +270,36 @@ def cmd_analyze_counts(events_path, meta_path, config_path, out, seed):
 
 
 @main.command("simulate-hom")
+@_input_errors_exit_2
 @_with_common_options
 def cmd_simulate_hom(config_path, out, seed):
     """Scan the splitter time and write the cross-correlation curve."""
-    doc = _load_config_or_fail(config_path)
+    doc = load_config(config_path)
     out_dir = _prepare_out(out)
     config = section(doc, "hom", seed)
     run = simulate_hom_run(config)
-    events_csv = out_dir / "hom_events.csv"
-    events_meta = out_dir / "hom_events.meta.json"
-    write_hom_events(run, events_csv, events_meta)
+    event_files = write_hom_events(run, out_dir / "hom_events.csv")
     resamples = section(doc, "analysis").bootstrap_resamples
     points = correlation_scan(run, resamples=resamples)
     scan_csv = out_dir / "hom_scan.csv"
     write_csv(scan_csv, "t2_us,corr,err", *np.array(points, dtype=float).T)
-    _write_manifest(out_dir, doc, config.master_seed, [events_csv, events_meta, scan_csv])
+    _write_manifest(out_dir, doc, config.master_seed, [*event_files, scan_csv])
     click.echo(f"wrote {len(points)} scan points -> {scan_csv}")
 
 
+def _echo_prediction(nu: float, nu_std: float, prediction, fit=None) -> None:
+    """Print the ``nu / V_pred`` table, with a ``V_obs`` column from ``fit`` when given."""
+    header = "nu            V_pred"
+    row = f"{nu:.3g} +/- {nu_std:.2g}   {prediction.v_pred:.2f} +/- {prediction.v_std:.2f}"
+    if fit is not None:
+        header += "        V_obs"
+        row += f"   {fit.visibility:.2f} +/- {fit.visibility_err:.2f}"
+    click.echo(header)
+    click.echo(row)
+
+
 @main.command("fit-dip")
+@_input_errors_exit_2
 @click.argument("scan_csv", type=click.Path(exists=False))
 @click.option("--nu", type=float, default=None, help="Mean occupation for a predicted-visibility comparison row.")
 @click.option("--nu-std", type=float, default=None, help="Uncertainty on --nu (default 0).")
@@ -303,25 +310,17 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out):
         _fail(EXIT_INPUT_ERROR, "--nu-std needs --nu")
     nu_std = 0.0 if nu_std is None else nu_std
     out_dir = _prepare_out(out)
-    try:
-        # One (t2, corr, err) row per scan point.
-        points = read_csv_rows(scan_csv, "t2_us,corr,err", [("point", "f8", 3)])["point"]
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    # One (t2, corr, err) row per scan point.
+    points = read_csv_rows(scan_csv, "t2_us,corr,err", [("point", "f8", 3)])["point"]
     try:
         fit = fit_gaussian_dip(points)
     except FitFailureError as exc:
         _fail(EXIT_FIT_FAILURE, f"dip fit failed: {exc} {exc.diagnostics}")
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
 
     digest = _sha256(Path(scan_csv))
     payload = {**dataclasses.asdict(fit), "converged": fit.converged, "input_digest": digest}
     if nu is not None:
-        try:
-            prediction = propagate_visibility_uncertainty(nu, nu_std)
-        except ValueError as exc:
-            _fail(EXIT_INPUT_ERROR, str(exc))
+        prediction = propagate_visibility_uncertainty(nu, nu_std)
         payload["comparison"] = {
             "nu": nu,
             "nu_std": nu_std,
@@ -330,12 +329,7 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out):
             "v_observed": fit.visibility,
             "v_observed_err": fit.visibility_err,
         }
-        click.echo("nu            V_pred        V_obs")
-        click.echo(
-            f"{nu:.3g} +/- {nu_std:.2g}   "
-            f"{prediction.v_pred:.2f} +/- {prediction.v_std:.2f}   "
-            f"{fit.visibility:.2f} +/- {fit.visibility_err:.2f}"
-        )
+        _echo_prediction(nu, nu_std, prediction, fit)
     write_json(out_dir / "dip_fit.json", payload)
     ts = np.sort(points[:, 0])
     t_dense = np.linspace(ts.min(), ts.max(), 200)
@@ -350,6 +344,7 @@ def cmd_fit_dip(scan_csv, nu, nu_std, out):
 
 
 @main.command("predict-visibility")
+@_input_errors_exit_2
 @click.option("--nu", type=float, default=None, help="Mean occupation (overrides config).")
 @click.option("--nu-std", type=float, default=None, help="Uncertainty on nu (overrides config).")
 @click.option("--config", "config_path", default=None, help="Run configuration (JSON).")
@@ -358,7 +353,7 @@ def cmd_predict_visibility(nu, nu_std, config_path, out):
     """Evaluate the predicted visibility with propagated uncertainty."""
     doc = {"master_seed": 0}
     if config_path is not None:
-        doc = _load_config_or_fail(config_path)
+        doc = load_config(config_path)
     visibility = doc.get("visibility", {})
     if nu is None:
         nu = visibility.get("nu")
@@ -367,18 +362,12 @@ def cmd_predict_visibility(nu, nu_std, config_path, out):
     if nu is None:
         _fail(EXIT_INPUT_ERROR, "provide --nu or a visibility section in the config")
     out_dir = _prepare_out(out)
-    try:
-        prediction = propagate_visibility_uncertainty(nu, nu_std)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    prediction = propagate_visibility_uncertainty(nu, nu_std)
     write_json(out_dir / "visibility_prediction.json", dataclasses.asdict(prediction))
     _write_manifest(
         out_dir, doc, doc.get("master_seed", 0), [out_dir / "visibility_prediction.json"]
     )
-    click.echo("nu            V_pred")
-    click.echo(
-        f"{nu:.3g} +/- {nu_std:.2g}   {prediction.v_pred:.2f} +/- {prediction.v_std:.2f}"
-    )
+    _echo_prediction(nu, nu_std, prediction)
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ def load_config(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     return validate_config(doc)
 

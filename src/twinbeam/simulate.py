@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -104,12 +105,6 @@ def _key_words(master_seed: int, first: int, count: int) -> tuple[np.ndarray, np
     return lo, _splitmix64(lo)
 
 
-def _shot_keys(master_seed: int, first: int, count: int) -> tuple[list, list]:
-    """:func:`_key_words` as lists of ints."""
-    lo, hi = _key_words(master_seed, first, count)
-    return lo.tolist(), hi.tolist()
-
-
 # Philox4x64 round multipliers and key increments (Salmon et al., SC'11).
 _PHILOX_M = (_U64(0xD2E7470EE14C6C93), _U64(0xCA5A826395121157))
 _PHILOX_W = (_U64(0x9E3779B97F4A7C15), _U64(0xBB67AE8584CAA73B))
@@ -186,13 +181,13 @@ def _binomial_inversion(
 
 def derive_shot_seed(master_seed: int, shot_id: int) -> int:
     """Stream ``shot_id``'s 128-bit seed, its Philox key words; injective in ``shot_id``."""
-    (lo,), (hi,) = _shot_keys(master_seed, shot_id & _MASK64, 1)
-    return (hi << 64) | lo
+    lo, hi = _key_words(master_seed, shot_id & _MASK64, 1)
+    return (int(hi[0]) << 64) | int(lo[0])
 
 
 def shot_rng(master_seed: int, shot_id: int) -> np.random.Generator:
     """Counter-based generator for one shot; see :data:`GENERATOR_ID`."""
-    key = np.array(_shot_keys(master_seed, shot_id & _MASK64, 1), dtype=np.uint64).ravel()
+    key = np.concatenate(_key_words(master_seed, shot_id & _MASK64, 1))
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -211,8 +206,8 @@ def _shot_streams(master_seed: int, first: int, count: int):
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     for block in range(first, first + count, _CHUNK_ROWS):
-        keys = _shot_keys(master_seed, block, min(_CHUNK_ROWS, first + count - block))
-        for key[0], key[1] in zip(*keys):
+        lo, hi = _key_words(master_seed, block, min(_CHUNK_ROWS, first + count - block))
+        for key[0], key[1] in zip(lo.tolist(), hi.tolist()):
             bit_generator.state = fresh
             yield rng
 
@@ -240,12 +235,16 @@ class SourceConfig:
     equally.
 
     The defaults put the modes on a grid 1.5x coarser than the analysis
-    cells with envelopes of half the grid spacing, i.e. modes larger than
-    the detection cells.  With the default occupation and profile this
-    reproduces the published pipeline figures: of the 45 analysis cells,
-    about 18 pass the 0.135 mean threshold with average detected mean
-    near 0.16, the pooled mean lands near 2.9, and the pooled counts fit
-    an effective mode number of about 8, well below the cell count.
+    cells with envelopes of half the grid spacing, so several modes reach
+    each cell.  A cell's count is then a sum of independent thinned
+    thermal counts, one per mode of mean ``mu`` there, whose Mandel
+    ``M = (sum mu)^2 / sum mu^2`` is 2.7-5.2 over the 17 cells with an
+    exact mean above the threshold, not 1.  With the default occupation
+    and profile this reproduces the published pipeline figures: of the 45
+    analysis cells, about 18 pass the 0.135 mean threshold with average
+    detected mean near 0.16, the pooled mean lands near 2.9, and the
+    pooled counts fit an effective mode number of about 8, well below the
+    cell count.
     """
 
     nu_per_mode: float = 4.5
@@ -508,16 +507,22 @@ def _write_rows(fh, shot: np.ndarray, velocities, suffix: str = "") -> None:
         fh.write("".join([row % r for r in rows]))
 
 
-def write_event_table(table: EventTable, csv_path, meta_path) -> None:
+def _meta_path(csv_path) -> Path:
+    """The JSON sidecar of an event CSV: ``<name>.meta.json`` beside it."""
+    return Path(csv_path).with_suffix(".meta.json")
+
+
+def write_event_table(table: EventTable, csv_path) -> tuple[Path, Path]:
     """CSV rows ``shot,vx,vy,vz`` plus a JSON sidecar: shots, config, its master_seed, generator.
 
     Velocities are fixed point at 1e-9 mm/s, so generated tables read back exactly.
     Empty shots produce no CSV rows; the sidecar's shot count is what
-    makes them reconstructible.  Raises ``ValueError``, and writes nothing,
-    when ``table.config`` lacks ``master_seed``.
+    makes them reconstructible.  Returns both paths.  Raises ``ValueError``,
+    and writes nothing, when ``table.config`` lacks ``master_seed``.
     """
     if "master_seed" not in table.config:
         raise ValueError("table config lacks master_seed, which the sidecar records")
+    csv_path, meta_path = Path(csv_path), _meta_path(csv_path)
     with open(csv_path, "w") as fh:
         fh.write("shot,vx,vy,vz\n")
         _write_rows(fh, table.shot, table.velocities)
@@ -530,11 +535,13 @@ def write_event_table(table: EventTable, csv_path, meta_path) -> None:
             "generator": GENERATOR_ID,
         },
     )
+    return csv_path, meta_path
 
 
-def read_event_table(csv_path, meta_path) -> EventTable:
+def read_event_table(csv_path) -> EventTable:
     """Inverse of :func:`write_event_table`; rows may come in any shot order.
 
+    The sidecar is ``<name>.meta.json`` beside the CSV.
     Rows out of shot order are stably sorted by shot, so each shot keeps
     its row order; rows already in order are kept as read, with no copy.
     Raises ``ValueError`` unless the sidecar is a JSON object whose
@@ -543,6 +550,7 @@ def read_event_table(csv_path, meta_path) -> EventTable:
     rows, non-finite velocities and shots outside ``0..shots - 1``
     included.  The sidecar's ``master_seed`` and ``generator`` are not read.
     """
+    meta_path = _meta_path(csv_path)
     with open(meta_path) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
@@ -567,12 +575,13 @@ def read_event_table(csv_path, meta_path) -> EventTable:
     )
 
 
-def write_hom_events(run: HomRun, csv_path, meta_path) -> None:
-    """Combined scan CSV with ``port`` and ``t2_us`` columns.
+def write_hom_events(run: HomRun, csv_path) -> tuple[Path, Path]:
+    """Combined scan CSV with ``port`` and ``t2_us`` columns, plus a JSON sidecar.
 
     Each detected atom is one row at its port's fixed velocity, grouped
-    by splitter time, then port, then shot.
+    by splitter time, then port, then shot.  Returns both paths.
     """
+    csv_path, meta_path = Path(csv_path), _meta_path(csv_path)
     with open(csv_path, "w") as fh:
         fh.write("shot,vx,vy,vz,port,t2_us\n")
         for t2, row_a, row_b in zip(run.config.t2_values, run.counts_a, run.counts_b):
@@ -592,3 +601,4 @@ def write_hom_events(run: HomRun, csv_path, meta_path) -> None:
             "generator": GENERATOR_ID,
         },
     )
+    return csv_path, meta_path

@@ -358,12 +358,13 @@ class TestAnalyzeCounts:
         config_path, events_out = events_dir
         meta = json.loads((events_out / "events.meta.json").read_text())
         meta["shots"] = meta["config"]["shots"] = shots
+        events_path = tmp_path / "bad.csv"
+        events_path.write_bytes((events_out / "events.csv").read_bytes())
         meta_path = tmp_path / "bad.meta.json"
         meta_path.write_text(json.dumps(meta))
         argv = [
             "analyze-counts",
-            "--events", str(events_out / "events.csv"),
-            "--meta", str(meta_path),
+            "--events", str(events_path),
             "--config", str(config_path),
             "--out", str(tmp_path / "x"),
         ]
@@ -405,14 +406,15 @@ class TestAnalyzeCounts:
     ):
         config_path, events_out = events_dir
         meta = json.loads((events_out / "events.meta.json").read_text())
+        events_path = tmp_path / "bad.csv"
+        events_path.write_bytes((events_out / "events.csv").read_bytes())
         meta_path = tmp_path / "bad.meta.json"
         meta_path.write_text(json.dumps(edit(meta)))
         result = runner.invoke(
             main,
             [
                 "analyze-counts",
-                "--events", str(events_out / "events.csv"),
-                "--meta", str(meta_path),
+                "--events", str(events_path),
                 "--config", str(config_path),
                 "--out", str(tmp_path / "x"),
             ],
@@ -706,6 +708,71 @@ class TestPredictVisibility:
         assert result.exit_code == 2
         assert "finite" in result.output
         assert not (out / "visibility_prediction.json").exists()
+
+
+class TestUnusableInputExits2:
+    """Input no command can use exits 2 with ``error: ...``, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "command", ["simulate-source", "analyze-counts", "simulate-hom", "fit-dip", "predict-visibility"]
+    )
+    def test_out_naming_a_file_exits_2(self, tmp_path, runner, command):
+        # The output directory is made before any input is read, so the
+        # event table and the scan need not exist.
+        config = str(write_doc(tmp_path, small_doc()))
+        args = {
+            "simulate-source": ["--config", config],
+            "analyze-counts": ["--events", str(tmp_path / "events.csv"), "--config", config],
+            "simulate-hom": ["--config", config],
+            "fit-dip": [str(tmp_path / "hom_scan.csv")],
+            "predict-visibility": ["--nu", "0.33"],
+        }[command]
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        result = runner.invoke(main, [command, *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+        assert str(out) in result.output
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "command, edits",
+        [
+            ("simulate-source", {"source": {"shots": 10**12}}),
+            ("simulate-hom", {"hom": {"shots_per_point": 10**10}}),
+            ("simulate-hom", {"hom": {"shots_per_point": 50}, "analysis": {"bootstrap_resamples": 10**12}}),
+        ],
+        ids=["source-shots", "hom-shots_per_point", "bootstrap_resamples"],
+    )
+    def test_run_too_large_for_memory_exits_2(self, tmp_path, command, edits):
+        # Each run is valid, but its first large allocation exceeds a 16 GiB
+        # cap on the address space, whatever the system's overcommit policy.
+        doc = small_doc()
+        for section, values in edits.items():
+            doc[section].update(values)
+        argv = [command, "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "o")]
+        cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (16 << 30,) * 2)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", f"{cap}; from twinbeam.cli import main; main()", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: out of memory")
+        assert "shots" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_config_of_non_utf8_bytes_exits_2(self, tmp_path, runner):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"master_seed": "\xff"}')
+        result = runner.invoke(
+            main, ["simulate-source", "--config", str(path), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {path}: not valid JSON")
 
 
 @pytest.mark.parametrize("module", ["twinbeam", "twinbeam.cli"])

@@ -52,15 +52,8 @@ def matched_chain():
     return hists, means, kept, binned
 
 
-def target_degeneracy(source, grid, kept) -> float:
-    """The population target M* of the fixed-mean degeneracy fit on the kept cells.
-
-    Mode m puts a thinned thermal count of mean ``mu_m = eta nu_m f_m``
-    into the kept cells, ``f_m`` being its Gaussian mass there, so the
-    pooled count is the convolution of these geometric laws.  M* maximises
-    that law's expected negative-binomial log-likelihood at the exact mean
-    ``sum mu_m``: the root of ``E[sum_{j<n} 1/(M + j)] + log(M / (M + mean))``.
-    """
+def mode_cell_masses(source, grid) -> tuple[np.ndarray, np.ndarray]:
+    """Each mode's true mean ``nu_m``, and ``f[m, c]``, its Gaussian mass in cell ``c``."""
     axes, masses = [], []
     for n, s, c, w, lower, width, cells in zip(
         source.modes_per_axis, source.mode_spacing, source.grid_center, source.mode_widths,
@@ -73,8 +66,20 @@ def target_degeneracy(source, grid, kept) -> float:
         masses.append(np.diff(cdf, axis=1))
     r_sq = sum(np.meshgrid(*[a**2 for a in axes], indexing="ij"))
     nus = source.nu_per_mode * np.exp(-r_sq / (2.0 * source.peak_width**2)).ravel()
-    in_kept = np.einsum("ia,jb,kc->ijkabc", *masses).reshape(len(nus), -1)[:, kept].sum(axis=1)
-    mu = source.eta * nus * in_kept
+    return nus, np.einsum("ia,jb,kc->ijkabc", *masses).reshape(len(nus), -1)
+
+
+def target_degeneracy(source, grid, kept) -> float:
+    """The population target M* of the fixed-mean degeneracy fit on the kept cells.
+
+    Mode m puts a thinned thermal count of mean ``mu_m = eta nu_m f_m``
+    into the kept cells, ``f_m`` being its Gaussian mass there, so the
+    pooled count is the convolution of these geometric laws.  M* maximises
+    that law's expected negative-binomial log-likelihood at the exact mean
+    ``sum mu_m``: the root of ``E[sum_{j<n} 1/(M + j)] + log(M / (M + mean))``.
+    """
+    nus, mass = mode_cell_masses(source, grid)
+    mu = source.eta * nus * mass[:, kept].sum(axis=1)
     n = np.arange(120)
     law = np.zeros(len(n))
     law[0] = 1.0
@@ -117,6 +122,22 @@ def test_cell_means_span_published_range(matched_chain):
     assert means.max() < 0.25
     assert 8 <= len(kept) <= 26
     assert 0.135 <= means[kept].mean() <= 0.20
+
+
+@pytest.mark.parametrize("source", [MATCHED_SOURCE, SourceConfig()], ids=["matched", "shipped"])
+def test_every_cell_mean_within_z_max_of_its_exact_expectation(source):
+    # A cell's count is a sum of independent thinned thermal counts, one per
+    # mode, of means mu_m = eta nu_m f_m: its mean is sum mu_m and its
+    # variance sum mu_m (1 + mu_m).
+    grid = CellGrid()
+    nus, mass = mode_cell_masses(source, grid)
+    mu = source.eta * nus[:, None] * mass
+    expected = mu.sum(axis=0)
+    std_err = np.sqrt((mu * (1.0 + mu)).sum(axis=0) / source.shots)
+    means = cell_means(cell_histograms(bin_events(simulate_counting_run(source), grid)))
+    z = (means - expected) / std_err
+    assert z.shape == (grid.n_cells,)
+    assert np.abs(z).max() <= Z_MAX, z
 
 
 def test_summed_histogram_is_thermal(matched_chain):

@@ -37,7 +37,7 @@ from twinbeam.simulate import (
     write_event_table,
     write_hom_events,
 )
-from twinbeam.simulate import _CHUNK_ROWS, _shot_keys, _shot_streams
+from twinbeam.simulate import _CHUNK_ROWS, _key_words, _shot_streams
 
 
 class TestShotSeeds:
@@ -115,9 +115,10 @@ class TestReusedShotStream:
         # Words of the scalar derive_shot_seed that preceded the bulk keys.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            block = _shot_keys(MAX_SEED, 1023, 2)
-            last = _shot_keys(MAX_SEED, SHOT_ID_LIMIT - 1, 1)
-            first = _shot_keys(MAX_SEED, 0, 1)
+            block, last, first = (
+                tuple(words.tolist() for words in _key_words(MAX_SEED, *shots))
+                for shots in [(1023, 2), (SHOT_ID_LIMIT - 1, 1), (0, 1)]
+            )
         assert block == ([0x7D9BC01394CD55D0, 0x7168CE796820D220],
                          [0x72931F7E10BE98B1, 0x4958DFE10D5C985F])
         assert last == ([0xF7FDE76B2AB8BF17], [0xD3590BAFC98B4A12])
@@ -522,7 +523,8 @@ class TestHomRun:
         run = simulate_hom_run(HomScanConfig(shots_per_point=1))
         assert len(run.tail_mass) == len(HomScanConfig.t2_values)
         assert all(0.0 <= mass <= TAIL_TOLERANCE for mass in run.tail_mass)
-        write_hom_events(run, tmp_path / "hom.csv", tmp_path / "hom.meta.json")
+        files = write_hom_events(run, tmp_path / "hom.csv")
+        assert files == (tmp_path / "hom.csv", tmp_path / "hom.meta.json")
         meta = json.loads((tmp_path / "hom.meta.json").read_text())
         assert meta["tail_mass"] == list(run.tail_mass)
 
@@ -577,19 +579,19 @@ class TestEventTableIO:
         table = simulate_counting_run(small_config())
         assert (counts_per_shot(table) == 0).any()
         assert (table.velocities < 0).any()
-        write_event_table(table, tmp_path / "ev.csv", tmp_path / "ev.meta.json")
+        write_event_table(table, tmp_path / "ev.csv")
         assert (tmp_path / "ev.csv").read_text() == per_shot_event_csv(table)
 
     def test_hom_writer_matches_per_shot_reference(self, tmp_path):
         run = simulate_hom_run(small_hom_config(shots_per_point=50))
         assert (run.counts_a == 0).any() and (run.counts_b > 0).any()
-        write_hom_events(run, tmp_path / "hom.csv", tmp_path / "hom.meta.json")
+        write_hom_events(run, tmp_path / "hom.csv")
         assert (tmp_path / "hom.csv").read_text() == per_shot_hom_csv(run)
 
     def test_rows_in_any_shot_order_read_back_sorted(self, tmp_path):
         table = simulate_counting_run(small_config(shots=40))
-        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
-        write_event_table(table, csv_path, meta_path)
+        csv_path = tmp_path / "ev.csv"
+        write_event_table(table, csv_path)
         header, *rows = csv_path.read_text().splitlines(keepends=True)
         # Interleave the shots at random, each shot's rows in their order.
         shot = np.array([int(row.split(",")[0]) for row in rows])
@@ -599,7 +601,7 @@ class TestEventTableIO:
         order = np.argsort(keys)
         assert (np.diff(shot[order]) < 0).any()
         csv_path.write_text(header + "".join(rows[i] for i in order))
-        back = read_event_table(csv_path, meta_path)
+        back = read_event_table(csv_path)
         assert back.n_shots == table.n_shots
         assert np.array_equal(back.shot, table.shot)
         assert np.array_equal(back.velocities, table.velocities)
@@ -612,9 +614,9 @@ class TestEventTableIO:
             n_shots=5_000,
             config={"shots": 5_000, "master_seed": 6},
         )
-        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
-        write_event_table(table, csv_path, meta_path)
-        back, peak = traced_peak(read_event_table, csv_path, meta_path)
+        csv_path = tmp_path / "ev.csv"
+        write_event_table(table, csv_path)
+        back, peak = traced_peak(read_event_table, csv_path)
         assert np.array_equal(back.shot, table.shot)
         assert np.array_equal(back.velocities, table.velocities)
         assert peak <= 1.5 * (table.shot.nbytes + table.velocities.nbytes)
@@ -625,15 +627,15 @@ class TestEventTableIO:
         )
         csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
         with pytest.raises(ValueError, match="master_seed"):
-            write_event_table(table, csv_path, meta_path)
+            write_event_table(table, csv_path)
         assert not csv_path.exists()
         assert not meta_path.exists()
 
     def test_roundtrip(self, tmp_path):
         table = simulate_counting_run(small_config(shots=30))
         csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
-        write_event_table(table, csv_path, meta_path)
-        back = read_event_table(csv_path, meta_path)
+        assert write_event_table(table, csv_path) == (csv_path, meta_path)
+        back = read_event_table(csv_path)
         assert back.n_shots == table.n_shots
         assert back.config == table.config
         assert np.array_equal(back.shot, table.shot)
@@ -641,11 +643,11 @@ class TestEventTableIO:
 
     def test_empty_shots_survive_roundtrip(self, tmp_path):
         table = simulate_counting_run(small_config(shots=10, nu_per_mode=0.0))
-        write_event_table(table, tmp_path / "e.csv", tmp_path / "e.meta.json")
+        write_event_table(table, tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_text() == "shot,vx,vy,vz\n"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            back = read_event_table(tmp_path / "e.csv", tmp_path / "e.meta.json")
+            back = read_event_table(tmp_path / "e.csv")
         assert caught == []
         assert back.n_shots == 10
         assert len(back.shot) == len(back.velocities) == 0
@@ -653,13 +655,13 @@ class TestEventTableIO:
 
     def test_malformed_row_names_line(self, tmp_path):
         table = simulate_counting_run(small_config(shots=5, master_seed=3))
-        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
-        write_event_table(table, csv_path, meta_path)
+        csv_path = tmp_path / "ev.csv"
+        write_event_table(table, csv_path)
         lines = csv_path.read_text().splitlines()
         lines[2] = "0,not-a-number,1.0,2.0"
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":3:"):
-            read_event_table(csv_path, meta_path)
+            read_event_table(csv_path)
 
     @pytest.mark.parametrize(
         "body, line",
@@ -683,19 +685,19 @@ class TestEventTableIO:
         csv_path.write_text("shot,vx,vy,vz\n" + "\n".join(body) + "\n")
         meta_path.write_text(json.dumps({"shots": 5, "config": {"shots": 5}, "master_seed": 0}))
         with pytest.raises(ValueError, match=re.escape(f"{csv_path}:{line}:")):
-            read_event_table(csv_path, meta_path)
+            read_event_table(csv_path)
 
     def test_hom_t2_column_reads_back_exactly(self, tmp_path):
         t2_values = (-100.0 / 3, 0.1, 2.0 / 3, 1e-7)
         run = simulate_hom_run(small_hom_config(t2_values=t2_values, shots_per_point=200))
-        write_hom_events(run, tmp_path / "hom.csv", tmp_path / "hom.meta.json")
+        write_hom_events(run, tmp_path / "hom.csv")
         rows = (tmp_path / "hom.csv").read_text().splitlines()[1:]
         assert {float(row.rsplit(",", 1)[1]) for row in rows} == set(run.config.t2_values)
 
     def test_hom_events_csv(self, tmp_path):
         run = simulate_hom_run(small_hom_config(shots_per_point=50))
-        csv_path, meta_path = tmp_path / "hom.csv", tmp_path / "hom.meta.json"
-        write_hom_events(run, csv_path, meta_path)
+        csv_path = tmp_path / "hom.csv"
+        write_hom_events(run, csv_path)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "shot,vx,vy,vz,port,t2_us"
         assert any(",a," in line for line in lines[1:])
