@@ -26,6 +26,7 @@ __all__ = [
     "AnalysisParams",
     "CellGrid",
     "BinnedCounts",
+    "bin_blocks",
     "bin_events",
     "cell_histograms",
     "cell_means",
@@ -33,12 +34,15 @@ __all__ = [
     "sum_histograms",
     "pooled_counts_histogram",
     "shot_histograms",
+    "distinct_rows",
     "bootstrap_std",
     "write_cell_stats",
 ]
 
-# Rows binned at a time by bin_events: a block's temporaries stay under 1 MB.
+# Rows binned at a time by bin_blocks: a block's temporaries stay under 1 MB.
 _BLOCK_ROWS = 8192
+# Shots histogrammed at a time by cell_histograms and shot_histograms.
+_HIST_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -89,39 +93,51 @@ class BinnedCounts:
     dropped: np.ndarray  # (shots,)
 
 
-def bin_events(events, grid: CellGrid) -> BinnedCounts:
-    """Assign every event to at most one cell; out-of-grid events counted.
+def bin_blocks(blocks, n_shots: int, grid: CellGrid) -> BinnedCounts:
+    """Assign every event of ``blocks`` to at most one cell; out-of-grid events counted.
 
-    ``events`` is an ``EventTable``; binning uses its ``shot`` and
-    ``velocities`` columns.  Rows are binned ``_BLOCK_ROWS`` at a time into
-    one preallocated count matrix, so the memory beyond that matrix does
-    not grow with the number of events.
+    ``blocks`` yields ``(shot, velocities)`` columns of events, in any
+    order.  Rows are binned ``_BLOCK_ROWS`` at a time into one
+    preallocated count matrix, so the memory beyond that matrix and one
+    block does not grow with the number of events.
     """
     shape = grid.counts_per_axis
     origin, widths = np.asarray(grid.origin), np.asarray(grid.cell_widths)
-    counts = np.zeros((events.n_shots, grid.n_cells), dtype=np.intp)
-    dropped = np.zeros(events.n_shots, dtype=np.intp)
-    for start in range(0, len(events.shot), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        shot = events.shot[rows]
-        idx = np.floor((events.velocities[rows] - origin) / widths).astype(int)
-        inside = np.all((idx >= 0) & (idx < shape), axis=1)
-        cell = shot[inside] * grid.n_cells + np.ravel_multi_index(idx[inside].T, shape)
-        np.add.at(counts.reshape(-1), cell, 1)
-        np.add.at(dropped, shot[~inside], 1)
+    counts = np.zeros((n_shots, grid.n_cells), dtype=np.intp)
+    dropped = np.zeros(n_shots, dtype=np.intp)
+    for block_shot, block_velocities in blocks:
+        for start in range(0, len(block_shot), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            shot = block_shot[rows]
+            idx = np.floor((block_velocities[rows] - origin) / widths).astype(int)
+            inside = np.all((idx >= 0) & (idx < shape), axis=1)
+            cell = shot[inside] * grid.n_cells + np.ravel_multi_index(idx[inside].T, shape)
+            np.add.at(counts.reshape(-1), cell, 1)
+            np.add.at(dropped, shot[~inside], 1)
     return BinnedCounts(counts, dropped)
+
+
+def bin_events(events, grid: CellGrid) -> BinnedCounts:
+    """:func:`bin_blocks` of an ``EventTable``'s ``shot`` and ``velocities`` columns."""
+    return bin_blocks([(events.shot, events.velocities)], events.n_shots, grid)
 
 
 def cell_histograms(binned: BinnedCounts) -> np.ndarray:
     """Per-cell occurrence histograms, one ``(n_cells, width)`` matrix.
 
     Row ``c`` counts the shots in which cell ``c`` holds each count;
-    ``width`` is the largest count of any cell plus one.
+    ``width`` is the largest count of any cell plus one.  Shots are
+    histogrammed ``_HIST_ROWS`` at a time, so no temporary is the size of
+    the count matrix.
     """
     counts = binned.counts
     n_cells, width = counts.shape[1], counts.max(initial=0) + 1
-    cell = counts + np.arange(n_cells) * width
-    return np.bincount(cell.ravel(), minlength=n_cells * width).reshape(n_cells, width)
+    offsets = np.arange(n_cells) * width
+    hists = np.zeros(n_cells * width, dtype=np.intp)
+    for start in range(0, len(counts), _HIST_ROWS):
+        cell = counts[start : start + _HIST_ROWS] + offsets
+        hists += np.bincount(cell.ravel(), minlength=n_cells * width)
+    return hists.reshape(n_cells, width)
 
 
 def cell_means(hists: np.ndarray) -> np.ndarray:
@@ -158,12 +174,29 @@ def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:
 
     ``counts`` is ``(shots,)`` or ``(shots, cells)`` with values below
     ``width``; row ``s`` of the ``(shots, width)`` result counts the
-    cells of shot ``s`` holding each value.
+    cells of shot ``s`` holding each value.  Shots are histogrammed
+    ``_HIST_ROWS`` at a time, so no temporary is the size of ``counts``.
     """
     counts = np.asarray(counts).reshape(len(counts), -1)
-    n = len(counts)
-    cell = np.arange(n)[:, None] * width + counts
-    return np.bincount(cell.ravel(), minlength=n * width).reshape(n, width)
+    hists = np.empty((len(counts), width), dtype=np.intp)
+    for start in range(0, len(counts), _HIST_ROWS):
+        block = counts[start : start + _HIST_ROWS]
+        cell = np.arange(len(block))[:, None] * width + block
+        hists[start : start + len(block)] = np.bincount(
+            cell.ravel(), minlength=len(block) * width
+        ).reshape(-1, width)
+    return hists
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-D ``rows`` in lexicographic order, and how many times each occurs.
+
+    The result of ``np.unique(rows, axis=0, return_counts=True)``, from one
+    ``lexsort`` and the starts of the runs of equal sorted rows.
+    """
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    return rows[starts], np.diff(starts, append=len(rows))
 
 
 def bootstrap_std(
@@ -173,7 +206,7 @@ def bootstrap_std(
 
     ``rows`` holds the distinct per-shot rows (scalars or vectors) along
     its first axis and ``shots[i]`` the number of shots showing row ``i``,
-    e.g. ``np.unique(per_shot, axis=0, return_counts=True)``.  Drawing the
+    e.g. ``distinct_rows(per_shot)``.  Drawing the
     ``n`` shots with replacement puts a Multinomial(``n``, ``shots / n``)
     weight on the distinct rows, so all ``resamples`` resamples are one
     ``multinomial`` draw ``W`` and the result is the SD of ``W @ rows / n``

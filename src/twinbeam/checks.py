@@ -5,11 +5,12 @@ Each config field states its range once, in its class's
 infinities and integers too large for a float, bools where numbers are
 expected and ``10.0`` where an integer is expected, so a JSON document
 cannot slip a value past it.  Both CSV inputs, event tables and HOM
-scans, go through :func:`read_csv_rows`, which holds every row to its
+scans, go through :func:`read_csv_chunks`, which holds every row to its
 column types and every float to being finite, and names the offending
-line.  Every result leaves through :func:`write_json` (2-space indent,
-sorted keys, final newline) or :func:`write_csv` (the ``repr`` of each
-value); only the fixed-point event tables have their own writer.
+line; :func:`read_csv_rows` is its concatenation.  Every result leaves
+through :func:`write_json` (2-space indent, sorted keys, final newline)
+or :func:`write_csv` (the ``repr`` of each value); only the fixed-point
+event tables have their own writer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import warnings
 
 import numpy as np
 
-__all__ = ["check_field", "read_csv_rows", "csv_row_error", "write_json", "write_csv"]
+__all__ = [
+    "check_field", "read_csv_rows", "read_csv_chunks", "csv_row_error", "write_json", "write_csv",
+]
 
 
 def check_field(
@@ -78,6 +81,8 @@ def check_field(
     raise ValueError(f"{name} must be {what}, got {shown!r}")
 
 
+# Rows read per loadtxt call by read_csv_chunks.
+_CHUNK_ROWS = 1 << 13
 # loadtxt counts data rows from 0 in conversion errors and from 1 in
 # column-count errors; blank lines are skipped in both counts.
 _LOADTXT_CONVERT = re.compile(r"(could not convert .*) at row (\d+), column (\d+)\.$")
@@ -100,40 +105,57 @@ def csv_row_error(path, row: int, message: str) -> ValueError:
 def read_csv_rows(path, header: str, dtype) -> np.ndarray:
     """The rows of the CSV file at ``path`` as one structured array.
 
+    The concatenation of :func:`read_csv_chunks`, with its checks and messages.
+    """
+    return np.concatenate(list(read_csv_chunks(path, header, dtype)))
+
+
+def read_csv_chunks(path, header: str, dtype):
+    """Yield the rows of the CSV file at ``path`` as structured arrays of at most ``_CHUNK_ROWS``.
+
     The first line must read ``header`` (an empty file holds no rows).
     Every further line is one row of ``dtype``'s fields, comma-separated;
     blank lines are skipped and ``#`` starts no comment.  Raises
     ``ValueError`` naming ``path:line:`` at the first row that does not
-    parse or holds a non-finite float.
+    parse or holds a non-finite float.  At least one chunk is yielded.
     """
     with open(path) as fh:
         first = fh.readline()
         if first and first.strip() != header:
             raise ValueError(f"{path}:1: unexpected header {first.strip()!r}")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is a valid empty table.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise _loadtxt_error(path, str(exc)) from None
-    finite = np.ones(len(rows), dtype=bool)
-    for name in rows.dtype.names:
-        if rows.dtype[name].base.kind == "f":
-            values = rows[name]
-            finite &= np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-    if not finite.all():
-        raise csv_row_error(path, int(np.argmin(finite)), "non-finite value")
-    return rows
+        done = 0  # data rows read before this chunk
+        while True:
+            try:
+                with warnings.catch_warnings():
+                    # A header-only file is a valid empty table, and blank
+                    # lines count towards no chunk's rows.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    warnings.filterwarnings("ignore", "Input line .* contained no data")
+                    rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                                      max_rows=_CHUNK_ROWS)
+            except ValueError as exc:
+                raise _loadtxt_error(path, str(exc), done) from None
+            finite = np.ones(len(rows), dtype=bool)
+            for name in rows.dtype.names:
+                if rows.dtype[name].base.kind == "f":
+                    values = rows[name]
+                    finite &= np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+            if not finite.all():
+                raise csv_row_error(path, done + int(np.argmin(finite)), "non-finite value")
+            yield rows
+            if len(rows) < _CHUNK_ROWS:
+                return
+            done += len(rows)
 
 
-def _loadtxt_error(path, message: str) -> ValueError:
+def _loadtxt_error(path, message: str, done: int) -> ValueError:
+    """The ``path:line:`` error of a loadtxt ``message`` on a chunk read after ``done`` rows."""
     if found := _LOADTXT_COLUMNS.search(message):
         expected, got, row = found.groups()
-        return csv_row_error(path, int(row) - 1, f"expected {expected} fields, got {got}")
+        return csv_row_error(path, done + int(row) - 1, f"expected {expected} fields, got {got}")
     if found := _LOADTXT_CONVERT.search(message):
         what, row, column = found.groups()
-        return csv_row_error(path, int(row), f"{what} in column {column}")
+        return csv_row_error(path, done + int(row), f"{what} in column {column}")
     return ValueError(f"{path}: {message}")
 
 

@@ -26,6 +26,7 @@ from .analysis import (
     bootstrap_std,
     cell_histograms,
     cell_means,
+    distinct_rows,
     filter_cells,
     pooled_counts_histogram,
     shot_histograms,
@@ -47,14 +48,21 @@ from .simulate import (
     STREAM_DEGENERACY_FIT,
     STREAM_POOLED_HISTOGRAM,
     STREAM_SUMMED_HISTOGRAM,
+    bin_event_csv,
     correlation_scan,
     derive_shot_seed,
     read_event_table,
     simulate_counting_run,
     simulate_hom_run,
+    write_counting_run,
     write_event_table,
     write_hom_events,
 )
+
+# The counting commands stream their events through write_counting_run and
+# bin_event_csv.  bin_events, read_event_table, simulate_counting_run and
+# write_event_table stay importable here because bench/tracer.py wraps
+# them at these names; no command calls them.
 
 EXIT_INPUT_ERROR = 2
 EXIT_EMPTY_RESULT = 3
@@ -154,10 +162,10 @@ def cmd_simulate_source(config_path, out, seed):
     doc = load_config(config_path)
     out_dir = _prepare_out(out)
     config = section(doc, "source", seed)
-    table = simulate_counting_run(config)
     events_csv = out_dir / "events.csv"
-    _write_manifest(out_dir, doc, config.master_seed, write_event_table(table, events_csv))
-    click.echo(f"wrote {table.n_shots} shots, {len(table.shot)} detected atoms -> {events_csv}")
+    *files, events = write_counting_run(config, events_csv)
+    _write_manifest(out_dir, doc, config.master_seed, files)
+    click.echo(f"wrote {config.shots} shots, {events} detected atoms -> {events_csv}")
 
 
 def _histogram_csv(path: Path, occurrences, err, overlays: dict) -> None:
@@ -174,14 +182,12 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
     """Bin, histogram, filter and fit a counting run."""
     doc = load_config(config_path)
     out_dir = _prepare_out(out)
-    table = read_event_table(events_path)
     params = section(doc, "analysis")
     master = doc["master_seed"] if seed is None else seed
     resamples = params.bootstrap_resamples
 
     grid = section(doc, "grid")
-    binned = bin_events(table, grid)
-    del table  # the event columns are not needed past binning
+    binned = bin_event_csv(events_path, grid)
     hists = cell_histograms(binned)
     means = cell_means(hists)
     kept = filter_cells(means, params.min_mean)
@@ -193,6 +199,8 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
             f"no cells reach the mean threshold {params.min_mean}",
         )
     kept_counts = binned.counts[:, kept]
+    events_dropped = int(binned.dropped.sum())
+    del binned  # the count matrix is not needed past the kept columns
     mean_single = float(means[kept].mean())
 
     # Per-cell histograms summed over the kept cells, with overlays at the
@@ -200,7 +208,7 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
     summed = sum_histograms(hists[kept])
     width = len(summed)
     summed_err = bootstrap_std(
-        *np.unique(shot_histograms(kept_counts, width), axis=0, return_counts=True),
+        *distinct_rows(shot_histograms(kept_counts, width)),
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM),
     ) / len(kept)
@@ -249,7 +257,7 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
         {
             **dataclasses.asdict(fit),
             "kept_cells": len(kept),
-            "events_dropped": int(binned.dropped.sum()),
+            "events_dropped": events_dropped,
             "average_cell_mean": mean_single,
             "pooled_mean": pooled_mean,
             "input_digest": _sha256(Path(events_path)),
@@ -278,9 +286,10 @@ def cmd_simulate_hom(config_path, out, seed):
     out_dir = _prepare_out(out)
     config = section(doc, "hom", seed)
     run = simulate_hom_run(config)
-    event_files = write_hom_events(run, out_dir / "hom_events.csv")
     resamples = section(doc, "analysis").bootstrap_resamples
+    # The scan runs first, so a bootstrap that fails leaves no event file.
     points = correlation_scan(run, resamples=resamples)
+    event_files = write_hom_events(run, out_dir / "hom_events.csv")
     scan_csv = out_dir / "hom_scan.csv"
     write_csv(scan_csv, "t2_us,corr,err", *np.array(points, dtype=float).T)
     _write_manifest(out_dir, doc, config.master_seed, [*event_files, scan_csv])

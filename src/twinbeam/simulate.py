@@ -10,7 +10,8 @@ from a fresh state held as plain ints; that gives the same streams as a
 new generator per shot (:func:`shot_rng`) at a fraction of the cost.
 
 Two run types are provided: a counting run, where a grid of independent
-thermal emitter modes populates one velocity-space peak, and an
+thermal emitter modes populates one velocity-space peak, drawn in blocks
+of shots so its event CSV is written and binned block by block, and an
 interferometer scan, where joint output-port counts are drawn from the
 exact Fock-space law of :func:`twinbeam.fock.hom_joint_pmf` and thinned by
 the detector.  A scan shot reads at most the first 4 words of its stream,
@@ -29,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisParams, bootstrap_std
-from .checks import check_field, csv_row_error, read_csv_rows, write_json
+from .analysis import AnalysisParams, BinnedCounts, CellGrid, bin_blocks, bootstrap_std
+from .checks import check_field, csv_row_error, read_csv_chunks, write_json
 from .distributions import TmsvParams
 from .fock import OverlapModel, check_basis_size, hom_basis, hom_joint_pmf, hom_n_max
 
@@ -48,8 +49,10 @@ __all__ = [
     "simulate_counting_run",
     "simulate_hom_run",
     "correlation_scan",
+    "write_counting_run",
     "write_event_table",
     "read_event_table",
+    "bin_event_csv",
     "write_hom_events",
 ]
 
@@ -72,8 +75,8 @@ STREAM_DEGENERACY_FIT = 2**40 + 2
 STREAM_SCAN_POINT = 10**12  # plus the scan-point index
 SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
 
-# Rows per block: event rows formatted per write call, and shot keys
-# derived per array pass.  Bounds the memory of writers and runs.
+# Shots per block: shot keys derived per array pass, and shots a counting
+# run draws before it hands their events on.  Bounds the memory of runs.
 _CHUNK_ROWS = 1 << 10
 # Scan shots drawn per array pass; bounds the memory of the Philox kernel.
 _SCAN_BLOCK = 1 << 16
@@ -368,6 +371,37 @@ def _mode_grid(config: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
     return centers, nus
 
 
+def _counting_blocks(config: SourceConfig):
+    """Yield the ``(shot, velocities)`` columns of each block of ``_CHUNK_ROWS`` shots of a run.
+
+    See :func:`simulate_counting_run` for what each shot draws.
+    """
+    centers, nus = _mode_grid(config)
+    # Count floor(log1p(-u) / log q), q = mu / (1 + mu); log q = -log1p(1/mu)
+    # stays accurate at large mu, and mu = 0 gives -inf, hence a count of 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        log_q = -np.log1p(1.0 / (config.eta * nus))
+    widths = np.asarray(config.mode_widths)
+    # Allocated before any draw, so a run too large for memory fails at once.
+    per_shot = np.zeros(config.shots, dtype=np.int64)
+    streams = _shot_streams(config.master_seed, 0, config.shots)
+    for first in range(0, config.shots, _CHUNK_ROWS):
+        block = range(first, min(first + _CHUNK_ROWS, config.shots))
+        # Velocities stream into one buffer, so no per-shot array outlives its shot.
+        detected = bytearray()
+        for shot, rng in zip(block, streams):
+            counts = (np.log1p(-rng.random(len(log_q))) / log_q).astype(np.int64)  # cast floors
+            total = int(counts.sum())
+            if total:
+                positions = centers.repeat(counts, axis=0)
+                positions += rng.standard_normal((total, 3)) * widths
+                detected += positions.tobytes()
+                per_shot[shot] = total
+        velocities = np.frombuffer(detected).reshape(-1, 3)
+        shot = np.repeat(np.arange(block.start, block.stop), per_shot[block.start : block.stop])
+        yield shot, np.round(velocities, 9, out=velocities)  # in place: no copy
+
+
 def simulate_counting_run(config: SourceConfig) -> EventTable:
     """Generate one counting run.
 
@@ -377,31 +411,27 @@ def simulate_counting_run(config: SourceConfig) -> EventTable:
     plus Gaussian scatter.  Draw order within a shot is fixed (one uniform
     per mode, then the scatter), which pins the byte-level output for a
     given seed.  Velocities are rounded to the event CSV's 1e-9 mm/s lattice.
+    The shots are drawn in blocks, which :func:`write_counting_run` writes
+    as they come; this joins them into one table.
     """
-    centers, nus = _mode_grid(config)
-    # Count floor(log1p(-u) / log q), q = mu / (1 + mu); log q = -log1p(1/mu)
-    # stays accurate at large mu, and mu = 0 gives -inf, hence a count of 0.
-    with np.errstate(divide="ignore", over="ignore"):
-        log_q = -np.log1p(1.0 / (config.eta * nus))
-    widths = np.asarray(config.mode_widths)
-    # Velocities stream into one buffer, so no per-shot array outlives its shot.
-    detected = bytearray()
-    per_shot = np.zeros(config.shots, dtype=np.int64)
-    for shot, rng in enumerate(_shot_streams(config.master_seed, 0, config.shots)):
-        counts = (np.log1p(-rng.random(len(log_q))) / log_q).astype(np.int64)  # >= 0: cast floors
-        total = int(counts.sum())
-        if total:
-            positions = centers.repeat(counts, axis=0)
-            positions += rng.standard_normal((total, 3)) * widths
-            detected += positions.tobytes()
-            per_shot[shot] = total
-    velocities = np.frombuffer(detected)
+    shot, velocities = zip(*_counting_blocks(config))
     return EventTable(
-        shot=np.repeat(np.arange(config.shots), per_shot),
-        velocities=np.round(velocities, 9, out=velocities),  # in place: no copy
+        shot=np.concatenate(shot),
+        velocities=np.concatenate(velocities),
         n_shots=config.shots,
         config=_config_dict(config),
     )
+
+
+def write_counting_run(config: SourceConfig, csv_path) -> tuple[Path, Path, int]:
+    """Generate one counting run into the event CSV at ``csv_path``, block by block.
+
+    The bytes are those of ``write_event_table(simulate_counting_run(config),
+    csv_path)``, but no more than one block of shots is held at a time.
+    Returns both paths and the number of events written.
+    """
+    events = _write_events(csv_path, _counting_blocks(config), config.shots, _config_dict(config))
+    return Path(csv_path), _meta_path(csv_path), events
 
 
 def overlap_amplitude(config: HomScanConfig, t2: float) -> float:
@@ -498,18 +528,107 @@ def correlation_scan(
     return points
 
 
-def _write_rows(fh, shot: np.ndarray, velocities, suffix: str = "") -> None:
-    """Write ``shot,vx,vy,vz<suffix>`` rows, a fixed number of rows at a time."""
-    row = f"%d,%.9f,%.9f,%.9f{suffix}\n"  # suffix holds no "%"
-    for lo in range(0, len(shot), _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        rows = zip(shot[lo:hi].tolist(), *velocities[lo:hi].T.tolist())
-        fh.write("".join([row % r for r in rows]))
+# Event velocities stay below this magnitude (mm/s), so the whole part of
+# one prints in at most 7 digits and a velocity in the 19 characters of
+# ",-ddddddd.ddddddddd".
+_V_LIMIT = 2.0**20
+_V_COLUMNS = 19
+_WRITE_ROWS = 1 << 13  # rows formatted per compaction
+
+
+def _digits(values: np.ndarray, count: int) -> np.ndarray:
+    """ASCII digits of the non-negative ints ``values``: ``count`` rows, the most significant first."""
+    out = np.empty((count, *values.shape), dtype=np.uint8)
+    for place in range(count - 1, -1, -1):
+        values, out[place] = np.divmod(values, 10)
+    return out + ord("0")
+
+
+def _format_rows(shot: np.ndarray, velocities: np.ndarray, tails: np.ndarray,
+                 tail_keep: np.ndarray, tail_of) -> bytes:
+    """The bytes of ``"%d,%.9f,%.9f,%.9f" % row`` plus the tail of each row.
+
+    Each velocity prints as ``k = rint(v * 1e9)`` in fixed point, the digits
+    of ``|k|`` going by ``divmod`` into a ``uint8`` matrix with one row per
+    character column; one boolean compaction then drops leading zeros,
+    the sign of non-negative values and the padding of shorter tails.  On
+    the 1e-9 lattice below ``_V_LIMIT``, ``v * 1e9`` lies within 0.25 of
+    the integer ``k``, so this is what ``%.9f`` prints, ``-0.0`` included.
+    """
+    n = len(shot)
+    shot_columns = len(str(int(shot.max(initial=0))))
+    chars = np.empty((shot_columns + 3 * _V_COLUMNS + len(tails), n), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:shot_columns] = _digits(shot, shot_columns)
+    keep[: shot_columns - 1] = shot >= 10 ** np.arange(shot_columns - 1, 0, -1)[:, None]
+    fixed = np.rint(velocities.T * 1e9).astype(np.int64)
+    whole, frac = np.divmod(np.abs(fixed), 10**9)
+    v_chars = chars[shot_columns : shot_columns + 3 * _V_COLUMNS].reshape(3, _V_COLUMNS, n)
+    v_keep = keep[shot_columns : shot_columns + 3 * _V_COLUMNS].reshape(3, _V_COLUMNS, n)
+    v_chars[:, 0], v_chars[:, 1], v_chars[:, 9] = ord(","), ord("-"), ord(".")
+    v_keep[:, 1] = np.signbit(velocities.T)
+    v_chars[:, 2:9] = _digits(whole, 7).transpose(1, 0, 2)
+    v_keep[:, 2:8] = whole[:, None] >= 10 ** np.arange(6, 0, -1)[:, None]
+    v_chars[:, 10:] = _digits(frac, 9).transpose(1, 0, 2)
+    chars[-len(tails) :] = tails[:, tail_of]
+    keep[-len(tails) :] = tail_keep[:, tail_of]
+    return chars.T[keep.T].tobytes()
+
+
+def _write_rows(fh, shot: np.ndarray, velocities, tails=("\n",), tail_of=0) -> None:
+    """Write ``shot,vx,vy,vz`` rows to the binary ``fh``, each ending in ``tails[tail_of[i]]``.
+
+    Velocities print at 1e-9 mm/s, as ``%.9f`` prints the 1e-9 lattice.
+    ``tail_of`` is one index per row, or one for all.  Raises
+    ``ValueError``, writing no row, unless every velocity is finite and
+    below ``_V_LIMIT`` in magnitude.
+    """
+    velocities = np.asarray(velocities, dtype=float)
+    outside = ~(np.abs(velocities) < _V_LIMIT).all(axis=1)  # NaN compares False
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ValueError(
+            f"an event of shot {shot[row]} has velocity {velocities[row].tolist()}: "
+            "the event format holds finite velocities below 2**20 mm/s in magnitude"
+        )
+    encoded = [tail.encode() for tail in tails]
+    width = max(map(len, encoded))
+    tail_chars = np.zeros((width, len(encoded)), dtype=np.uint8)
+    for i, tail in enumerate(encoded):
+        tail_chars[: len(tail), i] = np.frombuffer(tail, dtype=np.uint8)
+    tail_keep = np.arange(width)[:, None] < [len(tail) for tail in encoded]
+    tail_of = np.broadcast_to(tail_of, len(shot))
+    for lo in range(0, len(shot), _WRITE_ROWS):
+        rows = slice(lo, lo + _WRITE_ROWS)
+        fh.write(_format_rows(shot[rows], velocities[rows], tail_chars, tail_keep, tail_of[rows]))
 
 
 def _meta_path(csv_path) -> Path:
     """The JSON sidecar of an event CSV: ``<name>.meta.json`` beside it."""
     return Path(csv_path).with_suffix(".meta.json")
+
+
+def _write_events(csv_path, blocks, shots: int, config: dict) -> int:
+    """Write the event CSV of the ``(shot, velocities)`` ``blocks``, then its sidecar.
+
+    Returns the number of rows written.  If a block raises, or writing it
+    fails, the partial CSV is removed and no sidecar is written.
+    """
+    rows = 0
+    fh = open(csv_path, "wb")
+    try:
+        with fh:
+            fh.write(b"shot,vx,vy,vz\n")
+            for shot, velocities in blocks:
+                _write_rows(fh, shot, velocities)
+                rows += len(shot)
+    except BaseException:
+        Path(csv_path).unlink(missing_ok=True)
+        raise
+    meta = {"shots": shots, "config": config, "master_seed": config["master_seed"],
+            "generator": GENERATOR_ID}
+    write_json(_meta_path(csv_path), meta)
+    return rows
 
 
 def write_event_table(table: EventTable, csv_path) -> tuple[Path, Path]:
@@ -518,37 +637,21 @@ def write_event_table(table: EventTable, csv_path) -> tuple[Path, Path]:
     Velocities are fixed point at 1e-9 mm/s, so generated tables read back exactly.
     Empty shots produce no CSV rows; the sidecar's shot count is what
     makes them reconstructible.  Returns both paths.  Raises ``ValueError``,
-    and writes nothing, when ``table.config`` lacks ``master_seed``.
+    and writes nothing, when ``table.config`` lacks ``master_seed`` or a
+    velocity is not finite or not below 2**20 mm/s in magnitude.
     """
     if "master_seed" not in table.config:
         raise ValueError("table config lacks master_seed, which the sidecar records")
-    csv_path, meta_path = Path(csv_path), _meta_path(csv_path)
-    with open(csv_path, "w") as fh:
-        fh.write("shot,vx,vy,vz\n")
-        _write_rows(fh, table.shot, table.velocities)
-    write_json(
-        meta_path,
-        {
-            "shots": table.n_shots,
-            "config": table.config,
-            "master_seed": table.config["master_seed"],
-            "generator": GENERATOR_ID,
-        },
-    )
-    return csv_path, meta_path
+    _write_events(csv_path, [(table.shot, table.velocities)], table.n_shots, table.config)
+    return Path(csv_path), _meta_path(csv_path)
 
 
-def read_event_table(csv_path) -> EventTable:
-    """Inverse of :func:`write_event_table`; rows may come in any shot order.
+def _read_meta(csv_path) -> dict:
+    """The sidecar of an event CSV, checked.
 
-    The sidecar is ``<name>.meta.json`` beside the CSV.
-    Rows out of shot order are stably sorted by shot, so each shot keeps
-    its row order; rows already in order are kept as read, with no copy.
-    Raises ``ValueError`` unless the sidecar is a JSON object whose
-    ``config`` is an object and whose ``shots`` is an integer in
-    ``[1, SHOT_ID_LIMIT]``, and names the offending line on malformed
-    rows, non-finite velocities and shots outside ``0..shots - 1``
-    included.  The sidecar's ``master_seed`` and ``generator`` are not read.
+    Raises ``ValueError`` naming the sidecar unless it is a JSON object
+    whose ``config`` is an object, whose ``shots`` is an integer in
+    ``[1, SHOT_ID_LIMIT]``, and whose ``config.shots``, if any, agrees.
     """
     meta_path = _meta_path(csv_path)
     with open(meta_path) as fh:
@@ -559,20 +662,69 @@ def read_event_table(csv_path) -> EventTable:
         check_field(meta, "shots", 1, SHOT_ID_LIMIT, integer=True)
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    shots = meta["shots"]
-    rows = read_csv_rows(csv_path, "shot,vx,vy,vz", [("shot", "i8"), ("v", "f8", 3)])
-    outside = (rows["shot"] < 0) | (rows["shot"] >= shots)
-    if outside.any():
-        row = int(np.argmax(outside))
-        raise csv_row_error(csv_path, row, f"shot {rows['shot'][row]} outside 0..{shots - 1}")
-    if np.any(rows["shot"][1:] < rows["shot"][:-1]):
-        rows = rows[np.argsort(rows["shot"], kind="stable")]
-    return EventTable(
-        shot=rows["shot"],
-        velocities=rows["v"],
-        n_shots=shots,
-        config=meta["config"],
-    )
+    declared = meta["config"].get("shots")
+    if declared is not None and declared != meta["shots"]:
+        raise ValueError(f"{meta_path}: config declares {declared} shots but shots is {meta['shots']}")
+    return meta
+
+
+def _event_blocks(csv_path, shots: int):
+    """Yield the ``(shot, velocities)`` columns of each chunk of rows of an event CSV, checked.
+
+    Raises ``ValueError`` naming the line of a malformed row, a non-finite
+    velocity or a shot outside ``0..shots - 1``.
+    """
+    done = 0
+    for rows in read_csv_chunks(csv_path, "shot,vx,vy,vz", [("shot", "i8"), ("v", "f8", 3)]):
+        outside = (rows["shot"] < 0) | (rows["shot"] >= shots)
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise csv_row_error(
+                csv_path, done + row, f"shot {rows['shot'][row]} outside 0..{shots - 1}"
+            )
+        done += len(rows)
+        yield rows["shot"], rows["v"]
+
+
+def _line_count(path) -> int:
+    """The number of newlines in the file at ``path``."""
+    with open(path, "rb") as fh:
+        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
+
+
+def read_event_table(csv_path) -> EventTable:
+    """Inverse of :func:`write_event_table`; rows may come in any shot order.
+
+    The sidecar is ``<name>.meta.json`` beside the CSV.
+    Rows out of shot order are stably sorted by shot, so each shot keeps
+    its row order; rows already in order are kept as read.  The columns
+    are sized by the file's line count, so the chunks are copied once.
+    Rejects what :func:`bin_event_csv` rejects, with the same messages;
+    the sidecar's ``master_seed`` and ``generator`` are not read.
+    """
+    meta = _read_meta(csv_path)
+    size = _line_count(csv_path) + 1  # at least the data rows
+    shot, velocities = np.empty(size, dtype=np.int64), np.empty((size, 3))
+    n = 0
+    for block_shot, block_velocities in _event_blocks(csv_path, meta["shots"]):
+        shot[n : n + len(block_shot)] = block_shot
+        velocities[n : n + len(block_shot)] = block_velocities
+        n += len(block_shot)
+    shot, velocities = shot[:n], velocities[:n]
+    if np.any(shot[1:] < shot[:-1]):
+        order = np.argsort(shot, kind="stable")
+        shot, velocities = shot[order], velocities[order]
+    return EventTable(shot=shot, velocities=velocities, n_shots=meta["shots"], config=meta["config"])
+
+
+def bin_event_csv(csv_path, grid: CellGrid) -> BinnedCounts:
+    """``bin_events(read_event_table(csv_path), grid)``, binning each chunk of rows as it is read.
+
+    Only the count matrix and one chunk are held; integer adds commute, so
+    the rows need no sorting.
+    """
+    shots = _read_meta(csv_path)["shots"]
+    return bin_blocks(_event_blocks(csv_path, shots), shots, grid)
 
 
 def write_hom_events(run: HomRun, csv_path) -> tuple[Path, Path]:
@@ -582,13 +734,22 @@ def write_hom_events(run: HomRun, csv_path) -> tuple[Path, Path]:
     by splitter time, then port, then shot.  Returns both paths.
     """
     csv_path, meta_path = Path(csv_path), _meta_path(csv_path)
-    with open(csv_path, "w") as fh:
-        fh.write("shot,vx,vy,vz,port,t2_us\n")
-        for t2, row_a, row_b in zip(run.config.t2_values, run.counts_a, run.counts_b):
-            for port, counts in (("a", row_a), ("b", row_b)):
-                shot = np.repeat(np.arange(len(counts)), counts)
-                velocity = np.broadcast_to(PORT_VELOCITIES[port], (len(shot), 3))
-                _write_rows(fh, shot, velocity, f",{port},{float(t2)!r}")
+    groups = [
+        (port, t2, counts)
+        for t2, row_a, row_b in zip(run.config.t2_values, run.counts_a, run.counts_b)
+        for port, counts in (("a", row_a), ("b", row_b))
+    ]
+    # One writer call for the scan: each row takes its group's tail and port velocity.
+    group = np.repeat(np.arange(len(groups)), [int(counts.sum()) for *_, counts in groups])
+    with open(csv_path, "wb") as fh:
+        fh.write(b"shot,vx,vy,vz,port,t2_us\n")
+        _write_rows(
+            fh,
+            np.concatenate([np.repeat(np.arange(len(counts)), counts) for *_, counts in groups]),
+            np.array([PORT_VELOCITIES[port] for port, *_ in groups])[group],
+            [f",{port},{float(t2)!r}\n" for port, t2, _ in groups],
+            group,
+        )
     config = _config_dict(run.config)
     write_json(
         meta_path,

@@ -19,6 +19,7 @@ from twinbeam.analysis import (
     bootstrap_std,
     cell_histograms,
     cell_means,
+    distinct_rows,
     filter_cells,
     pooled_counts_histogram,
     shot_histograms,
@@ -377,6 +378,37 @@ class TestShotHistograms:
         assert_same_bytes(
             shot_histograms(np.array([2, 0]), 3), np.array([[0, 0, 1], [1, 0, 0]])
         )
+
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=12))
+    def test_blocks_of_three_shots_equal_per_shot_bincounts(self, counts):
+        counts = np.array(counts)
+        with mock.patch.object(analysis, "_HIST_ROWS", 3):
+            hists = shot_histograms(counts, 5)
+            cell_hists = cell_histograms(BinnedCounts(counts, np.zeros(len(counts))))
+        assert_same_bytes(hists, np.array([np.bincount(row, minlength=5) for row in counts]))
+        width = counts.max() + 1
+        assert_same_bytes(
+            cell_hists, np.array([np.bincount(col, minlength=width) for col in counts.T])
+        )
+
+
+class TestDistinctRows:
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_equals_numpy_unique(self, rows):
+        rows = np.array(rows)
+        expected_rows, expected_counts = np.unique(rows, axis=0, return_counts=True)
+        got_rows, got_counts = distinct_rows(rows)
+        assert_same_bytes(got_rows, expected_rows)
+        assert_same_bytes(got_counts, expected_counts)
+
+    def test_equals_numpy_unique_on_shot_histograms(self):
+        counts = np.random.default_rng(12).geometric(0.8, size=(5_000, 17)) - 1
+        hists = shot_histograms(counts, counts.max() + 1)
+        expected_rows, expected_counts = np.unique(hists, axis=0, return_counts=True)
+        got_rows, got_counts = distinct_rows(hists)
+        assert_same_bytes(got_rows, expected_rows)
+        assert_same_bytes(got_counts, expected_counts)
 
 
 class TestSerialization:

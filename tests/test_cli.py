@@ -398,8 +398,9 @@ class TestAnalyzeCounts:
             (lambda meta: {**meta, "config": 5}, "config"),
             (lambda meta: {**meta, "config": [meta["config"]]}, "config"),
             (lambda meta: {k: v for k, v in meta.items() if k != "config"}, "config"),
+            (lambda meta: {**meta, "config": {**meta["config"], "shots": 7}}, "config declares 7"),
         ],
-        ids=["list", "string", "config-number", "config-list", "no-config"],
+        ids=["list", "string", "config-number", "config-list", "no-config", "config-shots-disagree"],
     )
     def test_malformed_sidecar_exits_2_naming_file_and_key(
         self, tmp_path, runner, events_dir, edit, key
@@ -764,6 +765,18 @@ class TestUnusableInputExits2:
         assert result.stderr.startswith("error: out of memory")
         assert "shots" in result.stderr
         assert "Traceback" not in result.stderr
+        assert not list((tmp_path / "o").glob("*events*"))
+
+    def test_velocity_outside_the_event_format_exits_2_writing_no_events(self, tmp_path, runner):
+        doc = small_doc()
+        doc["source"]["grid_center"] = [2.0**20, 0.0, 0.0]
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["simulate-source", "--config", str(write_doc(tmp_path, doc)), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ") and "2**20 mm/s" in result.output
+        assert list(out.iterdir()) == []
 
     def test_config_of_non_utf8_bytes_exits_2(self, tmp_path, runner):
         path = tmp_path / "config.json"

@@ -1,19 +1,24 @@
 """Tests for the seeded Monte Carlo event generator."""
 
+import io
 import json
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from click.testing import CliRunner
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
 from fock_reference import hom_joint_pmf_reference
 from memory_peak import traced_peak
-from twinbeam import simulate
+from twinbeam import checks, simulate
+from twinbeam.analysis import CellGrid, bin_events
+from twinbeam.cli import main
 from twinbeam.distributions import TAIL_TOLERANCE, TmsvParams, _binomial_pmf, thermal_pmf
 from twinbeam.fock import OverlapModel
 from twinbeam.simulate import (
@@ -28,12 +33,14 @@ from twinbeam.simulate import (
     EventTable,
     HomScanConfig,
     SourceConfig,
+    bin_event_csv,
     correlation_scan,
     derive_shot_seed,
     read_event_table,
     shot_rng,
     simulate_counting_run,
     simulate_hom_run,
+    write_counting_run,
     write_event_table,
     write_hom_events,
 )
@@ -369,6 +376,51 @@ class TestCountingRun:
             assert np.array_equal(events, table.velocities[table.shot == shot_id])
 
 
+def per_shot_counting_run(config):
+    """Reference counting run: ``(shot, velocities)`` from a fresh ``shot_rng`` per shot.
+
+    Each shot draws ``random(n_modes)``, then ``standard_normal((total, 3))``
+    if it detected any atom; velocities are rounded to 9 decimals.
+    """
+    centers, nus = simulate._mode_grid(config)
+    log_q = -np.log1p(1.0 / (config.eta * nus))
+    widths = np.asarray(config.mode_widths)
+    shots, velocities = [], [np.empty((0, 3))]
+    for shot in range(config.shots):
+        rng = shot_rng(config.master_seed, shot)
+        counts = np.floor(np.log1p(-rng.random(len(nus))) / log_q).astype(int)
+        total = int(counts.sum())
+        if total:
+            events = np.repeat(centers, counts, axis=0) + rng.standard_normal((total, 3)) * widths
+            velocities.append(np.round(events, 9))
+            shots += [shot] * total
+    return np.array(shots, dtype=np.int64), np.concatenate(velocities)
+
+
+class TestCountingRunAgainstPerShotReference:
+    # 2,049 shots span three blocks of _CHUNK_ROWS shots.
+    config = small_config(shots=2049, master_seed=29)
+
+    def test_table_is_bit_identical(self):
+        shot, velocities = per_shot_counting_run(self.config)
+        table = simulate_counting_run(self.config)
+        assert table.shot.tobytes() == shot.tobytes()
+        assert table.velocities.tobytes() == velocities.tobytes()
+
+    def test_streamed_rows_are_the_reference_rows(self, tmp_path):
+        shot, velocities = per_shot_counting_run(self.config)
+        doc = {"master_seed": self.config.master_seed, "source": {
+            k: v for k, v in simulate._config_dict(self.config).items() if k != "master_seed"
+        }}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, [
+            "simulate-source", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)
+        ])
+        assert result.exit_code == 0, result.output
+        expected = "".join("%d,%.9f,%.9f,%.9f\n" % (s, *v) for s, v in zip(shot.tolist(), velocities))
+        assert (tmp_path / "events.csv").read_text() == "shot,vx,vy,vz\n" + expected
+
+
 def small_hom_config(**overrides):
     defaults = dict(
         t2_values=(-200.0, -100.0, 0.0, 100.0, 200.0),
@@ -558,6 +610,29 @@ def per_shot_hom_csv(run) -> str:
     return "".join(lines)
 
 
+# Lattice values of the event CSV, k * 1e-9 mm/s with |v| < 2**20, as
+# EventTable columns hold them.
+_LIMIT = (2**20 * 10**9 - 1) / 1e9
+_LATTICE = st.integers(-(2**20 * 10**9 - 1), 2**20 * 10**9 - 1).map(lambda k: k / 1e9)
+_LATTICE_EDGES = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, _LIMIT, -_LIMIT, 2.0**19])
+
+_MALFORMED_ROWS = [
+    (["0,1.0,2.0,3.0", "0,oops,2.0,3.0"], 3),
+    (["0,1.0,2.0,3.0", "0,1.0,2.0"], 3),
+    (["0,1.0,2.0,3.0", "0,1.0,2.0,3.0,4.0"], 3),
+    (["0,1.0,2.0,3.0", "# comment"], 3),
+    (["0,1.0,2.0,3.0", "5,1.0,2.0,3.0"], 3),
+    (["0,1.0,2.0,3.0", "-1,1.0,2.0,3.0"], 3),
+    (["0,1.0,2.0,3.0", "", "", "1,oops,2.0,3.0"], 5),
+    (["", "0,1.0,2.0,3.0", "", "1,1.0,2.0"], 5),
+    (["0,1.0,2.0,3.0", "0,1.0,nan,3.0"], 3),
+]
+_MALFORMED_IDS = [
+    "bad-float", "3-fields", "5-fields", "comment", "shot-at-shots", "shot-minus-1",
+    "bad-float-after-blank", "3-fields-after-blank", "non-finite",
+]
+
+
 class TestEventTableIO:
     @given(st.floats(min_value=-1e12, max_value=1e12))
     @example(-0.0)
@@ -574,6 +649,70 @@ class TestEventTableIO:
         # The writer's contract: a 9-decimal value survives "%.9f" bit for bit.
         r = np.round(x, 9)
         assert np.float64(float("%.9f" % r)).tobytes() == np.float64(r).tobytes()
+
+    @given(st.lists(
+        st.tuples(st.integers(0, SHOT_ID_LIMIT - 1), *[st.one_of(_LATTICE, _LATTICE_EDGES)] * 3),
+        min_size=1,
+        max_size=40,
+    ))
+    @example([(0, -0.0, 1e-9, -1e-9)])
+    @example([(SHOT_ID_LIMIT - 1, _LIMIT, -_LIMIT, 0.0)])
+    @settings(max_examples=300)
+    def test_writer_prints_lattice_values_as_percent_9f(self, rows):
+        buffer = io.BytesIO()
+        shot, *velocities = map(np.array, zip(*rows))
+        simulate._write_rows(buffer, shot, np.column_stack(velocities))
+        assert buffer.getvalue().decode() == "".join("%d,%.9f,%.9f,%.9f\n" % row for row in rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**20, -(2.0**20), 1e300])
+    def test_unwritable_velocity_raises_and_leaves_no_file(self, tmp_path, bad):
+        velocities = np.zeros((5, 3))
+        velocities[3, 1] = bad
+        table = EventTable(
+            shot=np.arange(5), velocities=velocities, n_shots=5, config={"master_seed": 0}
+        )
+        with pytest.raises(ValueError, match=r"2\*\*20 mm/s"):
+            write_event_table(table, tmp_path / "ev.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_outside_the_writer_range_leaves_no_file(self, tmp_path):
+        config = small_config(shots=30, grid_center=(2.0**20, 0.0, 0.0))
+        with pytest.raises(ValueError, match=r"2\*\*20 mm/s"):
+            write_counting_run(config, tmp_path / "ev.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_in_a_later_block_removes_the_partial_csv(self, tmp_path, monkeypatch):
+        config = small_config(shots=30)
+        written = next(simulate._counting_blocks(config))
+
+        def blocks(config):
+            yield written
+            raise MemoryError("drawing failed")
+
+        monkeypatch.setattr(simulate, "_counting_blocks", blocks)
+        with pytest.raises(MemoryError):
+            write_counting_run(config, tmp_path / "ev.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_streamed_run_writes_the_table_bytes(self, tmp_path):
+        config = small_config(shots=2049)
+        table = simulate_counting_run(config)
+        paths = write_event_table(table, tmp_path / "table.csv")
+        csv_path, meta_path, events = write_counting_run(config, tmp_path / "run.csv")
+        assert (csv_path, meta_path) == (tmp_path / "run.csv", tmp_path / "run.meta.json")
+        assert events == len(table.shot)
+        assert csv_path.read_bytes() == paths[0].read_bytes()
+        assert meta_path.read_bytes() == paths[1].read_bytes()
+
+    def test_writer_memory_does_not_grow_with_the_shots(self, tmp_path):
+        # Beyond one block of shots and one formatted block of rows, the
+        # run holds only its per-shot totals, 8 bytes a shot.
+        peaks = []
+        for shots in (2_000, 8_000):
+            _, peak = traced_peak(write_counting_run, SourceConfig(shots=shots), tmp_path / "ev.csv")
+            peaks.append(peak - 8 * shots)
+        assert max(peaks) <= 4 << 20
+        assert abs(peaks[1] - peaks[0]) <= 256 << 10
 
     def test_writer_matches_per_shot_reference(self, tmp_path):
         table = simulate_counting_run(small_config())
@@ -663,29 +802,94 @@ class TestEventTableIO:
         with pytest.raises(ValueError, match=":3:"):
             read_event_table(csv_path)
 
-    @pytest.mark.parametrize(
-        "body, line",
-        [
-            (["0,1.0,2.0,3.0", "0,oops,2.0,3.0"], 3),
-            (["0,1.0,2.0,3.0", "0,1.0,2.0"], 3),
-            (["0,1.0,2.0,3.0", "0,1.0,2.0,3.0,4.0"], 3),
-            (["0,1.0,2.0,3.0", "# comment"], 3),
-            (["0,1.0,2.0,3.0", "5,1.0,2.0,3.0"], 3),
-            (["0,1.0,2.0,3.0", "-1,1.0,2.0,3.0"], 3),
-            (["0,1.0,2.0,3.0", "", "", "1,oops,2.0,3.0"], 5),
-            (["", "0,1.0,2.0,3.0", "", "1,1.0,2.0"], 5),
-        ],
-        ids=[
-            "bad-float", "3-fields", "5-fields", "comment", "shot-at-shots", "shot-minus-1",
-            "bad-float-after-blank", "3-fields-after-blank",
-        ],
-    )
+    @pytest.mark.parametrize("body, line", _MALFORMED_ROWS, ids=_MALFORMED_IDS)
     def test_malformed_rows_name_their_line(self, tmp_path, body, line):
         csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
         csv_path.write_text("shot,vx,vy,vz\n" + "\n".join(body) + "\n")
         meta_path.write_text(json.dumps({"shots": 5, "config": {"shots": 5}, "master_seed": 0}))
         with pytest.raises(ValueError, match=re.escape(f"{csv_path}:{line}:")):
             read_event_table(csv_path)
+
+    @pytest.mark.parametrize("reader", [read_event_table, lambda path: bin_event_csv(path, CellGrid())],
+                             ids=["read_event_table", "bin_event_csv"])
+    @pytest.mark.parametrize("body, line", _MALFORMED_ROWS, ids=_MALFORMED_IDS)
+    def test_malformed_rows_in_a_later_chunk_name_their_line(self, tmp_path, body, line, reader):
+        # Seven good rows and a blank line first, so in chunks of 3 rows the
+        # bad row falls in the third chunk or later.
+        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
+        csv_path.write_text("shot,vx,vy,vz\n" + "\n".join(["4,1.0,2.0,3.0"] * 7 + ["", *body]) + "\n")
+        meta_path.write_text(json.dumps({"shots": 5, "config": {"shots": 5}, "master_seed": 0}))
+        with mock.patch.object(checks, "_CHUNK_ROWS", 3), pytest.raises(
+            ValueError, match=re.escape(f"{csv_path}:{line + 8}:")
+        ):
+            reader(csv_path)
+
+    @pytest.mark.parametrize(
+        "meta, key",
+        [
+            ([], "object"),
+            ({"shots": 5}, "config"),
+            ({"shots": 5, "config": 5}, "config"),
+            ({"shots": 0, "config": {}}, "shots"),
+            ({"shots": 5, "config": {"shots": 4}}, "config declares 4 shots"),
+        ],
+        ids=["list", "no-config", "config-number", "shots-0", "config-shots-disagree"],
+    )
+    @pytest.mark.parametrize("reader", [read_event_table, lambda path: bin_event_csv(path, CellGrid())],
+                             ids=["read_event_table", "bin_event_csv"])
+    def test_bad_sidecar_names_the_sidecar(self, tmp_path, meta, key, reader):
+        csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
+        csv_path.write_text("shot,vx,vy,vz\n0,1.0,2.0,3.0\n")
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(str(meta_path)) + ".*" + re.escape(key)):
+            reader(csv_path)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunked_rows_equal_one_read(self, tmp_path, chunk):
+        table = simulate_counting_run(small_config(shots=40))
+        csv_path = tmp_path / "ev.csv"
+        write_event_table(table, csv_path)
+        header, *rows = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text(header + "\n" + "".join(r + "\n" * (i % 3 == 0) for i, r in enumerate(rows)))
+        dtype = [("shot", "i8"), ("v", "f8", 3)]
+        whole = checks.read_csv_rows(csv_path, "shot,vx,vy,vz", dtype)
+        with mock.patch.object(checks, "_CHUNK_ROWS", chunk):
+            chunks = list(checks.read_csv_chunks(csv_path, "shot,vx,vy,vz", dtype))
+        assert max(map(len, chunks)) == chunk
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+        assert whole["shot"].tobytes() == table.shot.tobytes()
+
+    def test_streamed_binning_of_shuffled_rows_equals_binning_the_table(self, tmp_path):
+        table = simulate_counting_run(small_config(shots=60, grid_center=(1.0, -2.0, 0.5)))
+        csv_path = tmp_path / "ev.csv"
+        write_event_table(table, csv_path)
+        header, *rows = csv_path.read_text().splitlines(keepends=True)
+        order = np.random.default_rng(8).permutation(len(rows)).tolist()
+        csv_path.write_text(header + "".join(rows[i] + "\n" * (i % 4 == 0) for i in order))
+        grid = CellGrid(origin=(-2.0, -5.0, -1.0), cell_widths=(2.2, 2.2, 0.8))
+        expected = bin_events(read_event_table(csv_path), grid)
+        with mock.patch.object(checks, "_CHUNK_ROWS", 3):
+            binned = bin_event_csv(csv_path, grid)
+        assert expected.dropped.sum() and expected.counts.sum()
+        assert np.array_equal(binned.counts, expected.counts)
+        assert np.array_equal(binned.dropped, expected.dropped)
+
+    def test_streamed_binning_memory_beyond_the_count_matrix_does_not_grow(self, tmp_path):
+        rng = np.random.default_rng(11)
+        beyond = []
+        for shots in (2_000, 8_000):
+            table = EventTable(
+                shot=np.repeat(np.arange(shots), 20),
+                velocities=np.round(rng.normal(0.0, 8.0, size=(20 * shots, 3)), 9),
+                n_shots=shots,
+                config={"shots": shots, "master_seed": 11},
+            )
+            write_event_table(table, tmp_path / "ev.csv")
+            binned, peak = traced_peak(bin_event_csv, tmp_path / "ev.csv", CellGrid())
+            assert binned.counts.sum() + binned.dropped.sum() == 20 * shots
+            beyond.append(peak - binned.counts.nbytes - binned.dropped.nbytes)
+        assert max(beyond) <= 2 << 20
+        assert abs(beyond[1] - beyond[0]) <= 256 << 10
 
     def test_hom_t2_column_reads_back_exactly(self, tmp_path):
         t2_values = (-100.0 / 3, 0.1, 2.0 / 3, 1e-7)
