@@ -7,7 +7,9 @@ and the survivors are either summed histogram-wise (single-mode view) or
 pooled shot-wise (multimode view).  An occurrence histogram is a 1-D
 integer array whose entry ``n`` counts the samples holding ``n`` atoms;
 the per-cell histograms are the rows of one ``(cells, width)`` matrix and
-the kept cells one array of flat indices.
+the kept cells one array of flat indices.  Per-shot cell counts start in
+one byte a cell and widen to ``intp`` before a block of events could
+overflow them.
 Uncertainties come from resampling whole shots with replacement, shots
 being the independent unit of the experiment.  Every bootstrapped
 statistic is a shot mean of a per-shot row that takes few distinct
@@ -34,15 +36,16 @@ __all__ = [
     "sum_histograms",
     "pooled_counts_histogram",
     "shot_histograms",
+    "kept_shot_rows",
     "distinct_rows",
     "bootstrap_std",
     "write_cell_stats",
 ]
 
-# Rows binned at a time by bin_blocks: a block's temporaries stay under 1 MB.
-_BLOCK_ROWS = 8192
-# Shots histogrammed at a time by cell_histograms and shot_histograms.
-_HIST_ROWS = 1024
+# Rows binned at a time by bin_blocks: a block's temporaries stay under 256 KB.
+_BLOCK_ROWS = 2048
+# Shots histogrammed at a time by cell_histograms, shot_histograms and kept_shot_rows.
+_HIST_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,11 @@ class AnalysisParams:
 
 @dataclass(frozen=True)
 class BinnedCounts:
-    """Per-shot, per-cell counts and per-shot dropped events, as :func:`bin_events` gives them."""
+    """Per-shot, per-cell counts and per-shot dropped events, as :func:`bin_events` gives them.
+
+    ``counts`` is ``uint8`` unless some shot binned more than 255 events,
+    and ``intp`` then; compute with Python ints, not its scalars.
+    """
 
     counts: np.ndarray  # (shots, n_cells)
     dropped: np.ndarray  # (shots,)
@@ -99,19 +106,28 @@ def bin_blocks(blocks, n_shots: int, grid: CellGrid) -> BinnedCounts:
     ``blocks`` yields ``(shot, velocities)`` columns of events, in any
     order.  Rows are binned ``_BLOCK_ROWS`` at a time into one
     preallocated count matrix, so the memory beyond that matrix and one
-    block does not grow with the number of events.
+    block does not grow with the number of events.  The matrix starts as
+    ``uint8``; each shot's binned total, which no cell of the shot
+    exceeds, is kept next to ``dropped``, and once a block would take a
+    total past 255 the matrix is widened to ``intp`` before the block is
+    added, so no count wraps.
     """
     shape = grid.counts_per_axis
     origin, widths = np.asarray(grid.origin), np.asarray(grid.cell_widths)
-    counts = np.zeros((n_shots, grid.n_cells), dtype=np.intp)
+    counts = np.zeros((n_shots, grid.n_cells), dtype=np.uint8)
     dropped = np.zeros(n_shots, dtype=np.intp)
+    totals = np.zeros(n_shots, dtype=np.intp)
     for block_shot, block_velocities in blocks:
         for start in range(0, len(block_shot), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             shot = block_shot[rows]
             idx = np.floor((block_velocities[rows] - origin) / widths).astype(int)
             inside = np.all((idx >= 0) & (idx < shape), axis=1)
-            cell = shot[inside] * grid.n_cells + np.ravel_multi_index(idx[inside].T, shape)
+            binned = shot[inside]
+            cell = binned * grid.n_cells + np.ravel_multi_index(idx[inside].T, shape)
+            np.add.at(totals, binned, 1)
+            if counts.dtype == np.uint8 and totals[binned].max(initial=0) > 255:
+                counts = counts.astype(np.intp)
             np.add.at(counts.reshape(-1), cell, 1)
             np.add.at(dropped, shot[~inside], 1)
     return BinnedCounts(counts, dropped)
@@ -131,7 +147,7 @@ def cell_histograms(binned: BinnedCounts) -> np.ndarray:
     the count matrix.
     """
     counts = binned.counts
-    n_cells, width = counts.shape[1], counts.max(initial=0) + 1
+    n_cells, width = counts.shape[1], int(counts.max(initial=0)) + 1
     offsets = np.arange(n_cells) * width
     hists = np.zeros(n_cells * width, dtype=np.intp)
     for start in range(0, len(counts), _HIST_ROWS):
@@ -166,7 +182,7 @@ def pooled_counts_histogram(counts: np.ndarray) -> np.ndarray:
     """Histogram of the per-shot total of ``counts``, e.g. ``binned.counts[:, kept]``."""
     if counts.shape[1] == 0:
         raise ValueError("cannot pool an empty cell selection")
-    return np.bincount(counts.sum(axis=1))
+    return np.bincount(counts.sum(axis=1, dtype=np.intp))
 
 
 def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:
@@ -186,6 +202,24 @@ def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:
             cell.ravel(), minlength=len(block) * width
         ).reshape(-1, width)
     return hists
+
+
+def kept_shot_rows(counts: np.ndarray, kept: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-shot occurrence histograms and per-shot totals of the ``kept`` columns of ``counts``.
+
+    Row ``s`` of the histograms is ``shot_histograms(counts[:, kept], width)[s]``,
+    held in the narrowest unsigned type that holds ``len(kept)``; entry
+    ``s`` of the ``intp`` totals is ``counts[s, kept].sum()``.  The kept
+    columns are taken ``_HIST_ROWS`` shots at a time, never copied whole,
+    so the memory beyond both results does not grow with the shots.
+    """
+    hists = np.empty((len(counts), width), dtype=np.min_scalar_type(len(kept)))
+    totals = np.empty(len(counts), dtype=np.intp)
+    for start in range(0, len(counts), _HIST_ROWS):
+        block = counts[start : start + _HIST_ROWS, kept]
+        hists[start : start + len(block)] = shot_histograms(block, width)
+        totals[start : start + len(block)] = block.sum(axis=1, dtype=np.intp)
+    return hists, totals
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -82,7 +82,7 @@ def check_field(
 
 
 # Rows read per loadtxt call by read_csv_chunks.
-_CHUNK_ROWS = 1 << 13
+_CHUNK_ROWS = 1 << 11
 # loadtxt counts data rows from 0 in conversion errors and from 1 in
 # column-count errors; blank lines are skipped in both counts.
 _LOADTXT_CONVERT = re.compile(r"(could not convert .*) at row (\d+), column (\d+)\.$")

@@ -28,8 +28,8 @@ from .analysis import (
     cell_means,
     distinct_rows,
     filter_cells,
+    kept_shot_rows,
     pooled_counts_histogram,
-    shot_histograms,
     sum_histograms,
     write_cell_stats,
 )
@@ -60,9 +60,10 @@ from .simulate import (
 )
 
 # The counting commands stream their events through write_counting_run and
-# bin_event_csv.  bin_events, read_event_table, simulate_counting_run and
-# write_event_table stay importable here because bench/tracer.py wraps
-# them at these names; no command calls them.
+# bin_event_csv, and take the kept cells through kept_shot_rows.
+# bin_events, pooled_counts_histogram, read_event_table,
+# simulate_counting_run and write_event_table stay importable here because
+# bench/tracer.py wraps them at these names; no command calls them.
 
 EXIT_INPUT_ERROR = 2
 EXIT_EMPTY_RESULT = 3
@@ -77,7 +78,7 @@ def _fail(code: int, message: str):
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 
@@ -198,17 +199,17 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
             EXIT_EMPTY_RESULT,
             f"no cells reach the mean threshold {params.min_mean}",
         )
-    kept_counts = binned.counts[:, kept]
-    events_dropped = int(binned.dropped.sum())
-    del binned  # the count matrix is not needed past the kept columns
     mean_single = float(means[kept].mean())
+    events_dropped = int(binned.dropped.sum())
 
     # Per-cell histograms summed over the kept cells, with overlays at the
     # measured average mean.
     summed = sum_histograms(hists[kept])
     width = len(summed)
+    shot_hists, kept_totals = kept_shot_rows(binned.counts, kept, width)
+    del binned  # the count matrix is not needed past the kept cells' per-shot rows
     summed_err = bootstrap_std(
-        *distinct_rows(shot_histograms(kept_counts, width)),
+        *distinct_rows(shot_hists),
         resamples=resamples,
         seed=derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM),
     ) / len(kept)
@@ -223,7 +224,7 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
     )
 
     # Shot-wise pooled counts over the same cells, fit for the mode count.
-    pooled = pooled_counts_histogram(kept_counts)
+    pooled = np.bincount(kept_totals)
     pooled_mean = float(cell_means(pooled))
     pooled_width = len(pooled) + 5
     sums = np.flatnonzero(pooled)

@@ -77,7 +77,7 @@ SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
 
 # Shots per block: shot keys derived per array pass, and shots a counting
 # run draws before it hands their events on.  Bounds the memory of runs.
-_CHUNK_ROWS = 1 << 10
+_CHUNK_ROWS = 1 << 9
 # Scan shots drawn per array pass; bounds the memory of the Philox kernel.
 _SCAN_BLOCK = 1 << 16
 
@@ -533,7 +533,7 @@ def correlation_scan(
 # ",-ddddddd.ddddddddd".
 _V_LIMIT = 2.0**20
 _V_COLUMNS = 19
-_WRITE_ROWS = 1 << 13  # rows formatted per compaction
+_WRITE_ROWS = 1 << 11  # rows formatted per compaction
 
 
 def _digits(values: np.ndarray, count: int) -> np.ndarray:

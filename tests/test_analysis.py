@@ -21,6 +21,7 @@ from twinbeam.analysis import (
     cell_means,
     distinct_rows,
     filter_cells,
+    kept_shot_rows,
     pooled_counts_histogram,
     shot_histograms,
     sum_histograms,
@@ -28,7 +29,14 @@ from twinbeam.analysis import (
 )
 from twinbeam.checks import write_csv, write_json
 from twinbeam.distributions import thermal_pmf
-from twinbeam.simulate import EventTable, HomRun, HomScanConfig, correlation_scan
+from twinbeam.simulate import (
+    EventTable,
+    HomRun,
+    HomScanConfig,
+    bin_event_csv,
+    correlation_scan,
+    write_event_table,
+)
 
 
 def table_from_events(event_rows):
@@ -159,6 +167,44 @@ def assert_bins_like_per_event_reference(event_rows):
     assert np.array_equal(binned.dropped, dropped)
 
 
+# Cell centres of _GRID (on the 1e-9 lattice, so an event CSV holds them
+# exactly) and one velocity outside it.
+_CENTRES = [(-1.5, 0.25, -0.5), (-0.5, 0.75, 1.5), (-1.5, 1.25, 4.5), (-0.5, 0.25, 5.5)]
+_OUTSIDE = (9.0, 9.0, 9.0)
+# Shots that hold more than 255 binned events, beside small ones.
+_CROWDED_SHOTS = {
+    "300-in-one-cell": [[_CENTRES[0]] * 300, [_CENTRES[1]] * 2, []],
+    "over-255-spread-over-cells": [[], [c for c in _CENTRES for _ in range(100)] + [_OUTSIDE] * 10],
+    "255-in-one-cell-then-more-elsewhere": [[_CENTRES[2]] * 255, [_CENTRES[3]] * 256],
+}
+
+
+class TestBinningNeverWraps:
+    @pytest.mark.parametrize("event_rows", _CROWDED_SHOTS.values(), ids=_CROWDED_SHOTS)
+    @pytest.mark.parametrize("block_rows", [analysis._BLOCK_ROWS, 7])
+    def test_counts_past_one_byte_equal_per_event_reference(self, tmp_path, event_rows, block_rows):
+        # At 7 rows a block, the matrix widens after blocks already binned in one byte.
+        counts, dropped = bin_per_event(event_rows, _GRID)
+        table = table_from_events(event_rows)
+        write_event_table(EventTable(table.shot, table.velocities, table.n_shots,
+                                     {"shots": table.n_shots, "master_seed": 0}),
+                          tmp_path / "ev.csv")
+        with mock.patch.object(analysis, "_BLOCK_ROWS", block_rows):
+            results = [bin_events(table, _GRID), bin_event_csv(tmp_path / "ev.csv", _GRID)]
+        for binned in results:
+            assert np.array_equal(binned.counts, counts)
+            assert np.array_equal(binned.dropped, dropped)
+            assert binned.counts.dtype == np.intp
+
+    def test_one_byte_holds_shots_of_up_to_255_events(self):
+        event_rows = [[_CENTRES[0]] * 255, [_CENTRES[1]] * 200 + [_CENTRES[2]] * 55 + [_OUTSIDE] * 9]
+        binned = bin_events(table_from_events(event_rows), _GRID)
+        counts, dropped = bin_per_event(event_rows, _GRID)
+        assert binned.counts.dtype == np.uint8
+        assert np.array_equal(binned.counts, counts)
+        assert np.array_equal(binned.dropped, dropped)
+
+
 def histograms(*cells):
     """Histogram rows of per-cell count columns, one row per cell."""
     counts = np.column_stack(cells)
@@ -203,6 +249,13 @@ class TestCellHistograms:
             occ = np.bincount(counts[:, cell])
             assert np.array_equal(np.trim_zeros(hists[cell], "b"), occ)
             assert means[cell] == float(np.arange(len(occ)) @ occ) / 1876
+
+    def test_one_byte_counts_holding_255_equal_int64_counts(self):
+        counts = np.random.default_rng(13).geometric(0.5, size=(600, 45)).astype(np.uint8)
+        counts[17, 4] = 255
+        hists = cell_histograms(BinnedCounts(counts, np.zeros(600)))
+        assert hists.shape == (45, 256)
+        assert_same_bytes(hists, cell_histograms(BinnedCounts(counts.astype(np.int64), np.zeros(600))))
 
     def test_memory_stays_within_a_quarter_over_one_count_matrix(self):
         rng = np.random.default_rng(5)
@@ -294,6 +347,13 @@ class TestPooledCounts:
         with pytest.raises(ValueError):
             pooled_counts_histogram(binned.counts[:, []])
 
+    def test_one_byte_counts_equal_int64_counts(self):
+        counts = np.random.default_rng(14).integers(0, 256, size=(300, 17)).astype(np.uint8)
+        counts[5] = 255
+        assert_same_bytes(
+            pooled_counts_histogram(counts), pooled_counts_histogram(counts.astype(np.int64))
+        )
+
 
 def assert_same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -379,6 +439,11 @@ class TestShotHistograms:
             shot_histograms(np.array([2, 0]), 3), np.array([[0, 0, 1], [1, 0, 0]])
         )
 
+    def test_one_byte_counts_equal_int64_counts(self):
+        counts = np.random.default_rng(15).integers(0, 256, size=(600, 17)).astype(np.uint8)
+        counts[9, 3] = 255
+        assert_same_bytes(shot_histograms(counts, 256), shot_histograms(counts.astype(np.int64), 256))
+
     @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=12))
     def test_blocks_of_three_shots_equal_per_shot_bincounts(self, counts):
         counts = np.array(counts)
@@ -390,6 +455,41 @@ class TestShotHistograms:
         assert_same_bytes(
             cell_hists, np.array([np.bincount(col, minlength=width) for col in counts.T])
         )
+
+
+class TestKeptShotRows:
+    @given(
+        st.lists(st.lists(st.integers(0, 4), min_size=5, max_size=5), min_size=1, max_size=12),
+        st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+    )
+    def test_blocks_of_three_shots_equal_the_kept_columns(self, counts, kept):
+        counts, kept = np.array(counts, dtype=np.uint8), np.array(sorted(kept))
+        with mock.patch.object(analysis, "_HIST_ROWS", 3):
+            hists, totals = kept_shot_rows(counts, kept, 5)
+        assert_same_bytes(hists, shot_histograms(counts[:, kept], 5).astype(np.uint8))
+        assert_same_bytes(totals, counts[:, kept].sum(axis=1, dtype=np.intp))
+
+    def test_histograms_hold_the_kept_cell_count(self):
+        counts = np.random.default_rng(16).geometric(0.6, size=(700, 300)) - 1
+        counts[3] = 0
+        hists, totals = kept_shot_rows(counts, np.arange(300), counts.max() + 1)
+        assert hists.dtype == np.uint16 and hists[3, 0] == 300
+        assert np.array_equal(hists, shot_histograms(counts, counts.max() + 1))
+        assert_same_bytes(totals, counts.sum(axis=1, dtype=np.intp))
+
+    def test_kept_columns_are_never_copied_whole(self):
+        # counts[:, kept] of 40,000 shots is 680 KB even in one byte a
+        # cell; the temporaries of a block of _HIST_ROWS shots stay under 256 KB.
+        rng = np.random.default_rng(17)
+        kept = np.arange(3, 45, 2)[:17]
+        beyond = []
+        for shots in (10_000, 40_000):
+            counts = (rng.geometric(0.8, size=(shots, 45)) - 1).astype(np.uint8)
+            (hists, totals), peak = traced_peak(kept_shot_rows, counts, kept, 12)
+            assert np.array_equal(totals, counts[:, kept].sum(axis=1))
+            beyond.append(peak - hists.nbytes - totals.nbytes)
+        assert max(beyond) <= 256 << 10
+        assert abs(beyond[1] - beyond[0]) <= 32 << 10
 
 
 class TestDistinctRows:

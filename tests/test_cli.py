@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from twinbeam import fock
+from twinbeam.analysis import CellGrid
 from twinbeam.cli import main
 from twinbeam.config import ConfigError, default_config, load_config, validate_config
 
@@ -423,6 +424,37 @@ class TestAnalyzeCounts:
         assert result.exit_code == 2, result.output
         assert str(meta_path) in result.output
         assert key in result.output
+
+    def test_cell_of_300_atoms_counts_exactly(self, tmp_path, runner, events_dir):
+        # Shot 0 gains 300 atoms in the centre cell, past one byte a cell.
+        config_path, events_out = events_dir
+        events_csv = events_out / "events.csv"
+        with open(events_csv, "a") as fh:
+            fh.write("0,0.000000000,0.000000000,0.000000000\n" * 300)
+        out = tmp_path / "analysis"
+        result = runner.invoke(main, [
+            "analyze-counts", "--events", str(events_csv), "--config", str(config_path),
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        # Reference: int64 counts binned here, histogrammed one cell at a time.
+        rows = np.loadtxt(events_csv, delimiter=",", skiprows=1)
+        grid = CellGrid()
+        idx = np.floor((rows[:, 1:] - grid.origin) / grid.cell_widths).astype(np.int64)
+        inside = ((idx >= 0) & (idx < grid.counts_per_axis)).all(axis=1)
+        counts = np.zeros((400, grid.n_cells), dtype=np.int64)
+        cells = np.ravel_multi_index(idx[inside].T, grid.counts_per_axis)
+        np.add.at(counts, (rows[inside, 0].astype(np.int64), cells), 1)
+        assert counts[0, grid.n_cells // 2] >= 300
+        stats = np.loadtxt(out / "cell_stats.csv", delimiter=",", skiprows=1)
+        assert stats[:, 3].tolist() == (counts.sum(axis=0) / 400).tolist()
+        kept = np.flatnonzero(stats[:, 4])
+        width = int(counts[:, kept].max()) + 1
+        summed = sum(np.bincount(counts[:, cell], minlength=width) for cell in kept)
+        pooled = np.bincount(counts[:, kept].sum(axis=1))
+        for name, occurrences in [("summed", summed), ("pooled", np.pad(pooled, (0, 5)))]:
+            table = np.loadtxt(out / f"{name}_histogram.csv", delimiter=",", skiprows=1)
+            assert table[:, 1].tolist() == occurrences.tolist()
 
     def test_rerun_is_byte_identical(self, tmp_path, runner, events_dir):
         config_path, events_out = events_dir

@@ -398,7 +398,7 @@ def per_shot_counting_run(config):
 
 
 class TestCountingRunAgainstPerShotReference:
-    # 2,049 shots span three blocks of _CHUNK_ROWS shots.
+    # 2,049 shots span five blocks of _CHUNK_ROWS shots, the last holding one shot.
     config = small_config(shots=2049, master_seed=29)
 
     def test_table_is_bit_identical(self):
