@@ -43,7 +43,6 @@ from .fock import (
     visibility_oracle,
 )
 from .simulate import (
-    EventTable,
     HomRun,
     HomScanConfig,
     SourceConfig,

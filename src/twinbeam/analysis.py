@@ -28,7 +28,6 @@ __all__ = [
     "AnalysisParams",
     "CellGrid",
     "BinnedCounts",
-    "bin_blocks",
     "bin_events",
     "cell_histograms",
     "cell_means",
@@ -42,7 +41,7 @@ __all__ = [
     "write_cell_stats",
 ]
 
-# Rows binned at a time by bin_blocks: a block's temporaries stay under 256 KB.
+# Rows binned at a time by bin_events: a block's temporaries stay under 256 KB.
 _BLOCK_ROWS = 2048
 # Shots histogrammed at a time by cell_histograms, shot_histograms and kept_shot_rows.
 _HIST_ROWS = 256
@@ -100,7 +99,7 @@ class BinnedCounts:
     dropped: np.ndarray  # (shots,)
 
 
-def bin_blocks(blocks, n_shots: int, grid: CellGrid) -> BinnedCounts:
+def bin_events(blocks, n_shots: int, grid: CellGrid) -> BinnedCounts:
     """Assign every event of ``blocks`` to at most one cell; out-of-grid events counted.
 
     ``blocks`` yields ``(shot, velocities)`` columns of events, in any
@@ -131,11 +130,6 @@ def bin_blocks(blocks, n_shots: int, grid: CellGrid) -> BinnedCounts:
             np.add.at(counts.reshape(-1), cell, 1)
             np.add.at(dropped, shot[~inside], 1)
     return BinnedCounts(counts, dropped)
-
-
-def bin_events(events, grid: CellGrid) -> BinnedCounts:
-    """:func:`bin_blocks` of an ``EventTable``'s ``shot`` and ``velocities`` columns."""
-    return bin_blocks([(events.shot, events.velocities)], events.n_shots, grid)
 
 
 def cell_histograms(binned: BinnedCounts) -> np.ndarray:

@@ -48,22 +48,17 @@ from .simulate import (
     STREAM_DEGENERACY_FIT,
     STREAM_POOLED_HISTOGRAM,
     STREAM_SUMMED_HISTOGRAM,
-    bin_event_csv,
     correlation_scan,
     derive_shot_seed,
     read_event_table,
     simulate_counting_run,
     simulate_hom_run,
-    write_counting_run,
     write_event_table,
     write_hom_events,
 )
 
-# The counting commands stream their events through write_counting_run and
-# bin_event_csv, and take the kept cells through kept_shot_rows.
-# bin_events, pooled_counts_histogram, read_event_table,
-# simulate_counting_run and write_event_table stay importable here because
-# bench/tracer.py wraps them at these names; no command calls them.
+# pooled_counts_histogram stays importable here because bench/tracer.py
+# wraps it at this name; no command calls it.
 
 EXIT_INPUT_ERROR = 2
 EXIT_EMPTY_RESULT = 3
@@ -164,7 +159,7 @@ def cmd_simulate_source(config_path, out, seed):
     out_dir = _prepare_out(out)
     config = section(doc, "source", seed)
     events_csv = out_dir / "events.csv"
-    *files, events = write_counting_run(config, events_csv)
+    *files, events = write_event_table(simulate_counting_run(config), config, events_csv)
     _write_manifest(out_dir, doc, config.master_seed, files)
     click.echo(f"wrote {config.shots} shots, {events} detected atoms -> {events_csv}")
 
@@ -188,7 +183,8 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
     resamples = params.bootstrap_resamples
 
     grid = section(doc, "grid")
-    binned = bin_event_csv(events_path, grid)
+    shots, blocks = read_event_table(events_path)
+    binned = bin_events(blocks, shots, grid)
     hists = cell_histograms(binned)
     means = cell_means(hists)
     kept = filter_cells(means, params.min_mean)

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisParams, BinnedCounts, CellGrid, bin_blocks, bootstrap_std
+from .analysis import AnalysisParams, bootstrap_std
 from .checks import check_field, csv_row_error, read_csv_chunks, write_json
 from .distributions import TmsvParams
 from .fock import OverlapModel, check_basis_size, hom_basis, hom_joint_pmf, hom_n_max
@@ -40,7 +41,6 @@ __all__ = [
     "PORT_VELOCITIES",
     "SourceConfig",
     "HomScanConfig",
-    "EventTable",
     "HomRun",
     "MAX_SEED",
     "SHOT_ID_LIMIT",
@@ -49,10 +49,8 @@ __all__ = [
     "simulate_counting_run",
     "simulate_hom_run",
     "correlation_scan",
-    "write_counting_run",
     "write_event_table",
     "read_event_table",
-    "bin_event_csv",
     "write_hom_events",
 ]
 
@@ -308,42 +306,6 @@ class HomScanConfig:
 
 
 @dataclass(frozen=True)
-class EventTable:
-    """Detected-atom events as columns, plus the configuration snapshot.
-
-    Row ``i`` is one detected atom of shot ``shot[i]`` at velocity
-    ``velocities[i]`` (mm/s).  Rows are sorted by shot, and a shot's rows
-    keep their draw order.  Empty shots hold no rows; ``n_shots`` counts
-    them.
-    """
-
-    shot: np.ndarray  # (n_events,) ints, sorted
-    velocities: np.ndarray  # (n_events, 3)
-    n_shots: int
-    config: dict
-
-    def __post_init__(self):
-        shot = np.asarray(self.shot, dtype=np.int64)
-        velocities = np.asarray(self.velocities, dtype=float).reshape(-1, 3)
-        if shot.shape != (len(velocities),):
-            raise ValueError(
-                f"shot holds {shot.size} entries but velocities holds {len(velocities)} rows"
-            )
-        unsorted = np.any(shot[1:] < shot[:-1])
-        if shot.size and (unsorted or shot[0] < 0 or shot[-1] >= self.n_shots):
-            raise ValueError(f"shot ids must be sorted and in 0..{self.n_shots - 1}")
-        declared = self.config.get("shots")
-        if declared is not None and declared != self.n_shots:
-            raise ValueError(
-                f"config declares {declared} shots but table holds {self.n_shots}"
-            )
-        shot.flags.writeable = False
-        velocities.flags.writeable = False
-        object.__setattr__(self, "shot", shot)
-        object.__setattr__(self, "velocities", velocities)
-
-
-@dataclass(frozen=True)
 class HomRun:
     """Detected port-a/port-b counts, one row per splitter time, one column per shot."""
 
@@ -371,10 +333,17 @@ def _mode_grid(config: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
     return centers, nus
 
 
-def _counting_blocks(config: SourceConfig):
-    """Yield the ``(shot, velocities)`` columns of each block of ``_CHUNK_ROWS`` shots of a run.
+def simulate_counting_run(config: SourceConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Generate one counting run: yield the ``(shot, velocities)`` columns of each block of shots.
 
-    See :func:`simulate_counting_run` for what each shot draws.
+    Binomial thinning keeps a thermal count thermal, so per shot each mode's
+    detected count is drawn by inversion from the thermal law of mean
+    ``mu = eta * nu_mode``, and each detected atom lands at the mode centre
+    plus Gaussian scatter.  Draw order within a shot is fixed (one uniform
+    per mode, then the scatter), which pins the byte-level output for a
+    given seed.  Velocities are rounded to the event CSV's 1e-9 mm/s lattice.
+    A block holds ``_CHUNK_ROWS`` shots, its rows sorted by shot, each
+    shot's rows in draw order; empty shots hold no rows.
     """
     centers, nus = _mode_grid(config)
     # Count floor(log1p(-u) / log q), q = mu / (1 + mu); log q = -log1p(1/mu)
@@ -400,38 +369,6 @@ def _counting_blocks(config: SourceConfig):
         velocities = np.frombuffer(detected).reshape(-1, 3)
         shot = np.repeat(np.arange(block.start, block.stop), per_shot[block.start : block.stop])
         yield shot, np.round(velocities, 9, out=velocities)  # in place: no copy
-
-
-def simulate_counting_run(config: SourceConfig) -> EventTable:
-    """Generate one counting run.
-
-    Binomial thinning keeps a thermal count thermal, so per shot each mode's
-    detected count is drawn by inversion from the thermal law of mean
-    ``mu = eta * nu_mode``, and each detected atom lands at the mode centre
-    plus Gaussian scatter.  Draw order within a shot is fixed (one uniform
-    per mode, then the scatter), which pins the byte-level output for a
-    given seed.  Velocities are rounded to the event CSV's 1e-9 mm/s lattice.
-    The shots are drawn in blocks, which :func:`write_counting_run` writes
-    as they come; this joins them into one table.
-    """
-    shot, velocities = zip(*_counting_blocks(config))
-    return EventTable(
-        shot=np.concatenate(shot),
-        velocities=np.concatenate(velocities),
-        n_shots=config.shots,
-        config=_config_dict(config),
-    )
-
-
-def write_counting_run(config: SourceConfig, csv_path) -> tuple[Path, Path, int]:
-    """Generate one counting run into the event CSV at ``csv_path``, block by block.
-
-    The bytes are those of ``write_event_table(simulate_counting_run(config),
-    csv_path)``, but no more than one block of shots is held at a time.
-    Returns both paths and the number of events written.
-    """
-    events = _write_events(csv_path, _counting_blocks(config), config.shots, _config_dict(config))
-    return Path(csv_path), _meta_path(csv_path), events
 
 
 def overlap_amplitude(config: HomScanConfig, t2: float) -> float:
@@ -608,11 +545,17 @@ def _meta_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
-def _write_events(csv_path, blocks, shots: int, config: dict) -> int:
-    """Write the event CSV of the ``(shot, velocities)`` ``blocks``, then its sidecar.
+def write_event_table(blocks, config: SourceConfig, csv_path) -> tuple[Path, Path, int]:
+    """Write the ``(shot, velocities)`` ``blocks`` of a counting run as they come, then the sidecar.
 
-    Returns the number of rows written.  If a block raises, or writing it
-    fails, the partial CSV is removed and no sidecar is written.
+    The CSV holds rows ``shot,vx,vy,vz``, velocities in fixed point at
+    1e-9 mm/s, so generated runs read back exactly.  Empty shots produce no
+    rows; the sidecar's ``shots``, with ``config``, its ``master_seed`` and
+    the generator, is what makes them reconstructible.  Returns both paths
+    and the number of rows written.  If a block raises, or writing it
+    fails, the partial CSV is removed and no sidecar is written; a
+    velocity that is not finite or not below 2**20 mm/s in magnitude
+    raises ``ValueError``.
     """
     rows = 0
     fh = open(csv_path, "wb")
@@ -625,33 +568,23 @@ def _write_events(csv_path, blocks, shots: int, config: dict) -> int:
     except BaseException:
         Path(csv_path).unlink(missing_ok=True)
         raise
-    meta = {"shots": shots, "config": config, "master_seed": config["master_seed"],
-            "generator": GENERATOR_ID}
+    meta = {"shots": config.shots, "config": _config_dict(config),
+            "master_seed": config.master_seed, "generator": GENERATOR_ID}
     write_json(_meta_path(csv_path), meta)
-    return rows
+    return Path(csv_path), _meta_path(csv_path), rows
 
 
-def write_event_table(table: EventTable, csv_path) -> tuple[Path, Path]:
-    """CSV rows ``shot,vx,vy,vz`` plus a JSON sidecar: shots, config, its master_seed, generator.
+def read_event_table(csv_path) -> tuple[int, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The shot count of an event CSV, and an iterator of its ``(shot, velocities)`` chunks.
 
-    Velocities are fixed point at 1e-9 mm/s, so generated tables read back exactly.
-    Empty shots produce no CSV rows; the sidecar's shot count is what
-    makes them reconstructible.  Returns both paths.  Raises ``ValueError``,
-    and writes nothing, when ``table.config`` lacks ``master_seed`` or a
-    velocity is not finite or not below 2**20 mm/s in magnitude.
-    """
-    if "master_seed" not in table.config:
-        raise ValueError("table config lacks master_seed, which the sidecar records")
-    _write_events(csv_path, [(table.shot, table.velocities)], table.n_shots, table.config)
-    return Path(csv_path), _meta_path(csv_path)
-
-
-def _read_meta(csv_path) -> dict:
-    """The sidecar of an event CSV, checked.
-
-    Raises ``ValueError`` naming the sidecar unless it is a JSON object
+    The sidecar, ``<name>.meta.json`` beside the CSV, is read at once: it
+    raises ``ValueError`` naming the sidecar unless it is a JSON object
     whose ``config`` is an object, whose ``shots`` is an integer in
     ``[1, SHOT_ID_LIMIT]``, and whose ``config.shots``, if any, agrees.
+    Its ``master_seed`` and ``generator`` are not read.  The rows are read
+    a chunk at a time as the iterator is advanced, in file order; it
+    raises ``ValueError`` naming the line of a malformed row, a
+    non-finite velocity or a shot outside ``0..shots - 1``.
     """
     meta_path = _meta_path(csv_path)
     with open(meta_path) as fh:
@@ -662,69 +595,23 @@ def _read_meta(csv_path) -> dict:
         check_field(meta, "shots", 1, SHOT_ID_LIMIT, integer=True)
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    declared = meta["config"].get("shots")
-    if declared is not None and declared != meta["shots"]:
-        raise ValueError(f"{meta_path}: config declares {declared} shots but shots is {meta['shots']}")
-    return meta
+    shots, declared = meta["shots"], meta["config"].get("shots")
+    if declared is not None and declared != shots:
+        raise ValueError(f"{meta_path}: config declares {declared} shots but shots is {shots}")
 
+    def chunks():
+        done = 0
+        for rows in read_csv_chunks(csv_path, "shot,vx,vy,vz", [("shot", "i8"), ("v", "f8", 3)]):
+            outside = (rows["shot"] < 0) | (rows["shot"] >= shots)
+            if outside.any():
+                row = int(np.argmax(outside))
+                raise csv_row_error(
+                    csv_path, done + row, f"shot {rows['shot'][row]} outside 0..{shots - 1}"
+                )
+            done += len(rows)
+            yield rows["shot"], rows["v"]
 
-def _event_blocks(csv_path, shots: int):
-    """Yield the ``(shot, velocities)`` columns of each chunk of rows of an event CSV, checked.
-
-    Raises ``ValueError`` naming the line of a malformed row, a non-finite
-    velocity or a shot outside ``0..shots - 1``.
-    """
-    done = 0
-    for rows in read_csv_chunks(csv_path, "shot,vx,vy,vz", [("shot", "i8"), ("v", "f8", 3)]):
-        outside = (rows["shot"] < 0) | (rows["shot"] >= shots)
-        if outside.any():
-            row = int(np.argmax(outside))
-            raise csv_row_error(
-                csv_path, done + row, f"shot {rows['shot'][row]} outside 0..{shots - 1}"
-            )
-        done += len(rows)
-        yield rows["shot"], rows["v"]
-
-
-def _line_count(path) -> int:
-    """The number of newlines in the file at ``path``."""
-    with open(path, "rb") as fh:
-        return sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
-
-
-def read_event_table(csv_path) -> EventTable:
-    """Inverse of :func:`write_event_table`; rows may come in any shot order.
-
-    The sidecar is ``<name>.meta.json`` beside the CSV.
-    Rows out of shot order are stably sorted by shot, so each shot keeps
-    its row order; rows already in order are kept as read.  The columns
-    are sized by the file's line count, so the chunks are copied once.
-    Rejects what :func:`bin_event_csv` rejects, with the same messages;
-    the sidecar's ``master_seed`` and ``generator`` are not read.
-    """
-    meta = _read_meta(csv_path)
-    size = _line_count(csv_path) + 1  # at least the data rows
-    shot, velocities = np.empty(size, dtype=np.int64), np.empty((size, 3))
-    n = 0
-    for block_shot, block_velocities in _event_blocks(csv_path, meta["shots"]):
-        shot[n : n + len(block_shot)] = block_shot
-        velocities[n : n + len(block_shot)] = block_velocities
-        n += len(block_shot)
-    shot, velocities = shot[:n], velocities[:n]
-    if np.any(shot[1:] < shot[:-1]):
-        order = np.argsort(shot, kind="stable")
-        shot, velocities = shot[order], velocities[order]
-    return EventTable(shot=shot, velocities=velocities, n_shots=meta["shots"], config=meta["config"])
-
-
-def bin_event_csv(csv_path, grid: CellGrid) -> BinnedCounts:
-    """``bin_events(read_event_table(csv_path), grid)``, binning each chunk of rows as it is read.
-
-    Only the count matrix and one chunk are held; integer adds commute, so
-    the rows need no sorting.
-    """
-    shots = _read_meta(csv_path)["shots"]
-    return bin_blocks(_event_blocks(csv_path, shots), shots, grid)
+    return shots, chunks()
 
 
 def write_hom_events(run: HomRun, csv_path) -> tuple[Path, Path]:

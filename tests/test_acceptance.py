@@ -168,9 +168,8 @@ def _single_mode_grid_run():
         mode_spacing=(5.5, 5.5, 2.5),
         modes_per_axis=(3, 3, 2),
     )
-    table = simulate_counting_run(config)
     grid = CellGrid(counts_per_axis=(3, 3, 2))
-    hists = cell_histograms(bin_events(table, grid))
+    hists = cell_histograms(bin_events(simulate_counting_run(config), config.shots, grid))
     return sum_histograms(hists[filter_cells(cell_means(hists), min_mean=0.0)])
 
 
@@ -192,8 +191,8 @@ def test_acceptance_6_counting_histogram_thermal_not_poisson(acceptance):
 
 def test_acceptance_7_degeneracy_fit(acceptance):
     # Matched pipeline: default geometry, 45 cells, threshold 0.135.
-    table = simulate_counting_run(SourceConfig())
-    binned = bin_events(table, CellGrid())
+    source = SourceConfig()
+    binned = bin_events(simulate_counting_run(source), source.shots, CellGrid())
     kept = filter_cells(cell_means(cell_histograms(binned)), min_mean=0.135)
     pooled = pooled_counts_histogram(binned.counts[:, kept])
     fit_sim = fit_degeneracy(pooled, fixed_mean=cell_means(pooled))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from event_columns import Events, bin_event_file
 from memory_peak import traced_peak
 from twinbeam import analysis
 from twinbeam.analysis import (
@@ -30,24 +31,27 @@ from twinbeam.analysis import (
 from twinbeam.checks import write_csv, write_json
 from twinbeam.distributions import thermal_pmf
 from twinbeam.simulate import (
-    EventTable,
     HomRun,
     HomScanConfig,
-    bin_event_csv,
+    SourceConfig,
     correlation_scan,
     write_event_table,
 )
 
 
 def table_from_events(event_rows):
-    """EventTable with one shot per entry of ``event_rows``."""
+    """Event columns with one shot per entry of ``event_rows``."""
     per_shot = [np.asarray(rows, dtype=float).reshape(-1, 3) for rows in event_rows]
-    return EventTable(
+    return Events(
         shot=np.repeat(np.arange(len(per_shot)), [len(rows) for rows in per_shot]),
         velocities=np.concatenate([np.empty((0, 3)), *per_shot]),
         n_shots=len(per_shot),
-        config={"shots": len(per_shot)},
     )
+
+
+def bin_table(table, grid):
+    """``bin_events`` of the columns ``table`` as one block."""
+    return bin_events([(table.shot, table.velocities)], table.n_shots, grid)
 
 
 def bin_per_event(event_rows, grid):
@@ -95,14 +99,14 @@ class TestBinEvents:
         grid = CellGrid(origin=(0.0, 0.0, 0.0), cell_widths=(1.0, 1.0, 1.0),
                         counts_per_axis=(2, 2, 2))
         table = table_from_events([[(1.0, 0.5, 0.5)]])
-        binned = bin_events(table, grid)
+        binned = bin_table(table, grid)
         flat = np.ravel_multi_index((1, 0, 0), (2, 2, 2))
         assert binned.counts[0, flat] == 1
         assert binned.counts[0].sum() == 1
 
     def test_empty_table(self):
         grid = CellGrid()
-        binned = bin_events(table_from_events([[], []]), grid)
+        binned = bin_table(table_from_events([[], []]), grid)
         assert binned.counts.sum() == 0
         assert binned.dropped.sum() == 0
 
@@ -110,7 +114,7 @@ class TestBinEvents:
         grid = CellGrid(origin=(0.0, 0.0, 0.0), cell_widths=(1.0, 1.0, 1.0),
                         counts_per_axis=(2, 2, 2))
         table = table_from_events([[(-0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (2.5, 0.5, 0.5)]])
-        binned = bin_events(table, grid)
+        binned = bin_table(table, grid)
         assert binned.counts[0].sum() == 1
         assert binned.dropped[0] == 2
 
@@ -122,7 +126,7 @@ class TestBinEvents:
         shots = 400
         per_shot = 90
         rows = [lo + rng.random((per_shot, 3)) * span for _ in range(shots)]
-        binned = bin_events(table_from_events(rows), grid)
+        binned = bin_table(table_from_events(rows), grid)
         means = binned.counts.mean(axis=0)
         expected = per_shot / grid.n_cells
         sigma = np.sqrt(expected / shots)
@@ -135,7 +139,7 @@ class TestBinEvents:
         rng = np.random.default_rng(seed)
         grid = CellGrid()
         rows = [rng.normal(0.0, 8.0, size=(rng.integers(0, 40), 3)) for _ in range(10)]
-        binned = bin_events(table_from_events(rows), grid)
+        binned = bin_table(table_from_events(rows), grid)
         for shot, events in enumerate(rows):
             assert binned.counts[shot].sum() + binned.dropped[shot] == len(events)
 
@@ -155,13 +159,14 @@ class TestBinEvents:
     def test_memory_beyond_its_results_stays_under_2_mb(self):
         rng = np.random.default_rng(3)
         table = table_from_events([rng.normal(0.0, 8.0, size=(20, 3)) for _ in range(10_000)])
-        binned, peak = traced_peak(bin_events, table, CellGrid())
+        binned, peak = traced_peak(bin_events, [(table.shot, table.velocities)], table.n_shots,
+                                   CellGrid())
         assert binned.counts.sum() + binned.dropped.sum() == 200_000
         assert peak <= binned.counts.nbytes + binned.dropped.nbytes + (2 << 20)
 
 
 def assert_bins_like_per_event_reference(event_rows):
-    binned = bin_events(table_from_events(event_rows), _GRID)
+    binned = bin_table(table_from_events(event_rows), _GRID)
     counts, dropped = bin_per_event(event_rows, _GRID)
     assert np.array_equal(binned.counts, counts)
     assert np.array_equal(binned.dropped, dropped)
@@ -186,11 +191,10 @@ class TestBinningNeverWraps:
         # At 7 rows a block, the matrix widens after blocks already binned in one byte.
         counts, dropped = bin_per_event(event_rows, _GRID)
         table = table_from_events(event_rows)
-        write_event_table(EventTable(table.shot, table.velocities, table.n_shots,
-                                     {"shots": table.n_shots, "master_seed": 0}),
-                          tmp_path / "ev.csv")
+        config = SourceConfig(shots=table.n_shots, master_seed=0)
+        write_event_table([(table.shot, table.velocities)], config, tmp_path / "ev.csv")
         with mock.patch.object(analysis, "_BLOCK_ROWS", block_rows):
-            results = [bin_events(table, _GRID), bin_event_csv(tmp_path / "ev.csv", _GRID)]
+            results = [bin_table(table, _GRID), bin_event_file(tmp_path / "ev.csv", _GRID)]
         for binned in results:
             assert np.array_equal(binned.counts, counts)
             assert np.array_equal(binned.dropped, dropped)
@@ -198,7 +202,7 @@ class TestBinningNeverWraps:
 
     def test_one_byte_holds_shots_of_up_to_255_events(self):
         event_rows = [[_CENTRES[0]] * 255, [_CENTRES[1]] * 200 + [_CENTRES[2]] * 55 + [_OUTSIDE] * 9]
-        binned = bin_events(table_from_events(event_rows), _GRID)
+        binned = bin_table(table_from_events(event_rows), _GRID)
         counts, dropped = bin_per_event(event_rows, _GRID)
         assert binned.counts.dtype == np.uint8
         assert np.array_equal(binned.counts, counts)
@@ -214,7 +218,7 @@ def histograms(*cells):
 class TestCellHistograms:
     def test_all_zero_counts(self):
         grid = CellGrid()
-        binned = bin_events(table_from_events([[] for _ in range(7)]), grid)
+        binned = bin_table(table_from_events([[] for _ in range(7)]), grid)
         hists = cell_histograms(binned)
         assert hists.shape == (grid.n_cells, 1)
         assert np.all(hists[:, 0] == 7)
@@ -223,16 +227,16 @@ class TestCellHistograms:
     def test_histogram_totals_match_shots(self):
         rng = np.random.default_rng(1)
         rows = [rng.normal(0.0, 6.0, size=(20, 3)) for _ in range(50)]
-        hists = cell_histograms(bin_events(table_from_events(rows), CellGrid()))
+        hists = cell_histograms(bin_table(table_from_events(rows), CellGrid()))
         assert np.all(hists.sum(axis=1) == 50)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         rows = [rng.normal(0.0, 6.0, size=(15, 3)) for _ in range(30)]
-        hists = cell_histograms(bin_events(table_from_events(rows), CellGrid()))
+        hists = cell_histograms(bin_table(table_from_events(rows), CellGrid()))
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
         assert_same_bytes(
-            cell_histograms(bin_events(table_from_events(shuffled), CellGrid())), hists
+            cell_histograms(bin_table(table_from_events(shuffled), CellGrid())), hists
         )
 
     def test_rows_and_means_equal_per_cell_reference(self):
@@ -326,7 +330,7 @@ class TestPooledCounts:
     def test_single_cell_equals_own_histogram(self):
         rng = np.random.default_rng(4)
         rows = [rng.normal(0.0, 3.0, size=(6, 3)) for _ in range(40)]
-        binned = bin_events(table_from_events(rows), CellGrid())
+        binned = bin_table(table_from_events(rows), CellGrid())
         hists = cell_histograms(binned)
         target = int(np.argmax(cell_means(hists)))
         pooled = pooled_counts_histogram(binned.counts[:, [target]])
@@ -335,7 +339,7 @@ class TestPooledCounts:
     def test_pooled_mean_adds_cell_means(self):
         rng = np.random.default_rng(5)
         rows = [rng.normal(0.0, 6.0, size=(25, 3)) for _ in range(100)]
-        binned = bin_events(table_from_events(rows), CellGrid())
+        binned = bin_table(table_from_events(rows), CellGrid())
         means = cell_means(cell_histograms(binned))
         kept = filter_cells(means, min_mean=0.0)
         pooled = pooled_counts_histogram(binned.counts[:, kept])
@@ -343,7 +347,7 @@ class TestPooledCounts:
 
     def test_empty_selection_rejected(self):
         rows = [[(0.0, 0.0, 0.0)]]
-        binned = bin_events(table_from_events(rows), CellGrid())
+        binned = bin_table(table_from_events(rows), CellGrid())
         with pytest.raises(ValueError):
             pooled_counts_histogram(binned.counts[:, []])
 

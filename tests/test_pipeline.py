@@ -44,8 +44,7 @@ Z_MAX = 5.0
 
 @pytest.fixture(scope="module")
 def matched_chain():
-    table = simulate_counting_run(MATCHED_SOURCE)
-    binned = bin_events(table, CellGrid())
+    binned = bin_events(simulate_counting_run(MATCHED_SOURCE), MATCHED_SOURCE.shots, CellGrid())
     hists = cell_histograms(binned)
     means = cell_means(hists)
     kept = filter_cells(means, min_mean=0.135)
@@ -134,7 +133,8 @@ def test_every_cell_mean_within_z_max_of_its_exact_expectation(source):
     mu = source.eta * nus[:, None] * mass
     expected = mu.sum(axis=0)
     std_err = np.sqrt((mu * (1.0 + mu)).sum(axis=0) / source.shots)
-    means = cell_means(cell_histograms(bin_events(simulate_counting_run(source), grid)))
+    binned = bin_events(simulate_counting_run(source), source.shots, grid)
+    means = cell_means(cell_histograms(binned))
     z = (means - expected) / std_err
     assert z.shape == (grid.n_cells,)
     assert np.abs(z).max() <= Z_MAX, z

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from fock_reference import hom_joint_pmf_reference
+from event_columns import bin_event_file, counting_events, read_events
 from memory_peak import traced_peak
 from twinbeam import checks, simulate
 from twinbeam.analysis import CellGrid, bin_events
@@ -30,17 +31,14 @@ from twinbeam.simulate import (
     STREAM_POOLED_HISTOGRAM,
     STREAM_SCAN_POINT,
     STREAM_SUMMED_HISTOGRAM,
-    EventTable,
     HomScanConfig,
     SourceConfig,
-    bin_event_csv,
     correlation_scan,
     derive_shot_seed,
     read_event_table,
     shot_rng,
     simulate_counting_run,
     simulate_hom_run,
-    write_counting_run,
     write_event_table,
     write_hom_events,
 )
@@ -246,6 +244,11 @@ def small_config(**overrides):
     return SourceConfig(**defaults)
 
 
+def write_run(config, csv_path):
+    """Write the event CSV of the counting run ``config``, as ``simulate-source`` does."""
+    return write_event_table(simulate_counting_run(config), config, csv_path)
+
+
 def counts_per_shot(table):
     """Detected atoms in each shot of an event table."""
     return np.bincount(table.shot, minlength=table.n_shots)
@@ -253,7 +256,7 @@ def counts_per_shot(table):
 
 class TestCountingRun:
     def test_empty_source(self):
-        table = simulate_counting_run(small_config(nu_per_mode=0.0))
+        table = counting_events(small_config(nu_per_mode=0.0))
         assert counts_per_shot(table).sum() == 0
 
     @pytest.mark.parametrize(
@@ -270,7 +273,7 @@ class TestCountingRun:
     def test_zero_mode_means_draw_no_atoms_silently(self, overrides, empty):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = simulate_counting_run(small_config(**overrides))
+            table = counting_events(small_config(**overrides))
         assert np.isfinite(table.velocities).all()
         assert (len(table.shot) == 0) == empty
 
@@ -279,7 +282,7 @@ class TestCountingRun:
         config = small_config(
             shots=20_000, nu_per_mode=80.0, eta=0.25, modes_per_axis=(1, 1, 1), master_seed=3
         )
-        counts = counts_per_shot(simulate_counting_run(config))
+        counts = counts_per_shot(counting_events(config))
         mu, n = 20.0, config.shots
         var = mu * (1 + mu)
         # Excess kurtosis of the geometric law is 6 + p^2/(1 - p), p = 1/(1 + mu).
@@ -291,19 +294,19 @@ class TestCountingRun:
         assert abs((counts >= 60).mean() - tail) < 4 * math.sqrt(tail * (1 - tail) / n)
 
     def test_bit_identical_rerun(self):
-        a = simulate_counting_run(small_config())
-        b = simulate_counting_run(small_config())
+        a = counting_events(small_config())
+        b = counting_events(small_config())
         assert a.n_shots == b.n_shots
         assert np.array_equal(a.shot, b.shot)
         assert np.array_equal(a.velocities, b.velocities)
 
     def test_velocities_on_the_write_lattice(self):
-        velocities = simulate_counting_run(small_config()).velocities
+        velocities = counting_events(small_config()).velocities
         assert np.array_equal(np.round(velocities, 9), velocities)
 
     def test_law_of_large_numbers(self):
         config = small_config(shots=20_000, nu_per_mode=0.3, eta=0.4)
-        table = simulate_counting_run(config)
+        table = counting_events(config)
         n_modes = np.prod(config.modes_per_axis)
         expected = config.eta * config.nu_per_mode * n_modes
         per_shot_var = config.eta * config.nu_per_mode * (
@@ -326,7 +329,7 @@ class TestCountingRun:
             mode_spacing=(5.5, 5.5, 2.5),
             modes_per_axis=(1, 1, 1),
         )
-        table = simulate_counting_run(config)
+        table = counting_events(config)
         counts = counts_per_shot(table)
         model = thermal_pmf(0.158, 30).probs * config.shots
         observed = np.bincount(counts, minlength=31)[:31]
@@ -340,10 +343,10 @@ class TestCountingRun:
     def test_thinning_commutes_with_counting(self):
         # Detect at eta, versus detect everything then thin the counts.
         shots = 100_000
-        detected = counts_per_shot(simulate_counting_run(
+        detected = counts_per_shot(counting_events(
             small_config(shots=shots, modes_per_axis=(1, 1, 1), eta=0.25, master_seed=8)
         ))
-        full = counts_per_shot(simulate_counting_run(
+        full = counts_per_shot(counting_events(
             small_config(shots=shots, modes_per_axis=(1, 1, 1), eta=1.0, master_seed=9)
         ))
         rng = np.random.default_rng(10)
@@ -360,7 +363,7 @@ class TestCountingRun:
     def test_parallel_order_equals_sequential(self):
         # Shots own their streams, so generating in any order matches.
         config = small_config(shots=50)
-        table = simulate_counting_run(config)
+        table = counting_events(config)
         from twinbeam.simulate import _mode_grid
 
         centers, nus = _mode_grid(config)
@@ -403,7 +406,7 @@ class TestCountingRunAgainstPerShotReference:
 
     def test_table_is_bit_identical(self):
         shot, velocities = per_shot_counting_run(self.config)
-        table = simulate_counting_run(self.config)
+        table = counting_events(self.config)
         assert table.shot.tobytes() == shot.tobytes()
         assert table.velocities.tobytes() == velocities.tobytes()
 
@@ -610,8 +613,7 @@ def per_shot_hom_csv(run) -> str:
     return "".join(lines)
 
 
-# Lattice values of the event CSV, k * 1e-9 mm/s with |v| < 2**20, as
-# EventTable columns hold them.
+# Lattice values of the event CSV, k * 1e-9 mm/s with |v| < 2**20.
 _LIMIT = (2**20 * 10**9 - 1) / 1e9
 _LATTICE = st.integers(-(2**20 * 10**9 - 1), 2**20 * 10**9 - 1).map(lambda k: k / 1e9)
 _LATTICE_EDGES = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, _LIMIT, -_LIMIT, 2.0**19])
@@ -668,37 +670,32 @@ class TestEventTableIO:
     def test_unwritable_velocity_raises_and_leaves_no_file(self, tmp_path, bad):
         velocities = np.zeros((5, 3))
         velocities[3, 1] = bad
-        table = EventTable(
-            shot=np.arange(5), velocities=velocities, n_shots=5, config={"master_seed": 0}
-        )
         with pytest.raises(ValueError, match=r"2\*\*20 mm/s"):
-            write_event_table(table, tmp_path / "ev.csv")
+            write_event_table([(np.arange(5), velocities)], small_config(shots=5), tmp_path / "ev.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_run_outside_the_writer_range_leaves_no_file(self, tmp_path):
         config = small_config(shots=30, grid_center=(2.0**20, 0.0, 0.0))
         with pytest.raises(ValueError, match=r"2\*\*20 mm/s"):
-            write_counting_run(config, tmp_path / "ev.csv")
+            write_run(config, tmp_path / "ev.csv")
         assert list(tmp_path.iterdir()) == []
 
-    def test_failure_in_a_later_block_removes_the_partial_csv(self, tmp_path, monkeypatch):
+    def test_failure_in_a_later_block_removes_the_partial_csv(self, tmp_path):
         config = small_config(shots=30)
-        written = next(simulate._counting_blocks(config))
 
-        def blocks(config):
-            yield written
+        def blocks():
+            yield next(simulate_counting_run(config))
             raise MemoryError("drawing failed")
 
-        monkeypatch.setattr(simulate, "_counting_blocks", blocks)
         with pytest.raises(MemoryError):
-            write_counting_run(config, tmp_path / "ev.csv")
+            write_event_table(blocks(), config, tmp_path / "ev.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_streamed_run_writes_the_table_bytes(self, tmp_path):
         config = small_config(shots=2049)
-        table = simulate_counting_run(config)
-        paths = write_event_table(table, tmp_path / "table.csv")
-        csv_path, meta_path, events = write_counting_run(config, tmp_path / "run.csv")
+        table = counting_events(config)
+        paths = write_event_table([(table.shot, table.velocities)], config, tmp_path / "table.csv")
+        csv_path, meta_path, events = write_run(config, tmp_path / "run.csv")
         assert (csv_path, meta_path) == (tmp_path / "run.csv", tmp_path / "run.meta.json")
         assert events == len(table.shot)
         assert csv_path.read_bytes() == paths[0].read_bytes()
@@ -709,16 +706,16 @@ class TestEventTableIO:
         # run holds only its per-shot totals, 8 bytes a shot.
         peaks = []
         for shots in (2_000, 8_000):
-            _, peak = traced_peak(write_counting_run, SourceConfig(shots=shots), tmp_path / "ev.csv")
+            _, peak = traced_peak(write_run, SourceConfig(shots=shots), tmp_path / "ev.csv")
             peaks.append(peak - 8 * shots)
         assert max(peaks) <= 4 << 20
         assert abs(peaks[1] - peaks[0]) <= 256 << 10
 
     def test_writer_matches_per_shot_reference(self, tmp_path):
-        table = simulate_counting_run(small_config())
+        table = counting_events(small_config())
         assert (counts_per_shot(table) == 0).any()
         assert (table.velocities < 0).any()
-        write_event_table(table, tmp_path / "ev.csv")
+        write_run(small_config(), tmp_path / "ev.csv")
         assert (tmp_path / "ev.csv").read_text() == per_shot_event_csv(table)
 
     def test_hom_writer_matches_per_shot_reference(self, tmp_path):
@@ -727,80 +724,85 @@ class TestEventTableIO:
         write_hom_events(run, tmp_path / "hom.csv")
         assert (tmp_path / "hom.csv").read_text() == per_shot_hom_csv(run)
 
-    def test_rows_in_any_shot_order_read_back_sorted(self, tmp_path):
-        table = simulate_counting_run(small_config(shots=40))
+    def test_rows_in_any_shot_order_read_back_in_file_order(self, tmp_path):
+        config = small_config(shots=40)
         csv_path = tmp_path / "ev.csv"
-        write_event_table(table, csv_path)
+        write_run(config, csv_path)
+        table = read_events(csv_path)
         header, *rows = csv_path.read_text().splitlines(keepends=True)
         # Interleave the shots at random, each shot's rows in their order.
-        shot = np.array([int(row.split(",")[0]) for row in rows])
         keys = np.random.default_rng(4).random(len(rows))
-        for s in np.unique(shot):
-            keys[shot == s] = np.sort(keys[shot == s])
+        for s in np.unique(table.shot):
+            keys[table.shot == s] = np.sort(keys[table.shot == s])
         order = np.argsort(keys)
-        assert (np.diff(shot[order]) < 0).any()
+        assert (np.diff(table.shot[order]) < 0).any()
         csv_path.write_text(header + "".join(rows[i] for i in order))
-        back = read_event_table(csv_path)
+        with mock.patch.object(checks, "_CHUNK_ROWS", 7):
+            back = read_events(csv_path)
         assert back.n_shots == table.n_shots
-        assert np.array_equal(back.shot, table.shot)
-        assert np.array_equal(back.velocities, table.velocities)
+        assert np.array_equal(back.shot, table.shot[order])
+        assert np.array_equal(back.velocities, table.velocities[order])
 
-    def test_sorted_rows_read_back_without_a_second_copy(self, tmp_path):
+    def test_rows_read_back_one_chunk_at_a_time(self, tmp_path):
+        # Read without keeping the rows: memory stays at a chunk, not the file.
+        def count_rows(csv_path):
+            return sum(len(shot) for shot, _ in read_event_table(csv_path)[1])
+
         rng = np.random.default_rng(6)
-        table = EventTable(
-            shot=np.repeat(np.arange(5_000), 20),
-            velocities=np.round(rng.normal(0.0, 8.0, size=(100_000, 3)), 9),
-            n_shots=5_000,
-            config={"shots": 5_000, "master_seed": 6},
-        )
-        csv_path = tmp_path / "ev.csv"
-        write_event_table(table, csv_path)
-        back, peak = traced_peak(read_event_table, csv_path)
-        assert np.array_equal(back.shot, table.shot)
-        assert np.array_equal(back.velocities, table.velocities)
-        assert peak <= 1.5 * (table.shot.nbytes + table.velocities.nbytes)
+        peaks = []
+        for shots in (1_000, 5_000):
+            shot = np.repeat(np.arange(shots), 20)
+            velocities = np.round(rng.normal(0.0, 8.0, size=(20 * shots, 3)), 9)
+            write_event_table([(shot, velocities)], SourceConfig(shots=shots, master_seed=6),
+                              tmp_path / "ev.csv")
+            rows, peak = traced_peak(count_rows, tmp_path / "ev.csv")
+            assert rows == 20 * shots
+            peaks.append(peak)
+        assert max(peaks) <= 2 << 20
+        assert abs(peaks[1] - peaks[0]) <= 256 << 10
 
-    def test_config_without_master_seed_writes_nothing(self, tmp_path):
-        table = EventTable(
-            shot=np.array([0, 1]), velocities=np.zeros((2, 3)), n_shots=2, config={"shots": 2}
-        )
+    def test_sidecar_is_checked_before_any_row_is_read(self, tmp_path):
         csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
-        with pytest.raises(ValueError, match="master_seed"):
-            write_event_table(table, csv_path)
-        assert not csv_path.exists()
-        assert not meta_path.exists()
+        csv_path.write_text("shot,vx,vy,vz\n0,1.0,2.0,3.0\n9,1.0,2.0,3.0\n")
+        meta_path.write_text(json.dumps({"shots": 0, "config": {}}))
+        with pytest.raises(ValueError, match=re.escape(str(meta_path))):
+            read_event_table(csv_path)
+        meta_path.write_text(json.dumps({"shots": 5, "config": {"shots": 5}}))
+        shots, chunks = read_event_table(csv_path)
+        assert shots == 5
+        with pytest.raises(ValueError, match=re.escape(f"{csv_path}:3:")):
+            list(chunks)
 
     def test_roundtrip(self, tmp_path):
-        table = simulate_counting_run(small_config(shots=30))
+        config = small_config(shots=30)
+        table = counting_events(config)
         csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
-        assert write_event_table(table, csv_path) == (csv_path, meta_path)
-        back = read_event_table(csv_path)
+        assert write_run(config, csv_path) == (csv_path, meta_path, len(table.shot))
+        back = read_events(csv_path)
         assert back.n_shots == table.n_shots
-        assert back.config == table.config
+        assert json.loads(meta_path.read_text())["config"] == simulate._config_dict(config)
         assert np.array_equal(back.shot, table.shot)
         assert np.array_equal(back.velocities, table.velocities)
 
     def test_empty_shots_survive_roundtrip(self, tmp_path):
-        table = simulate_counting_run(small_config(shots=10, nu_per_mode=0.0))
-        write_event_table(table, tmp_path / "e.csv")
+        write_run(small_config(shots=10, nu_per_mode=0.0), tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_text() == "shot,vx,vy,vz\n"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            back = read_event_table(tmp_path / "e.csv")
+            back = read_events(tmp_path / "e.csv")
         assert caught == []
         assert back.n_shots == 10
         assert len(back.shot) == len(back.velocities) == 0
         assert np.array_equal(counts_per_shot(back), np.zeros(10))
 
     def test_malformed_row_names_line(self, tmp_path):
-        table = simulate_counting_run(small_config(shots=5, master_seed=3))
         csv_path = tmp_path / "ev.csv"
-        write_event_table(table, csv_path)
+        write_run(small_config(shots=5, master_seed=3), csv_path)
         lines = csv_path.read_text().splitlines()
         lines[2] = "0,not-a-number,1.0,2.0"
         csv_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=":3:"):
-            read_event_table(csv_path)
+            read_events(csv_path)
 
     @pytest.mark.parametrize("body, line", _MALFORMED_ROWS, ids=_MALFORMED_IDS)
     def test_malformed_rows_name_their_line(self, tmp_path, body, line):
@@ -808,10 +810,10 @@ class TestEventTableIO:
         csv_path.write_text("shot,vx,vy,vz\n" + "\n".join(body) + "\n")
         meta_path.write_text(json.dumps({"shots": 5, "config": {"shots": 5}, "master_seed": 0}))
         with pytest.raises(ValueError, match=re.escape(f"{csv_path}:{line}:")):
-            read_event_table(csv_path)
+            read_events(csv_path)
 
-    @pytest.mark.parametrize("reader", [read_event_table, lambda path: bin_event_csv(path, CellGrid())],
-                             ids=["read_event_table", "bin_event_csv"])
+    @pytest.mark.parametrize("reader", [read_events, lambda path: bin_event_file(path, CellGrid())],
+                             ids=["read_event_table", "bin_events"])
     @pytest.mark.parametrize("body, line", _MALFORMED_ROWS, ids=_MALFORMED_IDS)
     def test_malformed_rows_in_a_later_chunk_name_their_line(self, tmp_path, body, line, reader):
         # Seven good rows and a blank line first, so in chunks of 3 rows the
@@ -835,8 +837,8 @@ class TestEventTableIO:
         ],
         ids=["list", "no-config", "config-number", "shots-0", "config-shots-disagree"],
     )
-    @pytest.mark.parametrize("reader", [read_event_table, lambda path: bin_event_csv(path, CellGrid())],
-                             ids=["read_event_table", "bin_event_csv"])
+    @pytest.mark.parametrize("reader", [read_events, lambda path: bin_event_file(path, CellGrid())],
+                             ids=["read_event_table", "bin_events"])
     def test_bad_sidecar_names_the_sidecar(self, tmp_path, meta, key, reader):
         csv_path, meta_path = tmp_path / "ev.csv", tmp_path / "ev.meta.json"
         csv_path.write_text("shot,vx,vy,vz\n0,1.0,2.0,3.0\n")
@@ -846,9 +848,10 @@ class TestEventTableIO:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_chunked_rows_equal_one_read(self, tmp_path, chunk):
-        table = simulate_counting_run(small_config(shots=40))
+        config = small_config(shots=40)
+        table = counting_events(config)
         csv_path = tmp_path / "ev.csv"
-        write_event_table(table, csv_path)
+        write_run(config, csv_path)
         header, *rows = csv_path.read_text().splitlines(keepends=True)
         csv_path.write_text(header + "\n" + "".join(r + "\n" * (i % 3 == 0) for i, r in enumerate(rows)))
         dtype = [("shot", "i8"), ("v", "f8", 3)]
@@ -860,16 +863,16 @@ class TestEventTableIO:
         assert whole["shot"].tobytes() == table.shot.tobytes()
 
     def test_streamed_binning_of_shuffled_rows_equals_binning_the_table(self, tmp_path):
-        table = simulate_counting_run(small_config(shots=60, grid_center=(1.0, -2.0, 0.5)))
+        config = small_config(shots=60, grid_center=(1.0, -2.0, 0.5))
         csv_path = tmp_path / "ev.csv"
-        write_event_table(table, csv_path)
+        write_run(config, csv_path)
         header, *rows = csv_path.read_text().splitlines(keepends=True)
         order = np.random.default_rng(8).permutation(len(rows)).tolist()
         csv_path.write_text(header + "".join(rows[i] + "\n" * (i % 4 == 0) for i in order))
         grid = CellGrid(origin=(-2.0, -5.0, -1.0), cell_widths=(2.2, 2.2, 0.8))
-        expected = bin_events(read_event_table(csv_path), grid)
+        expected = bin_events(simulate_counting_run(config), config.shots, grid)
         with mock.patch.object(checks, "_CHUNK_ROWS", 3):
-            binned = bin_event_csv(csv_path, grid)
+            binned = bin_event_file(csv_path, grid)
         assert expected.dropped.sum() and expected.counts.sum()
         assert np.array_equal(binned.counts, expected.counts)
         assert np.array_equal(binned.dropped, expected.dropped)
@@ -878,14 +881,11 @@ class TestEventTableIO:
         rng = np.random.default_rng(11)
         beyond = []
         for shots in (2_000, 8_000):
-            table = EventTable(
-                shot=np.repeat(np.arange(shots), 20),
-                velocities=np.round(rng.normal(0.0, 8.0, size=(20 * shots, 3)), 9),
-                n_shots=shots,
-                config={"shots": shots, "master_seed": 11},
-            )
-            write_event_table(table, tmp_path / "ev.csv")
-            binned, peak = traced_peak(bin_event_csv, tmp_path / "ev.csv", CellGrid())
+            shot = np.repeat(np.arange(shots), 20)
+            velocities = np.round(rng.normal(0.0, 8.0, size=(20 * shots, 3)), 9)
+            config = SourceConfig(shots=shots, master_seed=11)
+            write_event_table([(shot, velocities)], config, tmp_path / "ev.csv")
+            binned, peak = traced_peak(bin_event_file, tmp_path / "ev.csv", CellGrid())
             assert binned.counts.sum() + binned.dropped.sum() == 20 * shots
             beyond.append(peak - binned.counts.nbytes - binned.dropped.nbytes)
         assert max(beyond) <= 2 << 20
