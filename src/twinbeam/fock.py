@@ -126,12 +126,19 @@ def hom_basis(n_max: int) -> tuple[np.ndarray, ...]:
     """
     n_max = _check_n_max(n_max)
     check_basis_size(n_max)
+    return _basis_rows(n_max, np.ones((n_max + 1, n_max + 1), dtype=bool))
+
+
+def _basis_rows(n_max: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`hom_basis` with row ``k`` of entry ``n`` built only if ``rows[n, k]``, else zero."""
     vacuum = [_binomial_pmf(np.arange(j + 1), j, 0.5) for j in range(n_max + 1)]
-    basis = tuple(np.empty((n + 1, 2 * n + 1)) for n in range(n_max + 1))
+    basis = tuple(np.zeros((n + 1, 2 * n + 1)) for n in range(n_max + 1))
+    t_max = int(np.add(*np.nonzero(rows)).max(initial=0))  # the largest n + k built
     # Block T serves every matched input |n, k> with n + k = T.
-    for total, block in enumerate(_splitter_blocks(2 * n_max, math.pi / 4.0)):
+    for total, block in enumerate(_splitter_blocks(t_max, math.pi / 4.0)):
         for n in range((total + 1) // 2, min(total, n_max) + 1):
-            basis[n][total - n] = np.convolve(block[:, n] ** 2, vacuum[2 * n - total])
+            if rows[n, total - n]:
+                basis[n][total - n] = np.convolve(block[:, n] ** 2, vacuum[2 * n - total])
     return basis
 
 
@@ -153,7 +160,8 @@ def hom_joint_pmf(
     differ, so the law is a mixture of exact blocks: the rows of
     :func:`hom_basis`, weighted by ``Bin(k; n, lam^2)`` and added in
     ascending ``k``.  A scan passes one ``basis`` to all its points; without
-    one, the call builds its own.
+    one, the call builds only the rows of nonzero weight, since a zero
+    weight adds ``+0.0``.
 
     Returns a 2-D :class:`~twinbeam.distributions.Pmf` over ``(n_a, n_b)``.
     Only the pair tail beyond ``n_max`` is lost, and its ``truncation_loss``
@@ -162,7 +170,7 @@ def hom_joint_pmf(
     """
     n_max = _thermal_support(params.nu, n_max)
     if basis is None:
-        basis = hom_basis(n_max)
+        check_basis_size(n_max)
     elif len(basis) != n_max + 1:
         raise ValueError(f"basis holds {len(basis)} pair numbers, not n_max + 1 = {n_max + 1}")
     x = params.alpha_mag**2
@@ -170,7 +178,7 @@ def hom_joint_pmf(
     # k of the second beam's n atoms fall in the matched mode.
     splits = _binomial_pmf(pairs, pairs[:, None], overlap.lam**2)
     probs = np.zeros((2 * n_max + 1, 2 * n_max + 1))
-    for n, laws in enumerate(basis):
+    for n, laws in enumerate(basis or _basis_rows(n_max, splits != 0.0)):
         n_a = np.arange(2 * n + 1)
         # A sum over the outer axis adds row after row, in ascending k.
         port_a = (splits[n, : n + 1, None] * laws).sum(axis=0)

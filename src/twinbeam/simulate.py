@@ -1,24 +1,22 @@
 """Seedable Monte Carlo generator of detected-atom events in velocity space.
 
 Shots are statistically independent repetitions of the experiment.  Every
-shot owns a private counter-based random stream (Philox, 128-bit key)
-derived from the master seed through an injective SplitMix64 mix, so
-generating shots in any order, or in parallel, reproduces the sequential
-run bit for bit.  A run derives the keys of a block of shots in one array
-pass.  A counting run then re-keys one Philox generator before each shot
-from a fresh state held as plain ints; that gives the same streams as a
-new generator per shot (:func:`shot_rng`) at a fraction of the cost.
+random stream is a counter-based Philox generator (128-bit key) whose key
+is derived from the master seed and a stream id through an injective
+SplitMix64 mix, so streams can be generated in any order, or in parallel,
+and reproduce the sequential run bit for bit.
 
-Two run types are provided: a counting run, where a grid of independent
-thermal emitter modes populates one velocity-space peak, drawn in blocks
-of shots so its event CSV is written and binned block by block, and an
-interferometer scan, where joint output-port counts are drawn from the
-exact Fock-space law of :func:`twinbeam.fock.hom_joint_pmf` and thinned by
-the detector.  A scan shot reads at most the first 4 words of its stream,
-one Philox4x64-10 block (Salmon et al., SC'11), so the scan computes
-those blocks for all its shots at once in numpy and copies numpy's
-small-mean binomial inversion onto them; the draws are the per-shot
-stream's, bit for bit.
+Two run types are provided.  A counting run, where a grid of independent
+thermal emitter modes populates one velocity-space peak, draws each block
+of ``_STREAM_SHOTS`` shots from one stream of its own, so any block can be
+generated alone, in any order, and its event CSV is written and binned
+block by block.  In an interferometer scan every shot owns its stream:
+joint output-port counts are drawn from the exact Fock-space law of
+:func:`twinbeam.fock.hom_joint_pmf` and thinned by the detector.  A scan
+shot reads at most the first 4 words of its stream, one Philox4x64-10
+block (Salmon et al., SC'11), so the scan computes those blocks for all
+its shots at once in numpy and copies numpy's small-mean binomial
+inversion onto them; the draws are the per-shot stream's, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +52,8 @@ __all__ = [
     "write_hom_events",
 ]
 
-GENERATOR_ID = f"numpy.random.Philox4x64 (numpy {np.__version__})"
+_STREAM_SHOTS = 512  # counting shots drawn from one stream
+GENERATOR_ID = f"numpy.random.Philox4x64 (numpy {np.__version__}), {_STREAM_SHOTS}-shot counting streams"
 
 # Fixed detector cells for the two interferometer output ports, mm/s.
 PORT_VELOCITIES = {"a": (0.0, 0.0, 25.0), "b": (0.0, 0.0, -25.0)}
@@ -64,18 +63,16 @@ _MASK64 = (1 << 64) - 1
 MAX_SEED = _MASK64
 DEFAULT_MASTER_SEED = 20260811
 
-# Stream domains: ids passed to derive_shot_seed for the streams that are
-# not per-shot.  Shot ids count up from 0 and stay below SHOT_ID_LIMIT,
-# the smallest of them.
+# Stream domains: the key ids of the streams that are not per-shot.  Shot
+# ids count up from 0 and stay below SHOT_ID_LIMIT, the smallest of them.
 STREAM_SUMMED_HISTOGRAM = 2**40
 STREAM_POOLED_HISTOGRAM = 2**40 + 1
 STREAM_DEGENERACY_FIT = 2**40 + 2
 STREAM_SCAN_POINT = 10**12  # plus the scan-point index
+STREAM_COUNTING_BLOCK = 2**63  # OR the block index of a counting run
 SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
 
-# Shots per block: shot keys derived per array pass, and shots a counting
-# run draws before it hands their events on.  Bounds the memory of runs.
-_CHUNK_ROWS = 1 << 9
+_UNIFORM_ROWS = 1 << 7  # counting shots whose uniforms are held at once
 # Scan shots drawn per array pass; bounds the memory of the Philox kernel.
 _SCAN_BLOCK = 1 << 16
 
@@ -190,27 +187,6 @@ def shot_rng(master_seed: int, shot_id: int) -> np.random.Generator:
     """Counter-based generator for one shot; see :data:`GENERATOR_ID`."""
     key = np.concatenate(_key_words(master_seed, shot_id & _MASK64, 1))
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _shot_streams(master_seed: int, first: int, count: int):
-    """Yield a generator per shot ``first .. first + count - 1``, as :func:`shot_rng` would.
-
-    It is the same generator each time, re-keyed: the loop writes each
-    shot's key words into the state of a new Philox, held as plain ints,
-    and writes that back, so the counter, the output buffer and the
-    buffered half-word start from zero for every shot.
-    """
-    bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    rng = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
-    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
-    fresh["buffer"] = fresh["buffer"].tolist()
-    key = fresh["state"]["key"]
-    for block in range(first, first + count, _CHUNK_ROWS):
-        lo, hi = _key_words(master_seed, block, min(_CHUNK_ROWS, first + count - block))
-        for key[0], key[1] in zip(lo.tolist(), hi.tolist()):
-            bit_generator.state = fresh
-            yield rng
 
 
 def check_seed(obj) -> None:
@@ -333,42 +309,51 @@ def _mode_grid(config: SourceConfig) -> tuple[np.ndarray, np.ndarray]:
     return centers, nus
 
 
+def _counting_block(config: SourceConfig, block: int, per_shot: np.ndarray):
+    """Draw block ``block`` of :func:`simulate_counting_run` alone; ``per_shot`` takes its totals."""
+    centers, nus = _mode_grid(config)
+    # Count floor(log1p(-u) / log q), q = mu / (1 + mu); log q = -log1p(1/mu)
+    # stays accurate at large mu, and mu = 0 gives -inf, hence a count of 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        log_q = -np.log1p(1.0 / (config.eta * nus))
+    key = np.concatenate(_key_words(config.master_seed, STREAM_COUNTING_BLOCK | block, 1))
+    rng = np.random.Generator(np.random.Philox(key=key))
+    shots = np.arange(block * _STREAM_SHOTS, min((block + 1) * _STREAM_SHOTS, config.shots))
+    uniforms = np.empty((_UNIFORM_ROWS, len(nus)))
+    modes = np.tile(np.arange(len(nus)), _UNIFORM_ROWS)
+    atoms = []  # the mode of each atom
+    for lo in range(0, len(shots), _UNIFORM_ROWS):
+        u = rng.random(out=uniforms[: len(shots) - lo])
+        np.log1p(np.negative(u, out=u), out=u)
+        counts = np.divide(u, log_q, out=u).astype(np.int64)  # cast floors
+        per_shot[shots[lo : lo + _UNIFORM_ROWS]] = counts.sum(axis=1)
+        atoms.append(modes[: counts.size].repeat(counts.ravel()))
+    del uniforms, u, counts, modes  # before the atoms' velocities are drawn: a flat peak
+    atoms = np.concatenate(atoms)
+    velocities = rng.standard_normal((len(atoms), 3))
+    velocities *= config.mode_widths
+    velocities += centers[atoms]
+    return shots.repeat(per_shot[shots]), np.round(velocities, 9, out=velocities)
+
+
 def simulate_counting_run(config: SourceConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Generate one counting run: yield the ``(shot, velocities)`` columns of each block of shots.
 
     Binomial thinning keeps a thermal count thermal, so per shot each mode's
     detected count is drawn by inversion from the thermal law of mean
     ``mu = eta * nu_mode``, and each detected atom lands at the mode centre
-    plus Gaussian scatter.  Draw order within a shot is fixed (one uniform
-    per mode, then the scatter), which pins the byte-level output for a
-    given seed.  Velocities are rounded to the event CSV's 1e-9 mm/s lattice.
-    A block holds ``_CHUNK_ROWS`` shots, its rows sorted by shot, each
+    plus Gaussian scatter.  Block ``b``, ``_STREAM_SHOTS`` shots or the
+    rest, draws from one stream keyed by ``STREAM_COUNTING_BLOCK | b``, so
+    it can be generated alone.  Its draw order pins the bytes: one uniform
+    per mode, a row per shot, then one standard normal per axis for every
+    atom, in shot and mode order.  Velocities are rounded to the event
+    CSV's 1e-9 mm/s lattice.  A block's rows are sorted by shot, each
     shot's rows in draw order; empty shots hold no rows.
     """
-    centers, nus = _mode_grid(config)
-    # Count floor(log1p(-u) / log q), q = mu / (1 + mu); log q = -log1p(1/mu)
-    # stays accurate at large mu, and mu = 0 gives -inf, hence a count of 0.
-    with np.errstate(divide="ignore", over="ignore"):
-        log_q = -np.log1p(1.0 / (config.eta * nus))
-    widths = np.asarray(config.mode_widths)
     # Allocated before any draw, so a run too large for memory fails at once.
     per_shot = np.zeros(config.shots, dtype=np.int64)
-    streams = _shot_streams(config.master_seed, 0, config.shots)
-    for first in range(0, config.shots, _CHUNK_ROWS):
-        block = range(first, min(first + _CHUNK_ROWS, config.shots))
-        # Velocities stream into one buffer, so no per-shot array outlives its shot.
-        detected = bytearray()
-        for shot, rng in zip(block, streams):
-            counts = (np.log1p(-rng.random(len(log_q))) / log_q).astype(np.int64)  # cast floors
-            total = int(counts.sum())
-            if total:
-                positions = centers.repeat(counts, axis=0)
-                positions += rng.standard_normal((total, 3)) * widths
-                detected += positions.tobytes()
-                per_shot[shot] = total
-        velocities = np.frombuffer(detected).reshape(-1, 3)
-        shot = np.repeat(np.arange(block.start, block.stop), per_shot[block.start : block.stop])
-        yield shot, np.round(velocities, 9, out=velocities)  # in place: no copy
+    for block in range(-(-config.shots // _STREAM_SHOTS)):
+        yield _counting_block(config, block, per_shot)
 
 
 def overlap_amplitude(config: HomScanConfig, t2: float) -> float:
@@ -466,18 +451,18 @@ def correlation_scan(
 
 
 # Event velocities stay below this magnitude (mm/s), so the whole part of
-# one prints in at most 7 digits and a velocity in the 19 characters of
-# ",-ddddddd.ddddddddd".
+# one prints in at most 7 digits.
 _V_LIMIT = 2.0**20
-_V_COLUMNS = 19
-_WRITE_ROWS = 1 << 11  # rows formatted per compaction
+_WRITE_ROWS = 1 << 11  # rows formatted per pass
 
 
 def _digits(values: np.ndarray, count: int) -> np.ndarray:
     """ASCII digits of the non-negative ints ``values``: ``count`` rows, the most significant first."""
     out = np.empty((count, *values.shape), dtype=np.uint8)
     for place in range(count - 1, -1, -1):
-        values, out[place] = np.divmod(values, 10)
+        quotient = values // 10  # numpy vectorises this, and not divmod
+        np.subtract(values, quotient * 10, out=out[place], casting="unsafe")
+        values = quotient
     return out + ord("0")
 
 
@@ -486,30 +471,36 @@ def _format_rows(shot: np.ndarray, velocities: np.ndarray, tails: np.ndarray,
     """The bytes of ``"%d,%.9f,%.9f,%.9f" % row`` plus the tail of each row.
 
     Each velocity prints as ``k = rint(v * 1e9)`` in fixed point, the digits
-    of ``|k|`` going by ``divmod`` into a ``uint8`` matrix with one row per
-    character column; one boolean compaction then drops leading zeros,
-    the sign of non-negative values and the padding of shorter tails.  On
-    the 1e-9 lattice below ``_V_LIMIT``, ``v * 1e9`` lies within 0.25 of
-    the integer ``k``, so this is what ``%.9f`` prints, ``-0.0`` included.
+    of ``|k|`` going by integer division into a ``uint8`` matrix, one row per
+    character column.  Leading zeros, the sign of non-negative values and
+    the padding of shorter tails become NUL, which no row holds, and one pass
+    deletes them.  The whole part gets the columns its block's largest value
+    needs; its digits and the fraction's are taken in ``uint32``.  On the
+    1e-9 lattice below ``_V_LIMIT``, ``v * 1e9`` lies within 0.25 of the
+    integer ``k``, so this is what ``%.9f`` prints, ``-0.0`` included.
     """
     n = len(shot)
+    fixed = np.rint(velocities.T * 1e9).astype(np.int64)
+    whole, frac = (part.astype(np.uint32) for part in np.divmod(np.abs(fixed), 10**9))
     shot_columns = len(str(int(shot.max(initial=0))))
-    chars = np.empty((shot_columns + 3 * _V_COLUMNS + len(tails), n), dtype=np.uint8)
+    whole_columns = len(str(int(whole.max(initial=0))))
+    v_columns = whole_columns + 12  # ",-", the whole part, "." and 9 digits
+    chars = np.empty((shot_columns + 3 * v_columns + len(tails), n), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
     chars[:shot_columns] = _digits(shot, shot_columns)
     keep[: shot_columns - 1] = shot >= 10 ** np.arange(shot_columns - 1, 0, -1)[:, None]
-    fixed = np.rint(velocities.T * 1e9).astype(np.int64)
-    whole, frac = np.divmod(np.abs(fixed), 10**9)
-    v_chars = chars[shot_columns : shot_columns + 3 * _V_COLUMNS].reshape(3, _V_COLUMNS, n)
-    v_keep = keep[shot_columns : shot_columns + 3 * _V_COLUMNS].reshape(3, _V_COLUMNS, n)
-    v_chars[:, 0], v_chars[:, 1], v_chars[:, 9] = ord(","), ord("-"), ord(".")
+    v_chars = chars[shot_columns : shot_columns + 3 * v_columns].reshape(3, v_columns, n)
+    v_keep = keep[shot_columns : shot_columns + 3 * v_columns].reshape(3, v_columns, n)
+    point = 2 + whole_columns
+    v_chars[:, 0], v_chars[:, 1], v_chars[:, point] = ord(","), ord("-"), ord(".")
     v_keep[:, 1] = np.signbit(velocities.T)
-    v_chars[:, 2:9] = _digits(whole, 7).transpose(1, 0, 2)
-    v_keep[:, 2:8] = whole[:, None] >= 10 ** np.arange(6, 0, -1)[:, None]
-    v_chars[:, 10:] = _digits(frac, 9).transpose(1, 0, 2)
+    v_chars[:, 2:point] = _digits(whole, whole_columns).transpose(1, 0, 2)
+    places = 10 ** np.arange(whole_columns - 1, 0, -1)[:, None]
+    v_keep[:, 2 : point - 1] = whole[:, None] >= places
+    v_chars[:, point + 1 :] = _digits(frac, 9).transpose(1, 0, 2)
     chars[-len(tails) :] = tails[:, tail_of]
     keep[-len(tails) :] = tail_keep[:, tail_of]
-    return chars.T[keep.T].tobytes()
+    return (chars * keep).T.tobytes().translate(None, b"\0")
 
 
 def _write_rows(fh, shot: np.ndarray, velocities, tails=("\n",), tail_of=0) -> None:

@@ -140,6 +140,19 @@ def test_every_cell_mean_within_z_max_of_its_exact_expectation(source):
     assert np.abs(z).max() <= Z_MAX, z
 
 
+@pytest.mark.parametrize("source", [MATCHED_SOURCE, SourceConfig()], ids=["matched", "shipped"])
+def test_degeneracy_within_z_max_of_its_exact_target(source):
+    # The pooled counts of the kept cells, fitted at their own mean, give an
+    # M within Z_MAX standard errors of the population target M*.
+    grid = CellGrid()
+    binned = bin_events(simulate_counting_run(source), source.shots, grid)
+    kept = filter_cells(cell_means(cell_histograms(binned)), min_mean=0.135)
+    pooled = pooled_counts_histogram(binned.counts[:, kept])
+    fit = fit_degeneracy(pooled, fixed_mean=cell_means(pooled))
+    target = target_degeneracy(source, grid, kept)
+    assert abs(fit.degeneracy - target) <= Z_MAX * fit.std_err, (fit.degeneracy, target, fit.std_err)
+
+
 def test_summed_histogram_is_thermal(matched_chain):
     hists, means, kept, _ = matched_chain
     summed = sum_histograms(hists[kept])

@@ -27,6 +27,7 @@ from twinbeam.simulate import (
     MAX_SEED,
     PORT_VELOCITIES,
     SHOT_ID_LIMIT,
+    STREAM_COUNTING_BLOCK,
     STREAM_DEGENERACY_FIT,
     STREAM_POOLED_HISTOGRAM,
     STREAM_SCAN_POINT,
@@ -42,7 +43,7 @@ from twinbeam.simulate import (
     write_event_table,
     write_hom_events,
 )
-from twinbeam.simulate import _CHUNK_ROWS, _key_words, _shot_streams
+from twinbeam.simulate import _STREAM_SHOTS, _key_words
 
 
 class TestShotSeeds:
@@ -62,43 +63,7 @@ class TestShotSeeds:
         assert not np.allclose(a, b)
 
 
-def _mixed_draws(rng) -> list:
-    """Draws of every kind the simulators make, plus 64-bit integers."""
-    return [
-        rng.geometric([0.2, 0.5, 0.9]),
-        rng.normal(0.0, [1.0, 2.0, 3.0], size=(3, 3)),
-        rng.random(5),
-        rng.binomial([0, 3, 40], 0.25),
-        rng.integers(0, 2**40, size=3),
-    ]
-
-
-class TestReusedShotStream:
-    @given(
-        st.integers(min_value=0, max_value=MAX_SEED),
-        st.integers(min_value=0, max_value=SHOT_ID_LIMIT - 1),
-        st.integers(min_value=1, max_value=6),
-    )
-    @example(0, 0, 3)
-    @example(MAX_SEED, SHOT_ID_LIMIT - 1, 1)
-    @example(MAX_SEED, SHOT_ID_LIMIT - _CHUNK_ROWS - 1, _CHUNK_ROWS + 1)  # two key blocks
-    def test_matches_shot_rng(self, master, first, count):
-        count = min(count, SHOT_ID_LIMIT - first)
-        offset = -1
-        for offset, rng in enumerate(_shot_streams(master, first, count)):
-            if 2 < offset < count - 3:
-                continue  # a long run is compared at both ends, where its key blocks meet
-            want = shot_rng(master, first + offset)
-            for got, expected in zip(_mixed_draws(rng), _mixed_draws(want)):
-                assert np.array_equal(got, expected)
-            # One 32-bit draw leaves half of a 64-bit word buffered, on top
-            # of an advanced counter and buffer: the next shot must reset all.
-            rng.integers(-(2**31), 2**31, dtype=np.int32)
-            state = rng.bit_generator.state
-            assert state["has_uint32"] == 1
-            assert state["state"]["counter"].any()
-        assert offset == count - 1
-
+class TestStreamKeys:
     def test_stream_domain_seeds_unchanged(self):
         # The bootstrap and fit seeds of every run come from these streams.
         master = SourceConfig.master_seed
@@ -195,8 +160,15 @@ def _admitted(make) -> bool:
     return True
 
 
+def _counting_block_ids(shots: int) -> range:
+    """The stream ids ``STREAM_COUNTING_BLOCK | block`` of the blocks of a counting run."""
+    last = (shots - 1) // _STREAM_SHOTS
+    assert STREAM_COUNTING_BLOCK | last == STREAM_COUNTING_BLOCK + last  # consecutive ids
+    return range(STREAM_COUNTING_BLOCK, STREAM_COUNTING_BLOCK + last + 1)
+
+
 def _meets_stream_domain(shot_ids: range, points: int) -> bool:
-    """Whether a shot id equals a histogram-stream id or a scan-point id."""
+    """Whether an id in ``shot_ids`` equals a histogram-stream id or a scan-point id."""
     fixed = (STREAM_SUMMED_HISTOGRAM, STREAM_POOLED_HISTOGRAM, STREAM_DEGENERACY_FIT)
     scan = range(STREAM_SCAN_POINT, STREAM_SCAN_POINT + points)
     return any(d in shot_ids for d in fixed) or max(shot_ids.start, scan.start) < min(
@@ -213,7 +185,10 @@ class TestShotIdsMissStreamDomains:
         admitted = _admitted(lambda: SourceConfig(shots=shots))
         assert admitted == (shots <= SHOT_ID_LIMIT)
         if admitted:
+            blocks = _counting_block_ids(shots)
             assert not _meets_stream_domain(range(shots), points=2**20)
+            assert not _meets_stream_domain(blocks, points=2**20)
+            assert blocks.start >= SHOT_ID_LIMIT  # above every shot id of either run type
 
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2**64))
     @example(13, SHOT_ID_LIMIT // 13)
@@ -252,6 +227,18 @@ def write_run(config, csv_path):
 def counts_per_shot(table):
     """Detected atoms in each shot of an event table."""
     return np.bincount(table.shot, minlength=table.n_shots)
+
+
+def assert_same_rows(got, want):
+    """Assert ``(shot, velocities)`` columns equal bit for bit, naming the first differing row.
+
+    Comparing whole columns at once would let a failure build a diff of every row.
+    """
+    (shot, velocities), (want_shot, want_velocities) = got, want
+    assert (shot.shape, velocities.shape) == (want_shot.shape, want_velocities.shape)
+    same = (shot == want_shot) & (velocities.view(np.uint64) == want_velocities.view(np.uint64)).all(1)
+    bad = int(np.argmin(same))
+    assert same.all(), f"row {bad}: {shot[bad]}, {velocities[bad]} != {want_shot[bad]}, {want_velocities[bad]}"
 
 
 class TestCountingRun:
@@ -360,58 +347,54 @@ class TestCountingRun:
         _, p, _, _ = sps.chi2_contingency(table)
         assert p > 0.01
 
-    def test_parallel_order_equals_sequential(self):
-        # Shots own their streams, so generating in any order matches.
-        config = small_config(shots=50)
-        table = counting_events(config)
-        from twinbeam.simulate import _mode_grid
-
-        centers, nus = _mode_grid(config)
-        log_q = -np.log1p(1.0 / (config.eta * nus))
-        widths = np.asarray(config.mode_widths)
-        for shot_id in reversed(range(50)):
-            rng = shot_rng(config.master_seed, shot_id)
-            counts = np.floor(np.log1p(-rng.random(len(nus))) / log_q).astype(int)
-            total = int(counts.sum())
-            events = np.repeat(centers, counts, axis=0)
-            events = events + rng.standard_normal((total, 3)) * widths
-            events = np.round(events, 9)
-            assert np.array_equal(events, table.velocities[table.shot == shot_id])
+    def test_a_block_generated_alone_equals_that_block_of_the_run(self):
+        # Each block owns its stream, so blocks can be generated in any order.
+        config = small_config(shots=3 * _STREAM_SHOTS - 5)
+        blocks = list(simulate_counting_run(config))
+        assert len(blocks) == 3
+        for block in (2, 1):
+            shot, velocities = simulate._counting_block(
+                config, block, np.zeros(config.shots, dtype=np.int64)
+            )
+            assert_same_rows((shot, velocities), blocks[block])
 
 
-def per_shot_counting_run(config):
-    """Reference counting run: ``(shot, velocities)`` from a fresh ``shot_rng`` per shot.
+def per_block_counting_run(config):
+    """Reference counting run: ``(shot, velocities)`` from a fresh Philox per block of shots.
 
-    Each shot draws ``random(n_modes)``, then ``standard_normal((total, 3))``
-    if it detected any atom; velocities are rounded to 9 decimals.
+    Block ``b`` holds up to ``_STREAM_SHOTS`` shots and is keyed by stream
+    id ``STREAM_COUNTING_BLOCK | b``.  It draws ``random((shots, n_modes))``,
+    one row per shot, then ``standard_normal((total, 3))`` for all its atoms
+    in shot and mode order; velocities are rounded to 9 decimals.
     """
     centers, nus = simulate._mode_grid(config)
     log_q = -np.log1p(1.0 / (config.eta * nus))
     widths = np.asarray(config.mode_widths)
     shots, velocities = [], [np.empty((0, 3))]
-    for shot in range(config.shots):
-        rng = shot_rng(config.master_seed, shot)
-        counts = np.floor(np.log1p(-rng.random(len(nus))) / log_q).astype(int)
+    for block, first in enumerate(range(0, config.shots, _STREAM_SHOTS)):
+        key = np.concatenate(_key_words(config.master_seed, STREAM_COUNTING_BLOCK | block, 1))
+        rng = np.random.Generator(np.random.Philox(key=key))
+        block_shots = range(first, min(first + _STREAM_SHOTS, config.shots))
+        counts = np.floor(np.log1p(-rng.random((len(block_shots), len(nus)))) / log_q).astype(int)
         total = int(counts.sum())
-        if total:
-            events = np.repeat(centers, counts, axis=0) + rng.standard_normal((total, 3)) * widths
-            velocities.append(np.round(events, 9))
-            shots += [shot] * total
+        events = np.repeat(np.tile(centers, (len(block_shots), 1)), counts.ravel(), axis=0)
+        events = events + rng.standard_normal((total, 3)) * widths
+        velocities.append(np.round(events, 9))
+        shots += np.repeat(block_shots, counts.sum(axis=1)).tolist()
     return np.array(shots, dtype=np.int64), np.concatenate(velocities)
 
 
-class TestCountingRunAgainstPerShotReference:
-    # 2,049 shots span five blocks of _CHUNK_ROWS shots, the last holding one shot.
+class TestCountingRunAgainstPerBlockReference:
+    # 2,049 shots span five blocks of _STREAM_SHOTS shots, the last holding one shot.
     config = small_config(shots=2049, master_seed=29)
 
     def test_table_is_bit_identical(self):
-        shot, velocities = per_shot_counting_run(self.config)
+        shot, velocities = per_block_counting_run(self.config)
         table = counting_events(self.config)
-        assert table.shot.tobytes() == shot.tobytes()
-        assert table.velocities.tobytes() == velocities.tobytes()
+        assert_same_rows((table.shot, table.velocities), (shot, velocities))
 
     def test_streamed_rows_are_the_reference_rows(self, tmp_path):
-        shot, velocities = per_shot_counting_run(self.config)
+        shot, velocities = per_block_counting_run(self.config)
         doc = {"master_seed": self.config.master_seed, "source": {
             k: v for k, v in simulate._config_dict(self.config).items() if k != "master_seed"
         }}
@@ -420,8 +403,14 @@ class TestCountingRunAgainstPerShotReference:
             "simulate-source", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path)
         ])
         assert result.exit_code == 0, result.output
-        expected = "".join("%d,%.9f,%.9f,%.9f\n" % (s, *v) for s, v in zip(shot.tolist(), velocities))
-        assert (tmp_path / "events.csv").read_text() == "shot,vx,vy,vz\n" + expected
+        expected = ["shot,vx,vy,vz\n"] + [
+            "%d,%.9f,%.9f,%.9f\n" % (s, *v) for s, v in zip(shot.tolist(), velocities)
+        ]
+        # Compared line by line, so a failure names its first differing line at once.
+        lines = (tmp_path / "events.csv").read_text().splitlines(keepends=True)
+        bad = next((i for i, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+        assert bad is None, f"line {bad + 1}: {lines[bad]!r} != {expected[bad]!r}"
+        assert len(lines) == len(expected)
 
 
 def small_hom_config(**overrides):
