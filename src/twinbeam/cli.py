@@ -45,7 +45,6 @@ from .fitting import (
 from .simulate import (
     GENERATOR_ID,
     MAX_SEED,
-    STREAM_DEGENERACY_FIT,
     STREAM_POOLED_HISTOGRAM,
     STREAM_SUMMED_HISTOGRAM,
     correlation_scan,
@@ -231,12 +230,7 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
         seed=derive_shot_seed(master, STREAM_POOLED_HISTOGRAM),
     )
     try:
-        fit = fit_degeneracy(
-            pooled,
-            fixed_mean=pooled_mean,
-            bootstrap_resamples=min(200, resamples),
-            seed=derive_shot_seed(master, STREAM_DEGENERACY_FIT) % 2**63,
-        )
+        fit = fit_degeneracy(pooled, fixed_mean=pooled_mean)
     except FitFailureError as exc:
         _fail(EXIT_FIT_FAILURE, f"degeneracy fit failed: {exc}")
     _histogram_csv(

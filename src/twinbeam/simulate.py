@@ -67,7 +67,6 @@ DEFAULT_MASTER_SEED = 20260811
 # ids count up from 0 and stay below SHOT_ID_LIMIT, the smallest of them.
 STREAM_SUMMED_HISTOGRAM = 2**40
 STREAM_POOLED_HISTOGRAM = 2**40 + 1
-STREAM_DEGENERACY_FIT = 2**40 + 2
 STREAM_SCAN_POINT = 10**12  # plus the scan-point index
 STREAM_COUNTING_BLOCK = 2**63  # OR the block index of a counting run
 SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
@@ -466,18 +465,17 @@ def _digits(values: np.ndarray, count: int) -> np.ndarray:
     return out + ord("0")
 
 
-def _format_rows(shot: np.ndarray, velocities: np.ndarray, tails: np.ndarray,
-                 tail_keep: np.ndarray, tail_of) -> bytes:
-    """The bytes of ``"%d,%.9f,%.9f,%.9f" % row`` plus the tail of each row.
+def _format_rows(shot: np.ndarray, velocities: np.ndarray) -> bytes:
+    """The bytes of ``"%d,%.9f,%.9f,%.9f\\n" % row`` for each row.
 
     Each velocity prints as ``k = rint(v * 1e9)`` in fixed point, the digits
     of ``|k|`` going by integer division into a ``uint8`` matrix, one row per
-    character column.  Leading zeros, the sign of non-negative values and
-    the padding of shorter tails become NUL, which no row holds, and one pass
-    deletes them.  The whole part gets the columns its block's largest value
-    needs; its digits and the fraction's are taken in ``uint32``.  On the
-    1e-9 lattice below ``_V_LIMIT``, ``v * 1e9`` lies within 0.25 of the
-    integer ``k``, so this is what ``%.9f`` prints, ``-0.0`` included.
+    character column.  Leading zeros and the sign of non-negative values
+    become NUL, which no row holds, and one pass deletes them.  The whole
+    part gets the columns its block's largest value needs; its digits and
+    the fraction's are taken in ``uint32``.  On the 1e-9 lattice below
+    ``_V_LIMIT``, ``v * 1e9`` lies within 0.25 of the integer ``k``, so
+    this is what ``%.9f`` prints, ``-0.0`` included.
     """
     n = len(shot)
     fixed = np.rint(velocities.T * 1e9).astype(np.int64)
@@ -485,7 +483,7 @@ def _format_rows(shot: np.ndarray, velocities: np.ndarray, tails: np.ndarray,
     shot_columns = len(str(int(shot.max(initial=0))))
     whole_columns = len(str(int(whole.max(initial=0))))
     v_columns = whole_columns + 12  # ",-", the whole part, "." and 9 digits
-    chars = np.empty((shot_columns + 3 * v_columns + len(tails), n), dtype=np.uint8)
+    chars = np.empty((shot_columns + 3 * v_columns + 1, n), dtype=np.uint8)
     keep = np.ones(chars.shape, dtype=bool)
     chars[:shot_columns] = _digits(shot, shot_columns)
     keep[: shot_columns - 1] = shot >= 10 ** np.arange(shot_columns - 1, 0, -1)[:, None]
@@ -498,18 +496,16 @@ def _format_rows(shot: np.ndarray, velocities: np.ndarray, tails: np.ndarray,
     places = 10 ** np.arange(whole_columns - 1, 0, -1)[:, None]
     v_keep[:, 2 : point - 1] = whole[:, None] >= places
     v_chars[:, point + 1 :] = _digits(frac, 9).transpose(1, 0, 2)
-    chars[-len(tails) :] = tails[:, tail_of]
-    keep[-len(tails) :] = tail_keep[:, tail_of]
+    chars[-1] = ord("\n")
     return (chars * keep).T.tobytes().translate(None, b"\0")
 
 
-def _write_rows(fh, shot: np.ndarray, velocities, tails=("\n",), tail_of=0) -> None:
-    """Write ``shot,vx,vy,vz`` rows to the binary ``fh``, each ending in ``tails[tail_of[i]]``.
+def _write_rows(fh, shot: np.ndarray, velocities) -> None:
+    """Write ``shot,vx,vy,vz`` rows to the binary ``fh``.
 
     Velocities print at 1e-9 mm/s, as ``%.9f`` prints the 1e-9 lattice.
-    ``tail_of`` is one index per row, or one for all.  Raises
-    ``ValueError``, writing no row, unless every velocity is finite and
-    below ``_V_LIMIT`` in magnitude.
+    Raises ``ValueError``, writing no row, unless every velocity is finite
+    and below ``_V_LIMIT`` in magnitude.
     """
     velocities = np.asarray(velocities, dtype=float)
     outside = ~(np.abs(velocities) < _V_LIMIT).all(axis=1)  # NaN compares False
@@ -519,16 +515,9 @@ def _write_rows(fh, shot: np.ndarray, velocities, tails=("\n",), tail_of=0) -> N
             f"an event of shot {shot[row]} has velocity {velocities[row].tolist()}: "
             "the event format holds finite velocities below 2**20 mm/s in magnitude"
         )
-    encoded = [tail.encode() for tail in tails]
-    width = max(map(len, encoded))
-    tail_chars = np.zeros((width, len(encoded)), dtype=np.uint8)
-    for i, tail in enumerate(encoded):
-        tail_chars[: len(tail), i] = np.frombuffer(tail, dtype=np.uint8)
-    tail_keep = np.arange(width)[:, None] < [len(tail) for tail in encoded]
-    tail_of = np.broadcast_to(tail_of, len(shot))
     for lo in range(0, len(shot), _WRITE_ROWS):
         rows = slice(lo, lo + _WRITE_ROWS)
-        fh.write(_format_rows(shot[rows], velocities[rows], tail_chars, tail_keep, tail_of[rows]))
+        fh.write(_format_rows(shot[rows], velocities[rows]))
 
 
 def _meta_path(csv_path) -> Path:
@@ -612,22 +601,15 @@ def write_hom_events(run: HomRun, csv_path) -> tuple[Path, Path]:
     by splitter time, then port, then shot.  Returns both paths.
     """
     csv_path, meta_path = Path(csv_path), _meta_path(csv_path)
-    groups = [
-        (port, t2, counts)
-        for t2, row_a, row_b in zip(run.config.t2_values, run.counts_a, run.counts_b)
-        for port, counts in (("a", row_a), ("b", row_b))
-    ]
-    # One writer call for the scan: each row takes its group's tail and port velocity.
-    group = np.repeat(np.arange(len(groups)), [int(counts.sum()) for *_, counts in groups])
     with open(csv_path, "wb") as fh:
         fh.write(b"shot,vx,vy,vz,port,t2_us\n")
-        _write_rows(
-            fh,
-            np.concatenate([np.repeat(np.arange(len(counts)), counts) for *_, counts in groups]),
-            np.array([PORT_VELOCITIES[port] for port, *_ in groups])[group],
-            [f",{port},{float(t2)!r}\n" for port, t2, _ in groups],
-            group,
-        )
+        for t2, row_a, row_b in zip(run.config.t2_values, run.counts_a, run.counts_b):
+            for port, counts in (("a", row_a), ("b", row_b)):
+                # Every row of a group ends in the same text after its shot id.
+                velocity = ",".join(f"{v:.9f}" for v in PORT_VELOCITIES[port])
+                tail = f",{velocity},{port},{float(t2)!r}\n"
+                shots = np.repeat(np.arange(len(counts)), counts).tolist()
+                fh.write("".join(f"{shot}{tail}" for shot in shots).encode())
     config = _config_dict(run.config)
     write_json(
         meta_path,

@@ -282,13 +282,11 @@ class TestAnalyzeCounts:
         assert pooled[0] == "n,occurrences,probability,err,thermal,poisson,multimode"
         fit = json.loads((out / "degeneracy_fit.json").read_text())
         assert sorted(fit) == [
-            "at_bound", "average_cell_mean", "bootstrap_failed", "bootstrap_std_err",
-            "degeneracy", "events_dropped", "fixed_mean", "input_digest", "kept_cells",
-            "log_likelihood", "pooled_mean", "std_err",
+            "at_bound", "average_cell_mean", "degeneracy", "events_dropped", "fixed_mean",
+            "input_digest", "kept_cells", "log_likelihood", "pooled_mean", "std_err",
         ]
         assert fit["degeneracy"] > 0
         assert fit["std_err"] > 0
-        assert fit["bootstrap_std_err"] is not None
         cells = (out / "cell_stats.csv").read_text().splitlines()
         assert cells[0] == "ix,iy,iz,mean,kept"
         assert len(cells) == 46

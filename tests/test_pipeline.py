@@ -6,6 +6,8 @@ thermal law, and a pooled histogram that a thermal fit cannot describe
 but the M-mode law can.
 """
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -40,6 +42,10 @@ MATCHED_SOURCE = SourceConfig(
 )
 # Bound, in standard errors, of an estimate about its exact target (bench/checks.Z_MAX).
 Z_MAX = 5.0
+# Seeds of the coverage test, and the central 99 % range of Bin(300, 0.95):
+# the counts of fits that a 95 % error bar covers.
+COVERAGE_SEEDS = range(1, 301)
+COVERAGE_RANGE = (275, 294)
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +57,12 @@ def matched_chain():
     return hists, means, kept, binned
 
 
+@functools.cache
 def mode_cell_masses(source, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Each mode's true mean ``nu_m``, and ``f[m, c]``, its Gaussian mass in cell ``c``."""
+    """Each mode's true mean ``nu_m``, and ``f[m, c]``, its Gaussian mass in cell ``c``.
+
+    Cached, so callers must not write to the arrays.
+    """
     axes, masses = [], []
     for n, s, c, w, lower, width, cells in zip(
         source.modes_per_axis, source.mode_spacing, source.grid_center, source.mode_widths,
@@ -151,6 +161,26 @@ def test_degeneracy_within_z_max_of_its_exact_target(source):
     fit = fit_degeneracy(pooled, fixed_mean=cell_means(pooled))
     target = target_degeneracy(source, grid, kept)
     assert abs(fit.degeneracy - target) <= Z_MAX * fit.std_err, (fit.degeneracy, target, fit.std_err)
+
+
+@pytest.mark.parametrize("source", [MATCHED_SOURCE, SourceConfig()], ids=["matched", "shipped"])
+def test_degeneracy_std_err_covers_its_exact_target(source):
+    # Each seed's pooled counts, fitted at their own mean, against the M* of
+    # that seed's own kept cells at +-1.96 std_err.  A fit at a bound counts
+    # as not covered, and no seed is left out.
+    grid = CellGrid()
+    targets = {}
+    covered = 0
+    for seed in COVERAGE_SEEDS:
+        run = dataclasses.replace(source, master_seed=seed, shots=1876)
+        binned = bin_events(simulate_counting_run(run), run.shots, grid)
+        kept = filter_cells(cell_means(cell_histograms(binned)), min_mean=0.135)
+        pooled = pooled_counts_histogram(binned.counts[:, kept])
+        fit = fit_degeneracy(pooled, fixed_mean=cell_means(pooled))
+        if (key := kept.tobytes()) not in targets:
+            targets[key] = target_degeneracy(source, grid, kept)
+        covered += not fit.at_bound and abs(fit.degeneracy - targets[key]) <= 1.96 * fit.std_err
+    assert COVERAGE_RANGE[0] <= covered <= COVERAGE_RANGE[1], covered
 
 
 def test_summed_histogram_is_thermal(matched_chain):

@@ -28,7 +28,6 @@ from twinbeam.simulate import (
     PORT_VELOCITIES,
     SHOT_ID_LIMIT,
     STREAM_COUNTING_BLOCK,
-    STREAM_DEGENERACY_FIT,
     STREAM_POOLED_HISTOGRAM,
     STREAM_SCAN_POINT,
     STREAM_SUMMED_HISTOGRAM,
@@ -65,16 +64,13 @@ class TestShotSeeds:
 
 class TestStreamKeys:
     def test_stream_domain_seeds_unchanged(self):
-        # The bootstrap and fit seeds of every run come from these streams.
+        # The bootstrap seeds of every run come from these streams.
         master = SourceConfig.master_seed
         assert derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM) == (
             0x135F0D07D5D07AD376D88C32F843F7FF
         )
         assert derive_shot_seed(master, STREAM_POOLED_HISTOGRAM) == (
             0xF90C295F3502DA2E09F69132A1AF8E9E
-        )
-        assert derive_shot_seed(master, STREAM_DEGENERACY_FIT) == (
-            0xE79EEE155EE590AEA95121E9C90A1DE5
         )
         assert derive_shot_seed(master, STREAM_SCAN_POINT) == 0x9886A1A6F43556466C0A8AF6D34ED19E
         assert derive_shot_seed(master, STREAM_SCAN_POINT + 12) == (
@@ -169,7 +165,7 @@ def _counting_block_ids(shots: int) -> range:
 
 def _meets_stream_domain(shot_ids: range, points: int) -> bool:
     """Whether an id in ``shot_ids`` equals a histogram-stream id or a scan-point id."""
-    fixed = (STREAM_SUMMED_HISTOGRAM, STREAM_POOLED_HISTOGRAM, STREAM_DEGENERACY_FIT)
+    fixed = (STREAM_SUMMED_HISTOGRAM, STREAM_POOLED_HISTOGRAM)
     scan = range(STREAM_SCAN_POINT, STREAM_SCAN_POINT + points)
     return any(d in shot_ids for d in fixed) or max(shot_ids.start, scan.start) < min(
         shot_ids.stop, scan.stop
@@ -239,6 +235,16 @@ def assert_same_rows(got, want):
     same = (shot == want_shot) & (velocities.view(np.uint64) == want_velocities.view(np.uint64)).all(1)
     bad = int(np.argmin(same))
     assert same.all(), f"row {bad}: {shot[bad]}, {velocities[bad]} != {want_shot[bad]}, {want_velocities[bad]}"
+
+
+def assert_same_lines(lines, expected):
+    """Assert two lists of lines are equal, naming the first differing line.
+
+    One ``==`` on whole files would let a failure build a diff of every line.
+    """
+    bad = next((i for i, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+    assert bad is None, f"line {bad + 1}: {lines[bad]!r} != {expected[bad]!r}"
+    assert len(lines) == len(expected)
 
 
 class TestCountingRun:
@@ -406,11 +412,7 @@ class TestCountingRunAgainstPerBlockReference:
         expected = ["shot,vx,vy,vz\n"] + [
             "%d,%.9f,%.9f,%.9f\n" % (s, *v) for s, v in zip(shot.tolist(), velocities)
         ]
-        # Compared line by line, so a failure names its first differing line at once.
-        lines = (tmp_path / "events.csv").read_text().splitlines(keepends=True)
-        bad = next((i for i, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
-        assert bad is None, f"line {bad + 1}: {lines[bad]!r} != {expected[bad]!r}"
-        assert len(lines) == len(expected)
+        assert_same_lines((tmp_path / "events.csv").read_text().splitlines(keepends=True), expected)
 
 
 def small_hom_config(**overrides):
@@ -687,7 +689,8 @@ class TestEventTableIO:
         csv_path, meta_path, events = write_run(config, tmp_path / "run.csv")
         assert (csv_path, meta_path) == (tmp_path / "run.csv", tmp_path / "run.meta.json")
         assert events == len(table.shot)
-        assert csv_path.read_bytes() == paths[0].read_bytes()
+        assert_same_lines(csv_path.read_bytes().splitlines(keepends=True),
+                          paths[0].read_bytes().splitlines(keepends=True))
         assert meta_path.read_bytes() == paths[1].read_bytes()
 
     def test_writer_memory_does_not_grow_with_the_shots(self, tmp_path):
@@ -707,8 +710,13 @@ class TestEventTableIO:
         write_run(small_config(), tmp_path / "ev.csv")
         assert (tmp_path / "ev.csv").read_text() == per_shot_event_csv(table)
 
-    def test_hom_writer_matches_per_shot_reference(self, tmp_path):
-        run = simulate_hom_run(small_hom_config(shots_per_point=50))
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # A t2 that repr prints in full, and one in exponent notation.
+        {"t2_values": (-200.0, -100.0 / 3, 1e-7, 100.0, 200.0), "eta": 0.9},
+    ], ids=["eta-0.25", "eta-0.9-repr-t2"])
+    def test_hom_writer_matches_per_shot_reference(self, tmp_path, overrides):
+        run = simulate_hom_run(small_hom_config(shots_per_point=50, **overrides))
         assert (run.counts_a == 0).any() and (run.counts_b > 0).any()
         write_hom_events(run, tmp_path / "hom.csv")
         assert (tmp_path / "hom.csv").read_text() == per_shot_hom_csv(run)
