@@ -7,10 +7,10 @@ from .analysis import (
     BinnedCounts,
     CellGrid,
     bin_events,
-    bootstrap_std,
     cell_histograms,
     cell_means,
     filter_cells,
+    mean_std_err,
     pooled_counts_histogram,
     sum_histograms,
 )
@@ -47,7 +47,6 @@ from .simulate import (
     HomScanConfig,
     SourceConfig,
     correlation_scan,
-    derive_shot_seed,
     read_event_table,
     simulate_counting_run,
     simulate_hom_run,

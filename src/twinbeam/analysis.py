@@ -1,4 +1,4 @@
-"""Velocity-space cell analysis: binning, histograms, selection, bootstrap.
+"""Velocity-space cell analysis: binning, histograms, selection, shot-mean errors.
 
 The chain mirrors how the detector data is reduced: events are binned
 into a grid of contiguous velocity-space cells, each cell gets a
@@ -10,10 +10,11 @@ the per-cell histograms are the rows of one ``(cells, width)`` matrix and
 the kept cells one array of flat indices.  Per-shot cell counts start in
 one byte a cell and widen to ``intp`` before a block of events could
 overflow them.
-Uncertainties come from resampling whole shots with replacement, shots
-being the independent unit of the experiment.  Every bootstrapped
-statistic is a shot mean of a per-shot row that takes few distinct
-values, so a resample is a multinomial weight on the distinct rows.
+Shots are the independent unit of the experiment, and every error here
+is the standard error of a shot mean, :func:`mean_std_err`, in closed
+form: the standard deviation of the mean over every redraw of the shots
+with replacement (Efron & Tibshirani, *An Introduction to the Bootstrap*,
+1993, ch. 6).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "pooled_counts_histogram",
     "shot_histograms",
     "kept_shot_rows",
-    "distinct_rows",
+    "mean_std_err",
     "bootstrap_std",
     "write_cell_stats",
 ]
@@ -77,14 +78,12 @@ class CellGrid:
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    """Cell-selection threshold and bootstrap size of a counting analysis."""
+    """Cell-selection threshold of a counting analysis: the least per-shot mean a kept cell has."""
 
     min_mean: float = 0.135
-    bootstrap_resamples: int = 1000
 
     def __post_init__(self):
         check_field(self, "min_mean", 0)
-        check_field(self, "bootstrap_resamples", 2, integer=True)
 
 
 @dataclass(frozen=True)
@@ -199,47 +198,53 @@ def shot_histograms(counts: np.ndarray, width: int) -> np.ndarray:
 
 
 def kept_shot_rows(counts: np.ndarray, kept: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shot occurrence histograms and per-shot totals of the ``kept`` columns of ``counts``.
+    """Per-value sums of squares and per-shot totals of the ``kept`` columns of ``counts``.
 
-    Row ``s`` of the histograms is ``shot_histograms(counts[:, kept], width)[s]``,
-    held in the narrowest unsigned type that holds ``len(kept)``; entry
-    ``s`` of the ``intp`` totals is ``counts[s, kept].sum()``.  The kept
-    columns are taken ``_HIST_ROWS`` shots at a time, never copied whole,
-    so the memory beyond both results does not grow with the shots.
+    With ``x[s, v]`` the number of kept cells of shot ``s`` holding ``v``,
+    i.e. ``shot_histograms(counts[:, kept], width)``, entry ``v`` of the
+    first ``intp`` result is ``sum_s x[s, v]**2``, and entry ``s`` of the
+    second is ``counts[s, kept].sum()``.  The kept columns are taken
+    ``_HIST_ROWS`` shots at a time, never copied whole, so the memory
+    beyond the totals does not grow with the shots.
     """
-    hists = np.empty((len(counts), width), dtype=np.min_scalar_type(len(kept)))
+    squares = np.zeros(width, dtype=np.intp)
     totals = np.empty(len(counts), dtype=np.intp)
     for start in range(0, len(counts), _HIST_ROWS):
         block = counts[start : start + _HIST_ROWS, kept]
-        hists[start : start + len(block)] = shot_histograms(block, width)
+        hists = shot_histograms(block, width)
+        squares += (hists * hists).sum(axis=0)
         totals[start : start + len(block)] = block.sum(axis=1, dtype=np.intp)
-    return hists, totals
+    return squares, totals
 
 
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the 2-D ``rows`` in lexicographic order, and how many times each occurs.
+def mean_std_err(sums, sums_sq, n: int) -> np.ndarray:
+    """Standard error of the means of ``n`` integer samples: ``sqrt(n sum x^2 - (sum x)^2) / n^1.5``.
 
-    The result of ``np.unique(rows, axis=0, return_counts=True)``, from one
-    ``lexsort`` and the starts of the runs of equal sorted rows.
+    ``sums`` and ``sums_sq`` hold ``sum x`` and ``sum x^2`` of one sample
+    per entry, of matching shapes.  The result is the plug-in
+    ``sqrt(sum (x - mean)^2) / n``, the standard deviation of the mean over
+    all ``n^n`` redraws of the samples with replacement, i.e. the bootstrap
+    error in the limit of infinitely many redraws.  The numerator is formed in Python ints, so
+    it is exact and never cancels.
     """
-    rows = rows[np.lexsort(rows.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    return rows[starts], np.diff(starts, append=len(rows))
+    sums, n = np.asarray(sums), int(n)
+    numerators = [
+        float(n * q - s * s) for s, q in zip(sums.ravel().tolist(), np.ravel(sums_sq).tolist())
+    ]
+    return np.sqrt(numerators).reshape(sums.shape) / n**1.5
 
 
-def bootstrap_std(
-    rows, shots, resamples: int = AnalysisParams.bootstrap_resamples, seed: int = 0
-):
+def bootstrap_std(rows, shots, resamples: int = 1000, seed: int = 0):
     """Bootstrap standard deviation of the shot mean of per-shot rows.
 
     ``rows`` holds the distinct per-shot rows (scalars or vectors) along
-    its first axis and ``shots[i]`` the number of shots showing row ``i``,
-    e.g. ``distinct_rows(per_shot)``.  Drawing the
-    ``n`` shots with replacement puts a Multinomial(``n``, ``shots / n``)
-    weight on the distinct rows, so all ``resamples`` resamples are one
-    ``multinomial`` draw ``W`` and the result is the SD of ``W @ rows / n``
-    over them: a scalar for scalar rows, one SD per column otherwise.
-    Seeded, hence deterministic.
+    its first axis and ``shots[i]`` the number of shots showing row ``i``.
+    Drawing the ``n`` shots with replacement puts a Multinomial(``n``,
+    ``shots / n``) weight on the distinct rows, so all ``resamples``
+    resamples are one ``multinomial`` draw ``W`` and the result is the SD
+    of ``W @ rows / n`` over them: a scalar for scalar rows, one SD per
+    column otherwise.  Seeded, hence deterministic.  No command calls it;
+    :func:`mean_std_err` is its limit in ``resamples``.
     """
     rows, shots = np.asarray(rows), np.asarray(shots)
     n = int(shots.sum())

@@ -26,9 +26,9 @@ from .analysis import (
     bootstrap_std,
     cell_histograms,
     cell_means,
-    distinct_rows,
     filter_cells,
     kept_shot_rows,
+    mean_std_err,
     pooled_counts_histogram,
     sum_histograms,
     write_cell_stats,
@@ -45,10 +45,7 @@ from .fitting import (
 from .simulate import (
     GENERATOR_ID,
     MAX_SEED,
-    STREAM_POOLED_HISTOGRAM,
-    STREAM_SUMMED_HISTOGRAM,
     correlation_scan,
-    derive_shot_seed,
     read_event_table,
     simulate_counting_run,
     simulate_hom_run,
@@ -56,8 +53,8 @@ from .simulate import (
     write_hom_events,
 )
 
-# pooled_counts_histogram stays importable here because bench/tracer.py
-# wraps it at this name; no command calls it.
+# pooled_counts_histogram and bootstrap_std stay importable here because
+# bench/tracer.py wraps them at these names; no command calls them.
 
 EXIT_INPUT_ERROR = 2
 EXIT_EMPTY_RESULT = 3
@@ -102,7 +99,7 @@ def _input_errors_exit_2(command):
         except (OSError, ValueError) as exc:
             _fail(EXIT_INPUT_ERROR, str(exc))
         except MemoryError as exc:
-            _fail(EXIT_INPUT_ERROR, f"out of memory ({exc}): reduce the shots or bootstrap_resamples")
+            _fail(EXIT_INPUT_ERROR, f"out of memory ({exc}): reduce the shots")
 
     return run
 
@@ -179,7 +176,6 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
     out_dir = _prepare_out(out)
     params = section(doc, "analysis")
     master = doc["master_seed"] if seed is None else seed
-    resamples = params.bootstrap_resamples
 
     grid = section(doc, "grid")
     shots, blocks = read_event_table(events_path)
@@ -201,13 +197,9 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
     # measured average mean.
     summed = sum_histograms(hists[kept])
     width = len(summed)
-    shot_hists, kept_totals = kept_shot_rows(binned.counts, kept, width)
-    del binned  # the count matrix is not needed past the kept cells' per-shot rows
-    summed_err = bootstrap_std(
-        *distinct_rows(shot_hists),
-        resamples=resamples,
-        seed=derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM),
-    ) / len(kept)
+    squares, kept_totals = kept_shot_rows(binned.counts, kept, width)
+    del binned  # the count matrix is not needed past the kept cells' per-shot sums
+    summed_err = mean_std_err(summed, squares, shots) / len(kept)
     _histogram_csv(
         out_dir / "summed_histogram.csv",
         summed,
@@ -221,26 +213,21 @@ def cmd_analyze_counts(events_path, config_path, out, seed):
     # Shot-wise pooled counts over the same cells, fit for the mode count.
     pooled = np.bincount(kept_totals)
     pooled_mean = float(cell_means(pooled))
-    pooled_width = len(pooled) + 5
-    sums = np.flatnonzero(pooled)
-    pooled_err = bootstrap_std(
-        np.eye(pooled_width)[sums],
-        pooled[sums],
-        resamples=resamples,
-        seed=derive_shot_seed(master, STREAM_POOLED_HISTOGRAM),
-    )
+    padded = np.pad(pooled, (0, 5))
+    pooled_err = mean_std_err(padded, padded, shots)  # of one-hot rows: sqrt(p (1 - p) / n)
     try:
         fit = fit_degeneracy(pooled, fixed_mean=pooled_mean)
     except FitFailureError as exc:
         _fail(EXIT_FIT_FAILURE, f"degeneracy fit failed: {exc}")
+    n_max = len(padded) - 1
     _histogram_csv(
         out_dir / "pooled_histogram.csv",
-        np.pad(pooled, (0, 5)),
+        padded,
         pooled_err,
         {
-            "thermal": thermal_pmf(pooled_mean, pooled_width - 1).probs,
-            "poisson": poisson_pmf(pooled_mean, pooled_width - 1).probs,
-            "multimode": multimode_pmf(pooled_mean, fit.degeneracy, pooled_width - 1).probs,
+            "thermal": thermal_pmf(pooled_mean, n_max).probs,
+            "poisson": poisson_pmf(pooled_mean, n_max).probs,
+            "multimode": multimode_pmf(pooled_mean, fit.degeneracy, n_max).probs,
         },
     )
     write_json(
@@ -277,9 +264,7 @@ def cmd_simulate_hom(config_path, out, seed):
     out_dir = _prepare_out(out)
     config = section(doc, "hom", seed)
     run = simulate_hom_run(config)
-    resamples = section(doc, "analysis").bootstrap_resamples
-    # The scan runs first, so a bootstrap that fails leaves no event file.
-    points = correlation_scan(run, resamples=resamples)
+    points = correlation_scan(run)
     event_files = write_hom_events(run, out_dir / "hom_events.csv")
     scan_csv = out_dir / "hom_scan.csv"
     write_csv(scan_csv, "t2_us,corr,err", *np.array(points, dtype=float).T)

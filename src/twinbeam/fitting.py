@@ -9,9 +9,9 @@ and depth are solved in closed form with ``0 <= V <= 1``, and a refined
 grid searches the centre and ``log`` width inside bounds set by the scan.
 Visibility predictions evaluate
 ``V = 1 - (2 + 1/(2 nu))^(-1)`` and propagate the occupation uncertainty
-both to first order and by Monte Carlo.  The result dataclasses are
-written with ``dataclasses.asdict``, so their field names are the keys
-of the result JSON files.
+to first order and as the exact band ``V(nu -/+ nu_std)``.  The result
+dataclasses are written with ``dataclasses.asdict``, so their field names
+are the keys of the result JSON files.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ class VisibilityPrediction:
     nu_std: float
     v_pred: float
     v_std: float
-    v_std_mc: float
-    clipped_fraction: float = 0.0
+    v_band: tuple[float, float]
 
 
 def fit_degeneracy(occurrences: np.ndarray, fixed_mean: float) -> DegeneracyFit:
@@ -194,8 +193,8 @@ def fit_degeneracy(occurrences: np.ndarray, fixed_mean: float) -> DegeneracyFit:
     )
 
 
-def _visibility(nu):
-    """``1 - (2 + 1/(2 nu))^(-1)`` of a float or elementwise of an array."""
+def _visibility(nu: float) -> float:
+    """``1 - (2 + 1/(2 nu))^(-1)``."""
     return 1.0 - 1.0 / (2.0 + 1.0 / (2.0 * nu))
 
 
@@ -206,36 +205,21 @@ def predict_visibility(params: TmsvParams) -> float:
     return _visibility(params.nu)
 
 
-def propagate_visibility_uncertainty(
-    nu: float, nu_std: float, n_samples: int = 100_000, seed: int = 0
-) -> VisibilityPrediction:
-    """First-order propagation of the occupation uncertainty, MC checked.
+def propagate_visibility_uncertainty(nu: float, nu_std: float) -> VisibilityPrediction:
+    """Propagate the occupation uncertainty to the predicted visibility.
 
-    The delta method gives ``sigma_V = |dV/dnu| sigma_nu``; Monte Carlo
-    sampling of ``nu`` cross-checks it.  Samples that land at or below
-    zero are clipped to a small positive value and reported via
-    ``clipped_fraction``.
+    ``v_std`` is the delta method's ``|dV/dnu| sigma_nu``.  ``V`` falls
+    monotonically in ``nu``, so the image of ``nu -/+ sigma_nu`` is exactly
+    ``v_band = (V(nu + sigma_nu), V(nu - sigma_nu))``; where
+    ``nu - sigma_nu <= 0`` its upper end is 1, the limit of ``V`` as
+    ``nu -> 0+``.
     """
     VisibilityParams(nu, nu_std)  # raises ValueError unless both are in range
     v_pred = predict_visibility(TmsvParams(nu=nu))
     g = 2.0 + 1.0 / (2.0 * nu)
     v_std = nu_std / (2.0 * nu**2 * g**2)
-    if nu_std == 0:
-        return VisibilityPrediction(nu, nu_std, v_pred, 0.0, 0.0)
-    rng = np.random.default_rng(seed)
-    samples = rng.normal(nu, nu_std, n_samples)
-    clipped = samples <= 0
-    if clipped.any():
-        samples = np.where(clipped, 1e-12, samples)
-    values = _visibility(samples)
-    return VisibilityPrediction(
-        nu=nu,
-        nu_std=nu_std,
-        v_pred=v_pred,
-        v_std=v_std,
-        v_std_mc=float(np.std(values, ddof=1)),
-        clipped_fraction=float(clipped.mean()),
-    )
+    upper = _visibility(nu - nu_std) if nu > nu_std else 1.0
+    return VisibilityPrediction(nu, nu_std, v_pred, v_std, (_visibility(nu + nu_std), upper))
 
 
 def _dip_profile(t0, sigma, t, y, w2):

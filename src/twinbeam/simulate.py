@@ -29,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisParams, bootstrap_std
+# bootstrap_std stays importable here because bench/tracer.py wraps it at
+# this name; nothing here calls it.
+from .analysis import bootstrap_std, mean_std_err
 from .checks import check_field, csv_row_error, read_csv_chunks, write_json
 from .distributions import TmsvParams
 from .fock import OverlapModel, check_basis_size, hom_basis, hom_joint_pmf, hom_n_max
@@ -42,7 +44,6 @@ __all__ = [
     "HomRun",
     "MAX_SEED",
     "SHOT_ID_LIMIT",
-    "derive_shot_seed",
     "shot_rng",
     "simulate_counting_run",
     "simulate_hom_run",
@@ -63,13 +64,10 @@ _MASK64 = (1 << 64) - 1
 MAX_SEED = _MASK64
 DEFAULT_MASTER_SEED = 20260811
 
-# Stream domains: the key ids of the streams that are not per-shot.  Shot
-# ids count up from 0 and stay below SHOT_ID_LIMIT, the smallest of them.
-STREAM_SUMMED_HISTOGRAM = 2**40
-STREAM_POOLED_HISTOGRAM = 2**40 + 1
-STREAM_SCAN_POINT = 10**12  # plus the scan-point index
-STREAM_COUNTING_BLOCK = 2**63  # OR the block index of a counting run
-SHOT_ID_LIMIT = min(STREAM_SUMMED_HISTOGRAM, STREAM_SCAN_POINT)
+# Shot ids count up from 0 and stay below SHOT_ID_LIMIT; the streams of
+# counting blocks are keyed above them, at STREAM_COUNTING_BLOCK OR the block.
+SHOT_ID_LIMIT = 10**12
+STREAM_COUNTING_BLOCK = 2**63
 
 _UNIFORM_ROWS = 1 << 7  # counting shots whose uniforms are held at once
 # Scan shots drawn per array pass; bounds the memory of the Philox kernel.
@@ -174,12 +172,6 @@ def _binomial_inversion(
         shots, m, u, px, bound = shots[go], m[go], u[go] - px[go], px[go], bound[go]
         px = (m - x + 1) * p * px / (x * q)
     return (n - counts if eta > 0.5 else counts), settled
-
-
-def derive_shot_seed(master_seed: int, shot_id: int) -> int:
-    """Stream ``shot_id``'s 128-bit seed, its Philox key words; injective in ``shot_id``."""
-    lo, hi = _key_words(master_seed, shot_id & _MASK64, 1)
-    return (int(hi[0]) << 64) | int(lo[0])
 
 
 def shot_rng(master_seed: int, shot_id: int) -> np.random.Generator:
@@ -429,21 +421,19 @@ def simulate_hom_run(config: HomScanConfig) -> HomRun:
     return HomRun(config, counts_a, counts_b, tuple(tail_mass))
 
 
-def correlation_scan(
-    run: HomRun, resamples: int = AnalysisParams.bootstrap_resamples
-) -> list[tuple[float, float, float]]:
-    """Per-``t2`` cross correlation with bootstrap errors over shots.
+def correlation_scan(run: HomRun) -> list[tuple[float, float, float]]:
+    """Per-``t2`` cross correlation with the standard error of its shot mean.
 
-    Returns ``(t2, <n_a n_b>, err)`` triples ready for the dip fit.  When
-    a point saw no coincidences at all the bootstrap spread degenerates
-    to zero; the error is then floored at ``1/shots`` (the resolution of
-    a single coincidence) so weighted fits stay well posed.
+    Returns ``(t2, <n_a n_b>, err)`` triples ready for the dip fit; ``err``
+    is :func:`~twinbeam.analysis.mean_std_err` of the per-shot products.
+    When a point saw no coincidences at all that error is zero; it is then
+    floored at ``1/shots`` (the resolution of a single coincidence) so
+    weighted fits stay well posed.
     """
     points = []
-    for index, t2 in enumerate(run.config.t2_values):
-        products = run.counts_a[index] * run.counts_b[index]
-        boot_seed = derive_shot_seed(run.config.master_seed, STREAM_SCAN_POINT + index)
-        err = bootstrap_std(*np.unique(products, return_counts=True), resamples, boot_seed)
+    for t2, counts_a, counts_b in zip(run.config.t2_values, run.counts_a, run.counts_b):
+        products = counts_a * counts_b
+        err = mean_std_err(products.sum(), (products * products).sum(), len(products))
         err = max(float(err), 1.0 / len(products))
         points.append((t2, float(products.mean()), err))
     return points

@@ -236,7 +236,7 @@ def hom_dips():
             master_seed=900 + i,
         )
         run = simulate_hom_run(config)
-        fits[eta] = fit_gaussian_dip(correlation_scan(run, resamples=400))
+        fits[eta] = fit_gaussian_dip(correlation_scan(run))
     return fits
 
 
@@ -296,7 +296,6 @@ def test_acceptance_10_commands_rerun_byte_identical(acceptance, tmp_path):
     runner = CliRunner()
     doc = default_config()
     doc["source"]["shots"] = 200
-    doc["analysis"]["bootstrap_resamples"] = 60
     doc["hom"].update({"shots_per_point": 150,
                        "t2_values": [-180.0, -60.0, 0.0, 60.0, 180.0]})
     config = tmp_path / "config.json"

@@ -1,5 +1,6 @@
-"""Tests for velocity-space binning, histograms, selection, bootstrap."""
+"""Tests for velocity-space binning, histograms, selection, shot-mean errors."""
 
+import itertools
 import json
 import math
 from unittest import mock
@@ -20,9 +21,9 @@ from twinbeam.analysis import (
     bootstrap_std,
     cell_histograms,
     cell_means,
-    distinct_rows,
     filter_cells,
     kept_shot_rows,
+    mean_std_err,
     pooled_counts_histogram,
     shot_histograms,
     sum_histograms,
@@ -31,6 +32,7 @@ from twinbeam.analysis import (
 from twinbeam.checks import write_csv, write_json
 from twinbeam.distributions import thermal_pmf
 from twinbeam.simulate import (
+    SHOT_ID_LIMIT,
     HomRun,
     HomScanConfig,
     SourceConfig,
@@ -425,9 +427,48 @@ class TestBootstrapStd:
         counts_b = np.array([[3, 0, 0, 0], [1, 2, 1, 1]])
         config = HomScanConfig(t2_values=(0.0, 1.0), master_seed=5)
         run = HomRun(config, counts_a, counts_b, (0.0, 0.0))
-        (_, corr_0, err_0), (_, corr_1, err_1) = correlation_scan(run, resamples=50)
+        (_, corr_0, err_0), (_, corr_1, err_1) = correlation_scan(run)
         assert (corr_0, err_0) == (0.0, 0.25)
-        assert corr_1 == 1.25 and err_1 > 0.25
+        # Products 1, 2, 2, 0: sqrt(4 * 9 - 5**2) / 4**1.5.
+        assert corr_1 == 1.25 and err_1 == math.sqrt(2.75) / 4
+
+
+class TestMeanStdErr:
+    @staticmethod
+    def ideal_bootstrap_sd(sample):
+        """SD of the mean over all ``n**n`` resamples of ``sample`` with replacement."""
+        resamples = np.array(list(itertools.product(sample, repeat=len(sample))))
+        return resamples.mean(axis=1).std()
+
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_sd_over_every_resample(self, sample):
+        err = mean_std_err(sum(sample), sum(x * x for x in sample), len(sample))
+        assert abs(err - self.ideal_bootstrap_sd(sample)) <= 1e-12
+
+    def test_constant_sample_is_zero(self):
+        sample = [3] * 6
+        assert self.ideal_bootstrap_sd(sample) == 0.0
+        assert mean_std_err(18, 54, 6) == 0.0
+
+    def test_one_hot_column_is_binomial(self):
+        sample = [0, 1, 0, 0, 1, 0]
+        p, n = 2 / 6, 6
+        assert abs(mean_std_err(2, 2, n) - self.ideal_bootstrap_sd(sample)) <= 1e-12
+        assert abs(mean_std_err(2, 2, n) - math.sqrt(p * (1 - p) / n)) <= 1e-12
+
+    def test_columns_are_independent_samples(self):
+        sums, squares = np.array([[2, 5], [0, 7]]), np.array([[2, 9], [0, 13]])
+        err = mean_std_err(sums, squares, 4)
+        assert err.shape == (2, 2)
+        for index in np.ndindex(2, 2):
+            assert err[index] == mean_std_err(sums[index], squares[index], 4)
+
+    def test_exact_at_the_shot_id_limit(self):
+        # All but one of the samples are 1: n q - s**2 = n - 1, which float
+        # arithmetic would lose to cancellation.
+        n = SHOT_ID_LIMIT
+        assert mean_std_err(n - 1, n - 1, n) == pytest.approx(math.sqrt(n - 1) / n**1.5, rel=1e-15)
 
 
 class TestShotHistograms:
@@ -469,16 +510,17 @@ class TestKeptShotRows:
     def test_blocks_of_three_shots_equal_the_kept_columns(self, counts, kept):
         counts, kept = np.array(counts, dtype=np.uint8), np.array(sorted(kept))
         with mock.patch.object(analysis, "_HIST_ROWS", 3):
-            hists, totals = kept_shot_rows(counts, kept, 5)
-        assert_same_bytes(hists, shot_histograms(counts[:, kept], 5).astype(np.uint8))
+            squares, totals = kept_shot_rows(counts, kept, 5)
+        assert_same_bytes(squares, (shot_histograms(counts[:, kept], 5) ** 2).sum(axis=0))
         assert_same_bytes(totals, counts[:, kept].sum(axis=1, dtype=np.intp))
 
-    def test_histograms_hold_the_kept_cell_count(self):
+    def test_squares_hold_the_kept_cell_count(self):
         counts = np.random.default_rng(16).geometric(0.6, size=(700, 300)) - 1
         counts[3] = 0
-        hists, totals = kept_shot_rows(counts, np.arange(300), counts.max() + 1)
-        assert hists.dtype == np.uint16 and hists[3, 0] == 300
-        assert np.array_equal(hists, shot_histograms(counts, counts.max() + 1))
+        squares, totals = kept_shot_rows(counts, np.arange(300), counts.max() + 1)
+        hists = shot_histograms(counts, counts.max() + 1)
+        assert hists[3, 0] == 300
+        assert_same_bytes(squares, (hists**2).sum(axis=0))
         assert_same_bytes(totals, counts.sum(axis=1, dtype=np.intp))
 
     def test_kept_columns_are_never_copied_whole(self):
@@ -489,30 +531,11 @@ class TestKeptShotRows:
         beyond = []
         for shots in (10_000, 40_000):
             counts = (rng.geometric(0.8, size=(shots, 45)) - 1).astype(np.uint8)
-            (hists, totals), peak = traced_peak(kept_shot_rows, counts, kept, 12)
+            (squares, totals), peak = traced_peak(kept_shot_rows, counts, kept, 12)
             assert np.array_equal(totals, counts[:, kept].sum(axis=1))
-            beyond.append(peak - hists.nbytes - totals.nbytes)
+            beyond.append(peak - squares.nbytes - totals.nbytes)
         assert max(beyond) <= 256 << 10
         assert abs(beyond[1] - beyond[0]) <= 32 << 10
-
-
-class TestDistinctRows:
-    @given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=1, max_size=40))
-    @settings(max_examples=200)
-    def test_equals_numpy_unique(self, rows):
-        rows = np.array(rows)
-        expected_rows, expected_counts = np.unique(rows, axis=0, return_counts=True)
-        got_rows, got_counts = distinct_rows(rows)
-        assert_same_bytes(got_rows, expected_rows)
-        assert_same_bytes(got_counts, expected_counts)
-
-    def test_equals_numpy_unique_on_shot_histograms(self):
-        counts = np.random.default_rng(12).geometric(0.8, size=(5_000, 17)) - 1
-        hists = shot_histograms(counts, counts.max() + 1)
-        expected_rows, expected_counts = np.unique(hists, axis=0, return_counts=True)
-        got_rows, got_counts = distinct_rows(hists)
-        assert_same_bytes(got_rows, expected_rows)
-        assert_same_bytes(got_counts, expected_counts)
 
 
 class TestSerialization:

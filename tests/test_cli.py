@@ -40,7 +40,6 @@ def small_doc(**overrides):
             "nu_per_mode": 4.5,
         }
     )
-    doc["analysis"]["bootstrap_resamples"] = 50
     doc["hom"].update(
         {
             "t2_values": [-180.0, -90.0, 0.0, 90.0, 180.0],
@@ -49,6 +48,15 @@ def small_doc(**overrides):
     )
     doc.update(overrides)
     return doc
+
+
+def src_env():
+    """The environment with ``src`` first on ``PYTHONPATH``, for a CLI subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return env
 
 
 def write_doc(tmp_path, doc, name="config.json"):
@@ -77,6 +85,16 @@ class TestConfigValidation:
         )
         assert result.exit_code == 2
         assert "surprise" in result.output
+
+    def test_retired_bootstrap_resamples_key_rejected(self, tmp_path, runner):
+        doc = small_doc()
+        doc["analysis"]["bootstrap_resamples"] = 1000
+        path = write_doc(tmp_path, doc)
+        result = runner.invoke(
+            main, ["simulate-hom", "--config", str(path), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2
+        assert "unknown key 'bootstrap_resamples'" in result.output
 
     def test_nested_unknown_key_rejected(self, tmp_path):
         doc = small_doc()
@@ -372,10 +390,7 @@ class TestAnalyzeCounts:
             # on the address space makes that allocation fail whatever the
             # system's overcommit policy.
             cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (16 << 30,) * 2)"
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-            )
+            env = src_env()
             result = subprocess.run(
                 [sys.executable, "-c", f"{cap}; from twinbeam.cli import main; main()", *argv],
                 env=env, capture_output=True, text=True,
@@ -678,7 +693,7 @@ class TestPredictVisibility:
         assert "0.72 +/- 0.03" in result.output or "0.72 +/- 0.02" in result.output
         payload = json.loads((out / "visibility_prediction.json").read_text())
         assert sorted(payload) == [
-            "clipped_fraction", "nu", "nu_std", "v_pred", "v_std", "v_std_mc",
+            "nu", "nu_std", "v_band", "v_pred", "v_std",
         ]
         assert round(payload["v_pred"], 2) == 0.72
 
@@ -771,9 +786,8 @@ class TestUnusableInputExits2:
         [
             ("simulate-source", {"source": {"shots": 10**12}}),
             ("simulate-hom", {"hom": {"shots_per_point": 10**10}}),
-            ("simulate-hom", {"hom": {"shots_per_point": 50}, "analysis": {"bootstrap_resamples": 10**12}}),
         ],
-        ids=["source-shots", "hom-shots_per_point", "bootstrap_resamples"],
+        ids=["source-shots", "hom-shots_per_point"],
     )
     def test_run_too_large_for_memory_exits_2(self, tmp_path, command, edits):
         # Each run is valid, but its first large allocation exceeds a 16 GiB
@@ -783,10 +797,7 @@ class TestUnusableInputExits2:
             doc[section].update(values)
         argv = [command, "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "o")]
         cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (16 << 30,) * 2)"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-        )
+        env = src_env()
         result = subprocess.run(
             [sys.executable, "-c", f"{cap}; from twinbeam.cli import main; main()", *argv],
             env=env, capture_output=True, text=True,
@@ -820,15 +831,36 @@ class TestUnusableInputExits2:
 
 @pytest.mark.parametrize("module", ["twinbeam", "twinbeam.cli"])
 def test_import_leaves_out_scipy_and_jsonschema(module):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
     probe = (
         f"import sys, {module}; print(sorted(m for m in sys.modules"
         " if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["analyze-counts", "fit-dip", "predict-visibility"])
+def test_analysis_commands_leave_out_numpy_random(tmp_path, runner, command):
+    # Every error these commands write is in closed form: nothing is drawn.
+    doc = small_doc()
+    doc["hom"]["t2_values"] = list(np.linspace(-240, 240, 9))
+    config = str(write_doc(tmp_path, doc))
+    for simulate in ("simulate-source", "simulate-hom"):
+        result = runner.invoke(main, [simulate, "--config", config, "--out", str(tmp_path / "in")])
+        assert result.exit_code == 0, result.output
+    argv = {
+        "analyze-counts": ["--events", str(tmp_path / "in" / "events.csv"), "--config", config],
+        "fit-dip": [str(tmp_path / "in" / "hom_scan.csv"), "--nu", "0.33", "--nu-std", "0.07"],
+        "predict-visibility": ["--config", config],
+    }[command]
+    probe = (
+        "import sys; from twinbeam.cli import main; "
+        "main(sys.argv[1:], standalone_mode=False); print('numpy.random' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, command, *argv, "--out", str(tmp_path / "out")],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "False"

@@ -191,24 +191,27 @@ class TestPropagateVisibilityUncertainty:
     def test_zero_std(self):
         pred = propagate_visibility_uncertainty(0.33, 0.0)
         assert pred.v_std == 0.0
-        assert pred.v_std_mc == 0.0
+        assert pred.v_band == (pred.v_pred, pred.v_pred)
         assert pred.v_pred == pytest.approx(V_033, abs=1e-9)
 
-    def test_delta_method_agrees_with_monte_carlo(self):
-        pred = propagate_visibility_uncertainty(0.33, 0.07, n_samples=200_000, seed=2)
-        assert abs(pred.v_std - pred.v_std_mc) / pred.v_std_mc < 0.10
+    def test_band_present_work_row(self):
+        # V(0.40) = 9/13 and V(0.26) = 38/51.
+        band = propagate_visibility_uncertainty(0.33, 0.07).v_band
+        assert band == pytest.approx((9 / 13, 38 / 51), abs=1e-12)
+        assert [round(v, 7) for v in band] == [0.6923077, 0.7450980]
 
-    def test_delta_method_underestimates_wide_uncertainty(self):
-        # At 25% relative uncertainty the visibility curve steepens over
-        # the sampled range, so first order sits ~17% below Monte Carlo;
-        # the two still agree at the rounding level quoted for the result.
-        pred = propagate_visibility_uncertainty(0.8, 0.2, n_samples=200_000, seed=2)
-        assert abs(pred.v_std - pred.v_std_mc) / pred.v_std_mc < 0.20
-        assert round(pred.v_std, 2) == 0.02
+    def test_band_earlier_experiment_row(self):
+        # V(1.0) = 3/5 and V(0.6) = 11/17: the delta method's 0.02 is
+        # narrower than the band's upper half-width.
+        pred = propagate_visibility_uncertainty(0.8, 0.2)
+        assert pred.v_band == pytest.approx((0.6, 11 / 17), abs=1e-12)
+        assert pred.v_band[1] - pred.v_pred > pred.v_std
 
-    def test_clipping_flagged(self):
-        pred = propagate_visibility_uncertainty(0.1, 0.2, seed=0)
-        assert pred.clipped_fraction > 0.2
+    @pytest.mark.parametrize("nu, nu_std", [(0.1, 0.2), (0.2, 0.2)])
+    def test_band_reaches_one_where_nu_minus_std_is_not_positive(self, nu, nu_std):
+        low, high = propagate_visibility_uncertainty(nu, nu_std).v_band
+        assert high == 1.0
+        assert low == pytest.approx(predict_visibility(TmsvParams(nu=nu + nu_std)), abs=1e-15)
 
     def test_nonpositive_nu_rejected(self):
         with pytest.raises(ValueError):
@@ -306,11 +309,8 @@ class TestFitGaussianDip:
 def default_seed_scans():
     """Scans of the shipped ``hom`` section on seeds 1-12."""
     doc = default_config()
-    resamples = section(doc, "analysis").bootstrap_resamples
     return {
-        seed: np.asarray(
-            correlation_scan(simulate_hom_run(section(doc, "hom", seed)), resamples=resamples)
-        )
+        seed: np.asarray(correlation_scan(simulate_hom_run(section(doc, "hom", seed))))
         for seed in range(1, 13)
     }
 

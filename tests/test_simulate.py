@@ -28,13 +28,9 @@ from twinbeam.simulate import (
     PORT_VELOCITIES,
     SHOT_ID_LIMIT,
     STREAM_COUNTING_BLOCK,
-    STREAM_POOLED_HISTOGRAM,
-    STREAM_SCAN_POINT,
-    STREAM_SUMMED_HISTOGRAM,
     HomScanConfig,
     SourceConfig,
     correlation_scan,
-    derive_shot_seed,
     read_event_table,
     shot_rng,
     simulate_counting_run,
@@ -45,16 +41,23 @@ from twinbeam.simulate import (
 from twinbeam.simulate import _STREAM_SHOTS, _key_words
 
 
+def _key(master_seed: int, shot_id: int) -> tuple[int, int]:
+    """The low and high Philox key words of one shot's stream."""
+    lo, hi = _key_words(master_seed, shot_id, 1)
+    return int(lo[0]), int(hi[0])
+
+
 class TestShotSeeds:
     def test_deterministic(self):
-        assert derive_shot_seed(123, 42) == derive_shot_seed(123, 42)
+        assert _key(123, 42) == _key(123, 42)
+        assert np.array_equal(shot_rng(123, 42).random(4), shot_rng(123, 42).random(4))
 
     def test_distinct_across_shots(self):
-        seeds = {derive_shot_seed(99, shot) for shot in range(10_000)}
-        assert len(seeds) == 10_000
+        keys = set(zip(*(words.tolist() for words in _key_words(99, 0, 10_000))))
+        assert len(keys) == 10_000
 
     def test_distinct_across_masters(self):
-        assert derive_shot_seed(1, 0) != derive_shot_seed(2, 0)
+        assert _key(1, 0) != _key(2, 0)
 
     def test_rng_streams_independent(self):
         a = shot_rng(7, 0).random(4)
@@ -63,22 +66,8 @@ class TestShotSeeds:
 
 
 class TestStreamKeys:
-    def test_stream_domain_seeds_unchanged(self):
-        # The bootstrap seeds of every run come from these streams.
-        master = SourceConfig.master_seed
-        assert derive_shot_seed(master, STREAM_SUMMED_HISTOGRAM) == (
-            0x135F0D07D5D07AD376D88C32F843F7FF
-        )
-        assert derive_shot_seed(master, STREAM_POOLED_HISTOGRAM) == (
-            0xF90C295F3502DA2E09F69132A1AF8E9E
-        )
-        assert derive_shot_seed(master, STREAM_SCAN_POINT) == 0x9886A1A6F43556466C0A8AF6D34ED19E
-        assert derive_shot_seed(master, STREAM_SCAN_POINT + 12) == (
-            0xD23BFAB0FFB5AB1CF49F75025339B5C3
-        )
-
     def test_bulk_keys_match_scalar_seeds(self):
-        # Words of the scalar derive_shot_seed that preceded the bulk keys.
+        # Key words first pinned when keys were derived one shot at a time.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block, last, first = (
@@ -163,41 +152,28 @@ def _counting_block_ids(shots: int) -> range:
     return range(STREAM_COUNTING_BLOCK, STREAM_COUNTING_BLOCK + last + 1)
 
 
-def _meets_stream_domain(shot_ids: range, points: int) -> bool:
-    """Whether an id in ``shot_ids`` equals a histogram-stream id or a scan-point id."""
-    fixed = (STREAM_SUMMED_HISTOGRAM, STREAM_POOLED_HISTOGRAM)
-    scan = range(STREAM_SCAN_POINT, STREAM_SCAN_POINT + points)
-    return any(d in shot_ids for d in fixed) or max(shot_ids.start, scan.start) < min(
-        shot_ids.stop, scan.stop
-    )
-
-
 class TestShotIdsMissStreamDomains:
     @given(st.integers(min_value=1, max_value=2**64))
     @example(SHOT_ID_LIMIT)
     @example(SHOT_ID_LIMIT + 1)
-    @example(STREAM_SUMMED_HISTOGRAM + 3)
     def test_counting_run(self, shots):
         admitted = _admitted(lambda: SourceConfig(shots=shots))
         assert admitted == (shots <= SHOT_ID_LIMIT)
         if admitted:
             blocks = _counting_block_ids(shots)
-            assert not _meets_stream_domain(range(shots), points=2**20)
-            assert not _meets_stream_domain(blocks, points=2**20)
             assert blocks.start >= SHOT_ID_LIMIT  # above every shot id of either run type
+            assert blocks.stop <= 2**64
 
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=2**64))
     @example(13, SHOT_ID_LIMIT // 13)
     @example(13, SHOT_ID_LIMIT // 13 + 1)
-    @example(1, STREAM_SUMMED_HISTOGRAM + 3)
     def test_hom_scan(self, points, shots_per_point):
         t2_values = tuple(float(i) for i in range(points))
         admitted = _admitted(
             lambda: HomScanConfig(t2_values=t2_values, shots_per_point=shots_per_point)
         )
+        # Admitted scans keep their shot ids below SHOT_ID_LIMIT, so below every counting block's id.
         assert admitted == (points * shots_per_point <= SHOT_ID_LIMIT)
-        if admitted:
-            assert not _meets_stream_domain(range(points * shots_per_point), points)
 
 
 def small_config(**overrides):
@@ -576,7 +552,7 @@ class TestHomRun:
 
     def test_correlation_scan_output(self):
         run = simulate_hom_run(small_hom_config())
-        points = correlation_scan(run, resamples=200)
+        points = correlation_scan(run)
         assert len(points) == 5
         for t2, corr, err in points:
             assert err > 0
